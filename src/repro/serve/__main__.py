@@ -123,18 +123,29 @@ def _add_index_args(parser: argparse.ArgumentParser) -> None:
                              "(default: round(sqrt(pool)))")
 
 
-def cmd_warmup(args: argparse.Namespace) -> int:
+def _fit_and_save(args: argparse.Namespace, out=None):
+    """Fit NPRec on the task *args* describe and save it to ``args.dir``.
+
+    The manifest records the task parameters so :func:`_reload_task`
+    can rebuild the evaluation task. Progress goes to *out* (default
+    stdout). Returns ``(task, artifact path)``.
+    """
     task = _build_task(args.scale, args.seed, args.split_year, args.users)
-    recommender = NPRecRecommender(_fit_config(args.seed))
     print(f"fitting NPRec on {len(task.train_papers)} train / "
-          f"{len(task.new_papers)} new papers ...")
+          f"{len(task.new_papers)} new papers ...", file=out)
+    recommender = NPRecRecommender(_fit_config(args.seed))
     recommender.fit(task.corpus, task.train_papers, task.new_papers)
-    path = save_pipeline(recommender, args.dir, corpus=task.corpus,
+    path = save_pipeline(recommender, str(args.dir), corpus=task.corpus,
                          extra_metadata={
                              "corpus": "acm", "scale": args.scale,
                              "seed": args.seed, "split_year": args.split_year,
                              "users": args.users,
                          })
+    return task, path
+
+
+def cmd_warmup(args: argparse.Namespace) -> int:
+    task, path = _fit_and_save(args)
     print(f"artifact written to {path}")
     if args.index == "ivf":
         # Cluster the evaluation pool once, offline, and persist the
@@ -464,15 +475,7 @@ def _load_or_fit_index(args: argparse.Namespace):
     else:
         print(f"no artifact at {directory}; fitting one "
               f"(scale={args.scale}, seed={args.seed}) ...", file=sys.stderr)
-        task = _build_task(args.scale, args.seed, args.split_year, args.users)
-        recommender = NPRecRecommender(_fit_config(args.seed))
-        recommender.fit(task.corpus, task.train_papers, task.new_papers)
-        save_pipeline(recommender, str(directory), corpus=task.corpus,
-                      extra_metadata={
-                          "corpus": "acm", "scale": args.scale,
-                          "seed": args.seed, "split_year": args.split_year,
-                          "users": args.users,
-                      })
+        task, _ = _fit_and_save(args, out=sys.stderr)
     index = ServingIndex.from_artifact(str(directory),
                                        papers=task.new_papers,
                                        cache_size=args.cache_size,

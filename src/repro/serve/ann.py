@@ -14,16 +14,19 @@ reproduces the exact ranking order-for-order — the exact path stays
 the correctness oracle, and ``benchmarks/test_ann_bench.py`` measures
 recall@K against it so speedups cannot silently trade away quality.
 
-Two pieces are shared with the exact path rather than duplicated:
-
-- :func:`pooled_scores` — the ``mix * max + (1 - mix) * mean``
-  correlation pooling over the user's interest vectors, used for
-  coarse centroid ranking, candidate scoring, *and* the exact path's
-  blockwise scoring, so all three agree bit for bit on common input;
-- :func:`exact_top_k` — the blockwise-heap exact ranker (moved here
-  from ``ServingIndex._blockwise_top_k``), with an ``argpartition``
-  prescreen so only the ≤k plausible candidates per block touch the
-  Python heap.
+Serving ranks through two functions here:
+:func:`batch_exact_top_k` for the exact strategy and
+:meth:`IVFIndex.gather` + :func:`rank_candidates` for IVF (gathered
+under the serving lock, scored outside it). Both rest on
+:func:`pooled_scores` — the ``mix * max + (1 - mix) * mean``
+correlation pooling over the user's interest vectors, also used for
+coarse centroid ranking — so every path agrees bit for bit on common
+input. :func:`exact_top_k` / :func:`exact_top_k_scored` (one query)
+and :meth:`IVFIndex.search` (gather and score in one call) are the
+reference rankers that tests and the recall benchmark compare serving
+against. The exact rankers share a blockwise bounded heap with an
+``argpartition`` prescreen, so only the ≤k plausible candidates per
+block touch the Python heap.
 
 This module is deliberately free of model/obs dependencies: it ranks
 raw matrices, so the benchmark can sweep 50k-row synthetic pools
@@ -186,8 +189,8 @@ def rank_candidates(interest: np.ndarray, matrix: np.ndarray,
     """(positions, scores) of the top-*k* rows among *candidates*.
 
     The scoring half of :meth:`IVFIndex.search`, usable on a candidate
-    set gathered earlier (the batched serving path gathers under the
-    serving lock and scores outside it). *candidates* must be sorted
+    set gathered earlier (the serving path gathers under the serving
+    lock and scores outside it). *candidates* must be sorted
     ascending. Exact-path score arithmetic and tie-breaking: descending
     score, ties toward the lower pool position.
     """
@@ -392,8 +395,8 @@ class IVFIndex:
         collects the member positions of the best ``nprobe`` lists into
         one array, and accounts the work. The returned array is a copy,
         so a caller may score it after the inverted lists have grown
-        (the batched serving path gathers under the serving lock and
-        scores outside it).
+        (the serving path gathers under the serving lock and scores
+        outside it).
         """
         probed = self.probe(interest, mix, nprobe)
         members = [self._lists[j] for j in probed]
@@ -406,17 +409,6 @@ class IVFIndex:
         candidates = np.sort(np.concatenate(
             [np.asarray(m, dtype=np.int64) for m in members if m]))
         return candidates, stats
-
-    def gather_many(self, interests: "list[np.ndarray]", mix: float,
-                    nprobe: int) -> list[tuple[np.ndarray, ProbeStats]]:
-        """Multi-query probe: :meth:`gather` for each interest matrix.
-
-        Centroid scoring stays per-query (same call shapes as a lone
-        :meth:`probe`, so batched probing is bit-identical to serial);
-        the batching win is one pass over the clustered state for the
-        whole batch.
-        """
-        return [self.gather(interest, mix, nprobe) for interest in interests]
 
     def search(self, interest: np.ndarray, matrix: np.ndarray, k: int, *,
                mix: float, novelty: np.ndarray | None = None,

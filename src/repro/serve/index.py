@@ -16,6 +16,12 @@ without the per-query correlation-spread multiplier), and the
 profile-text blend is omitted (it requires a full re-rank per query,
 which contradicts blockwise retrieval).
 
+There is one rank path: :meth:`ServingIndex.batch_top_k`. Serial
+:meth:`ServingIndex.top_k` is a batch of one, and the micro-batching
+scheduler (:mod:`repro.serve.scheduler`) feeds it larger batches. The
+path snapshots pool state under ``_serve_lock`` and scores with the
+lock released.
+
 Retrieval is a pluggable strategy: ``index="exact"`` (the default, and
 the correctness oracle) scores every pool row blockwise;
 ``index="ivf"`` routes queries through a pure-numpy IVF coarse
@@ -64,8 +70,9 @@ from repro.errors import (ArtifactError, GraphError, InjectedFault,
 from repro.graph.builder import attach_paper_to_network
 from repro.resilience import faults
 from repro.resilience.retry import Backoff, retry
-from repro.serve.ann import (IVFIndex, batch_exact_top_k, exact_top_k,
-                             rank_candidates)
+# exact_top_k is unused here; bench/tests/test_tracing.py expects it bound.
+from repro.serve.ann import (IVFIndex, batch_exact_top_k,  # noqa: F401
+                             exact_top_k, rank_candidates)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.scheduler import BatchScheduler
@@ -206,7 +213,6 @@ class ServingIndex:
         self._degraded_reason: str | None = ("no_model" if recommender is None
                                              else None)
         self._last_load_error: RetryExhaustedError | None = None
-        self._query_fault = False
         # Monotone stamp of result-affecting pool state: bumps on every
         # append, nprobe retune, and influence heal. Batched responses
         # are stamped with the version they were computed against.
@@ -749,6 +755,20 @@ class ServingIndex:
         for key in [k for k in self._cache if k[0] == user_key]:
             del self._cache[key]
 
+    def _cache_hit(self, cache_key: tuple) -> list[str] | None:
+        """Cached ids for *cache_key*, counted as a hit; None on a miss.
+
+        Call with ``_serve_lock`` held. A miss touches no counters: the
+        path that computes the answer accounts for it.
+        """
+        cached = self._cache.get(cache_key)
+        if cached is None:
+            return None
+        self._cache.move_to_end(cache_key)
+        self.cache_hits += 1
+        obs.count("serve.cache", outcome="hit")
+        return list(cached)
+
     def _append(self, paper: Paper, influence_row: np.ndarray | None) -> None:
         self._pool_version += 1
         self._positions[paper.id] = len(self._papers)
@@ -824,45 +844,26 @@ class ServingIndex:
         """Ids of the top-*k* pool papers for *user*, best first.
 
         *user* is either a registered user id or an ad-hoc sequence of
-        the user's papers. Results are LRU-cached per ``(user, k)`` until
-        the pool changes or :meth:`invalidate` is called.
+        the user's papers. A batch of one through :meth:`batch_top_k`:
+        results are LRU-cached per ``(user, k)`` until the pool changes
+        or :meth:`invalidate` is called. Raises :class:`KeyError` for an
+        unregistered user and :class:`ValueError` for ``k < 1`` or an
+        empty paper list.
         """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        user_key, papers, profile = self._resolve_user(user)
-        obs.count("serve.queries")
         # A request span (not a plain trace): allocates the trace_id
         # every nested span, degradation event, and metric exemplar
         # carries, and offers the finished span tree to the exemplar
         # reservoir. Lock wait is inside the span: client-visible latency.
         with obs.request("serve.query", k=int(k)) as span:
-            with self._serve_lock:
-                cache_key = (user_key, int(k))
-                cached = self._cache.get(cache_key)
-                if cached is not None:
-                    self._cache.move_to_end(cache_key)
-                    self.cache_hits += 1
-                    outcome = "hit"
-                    obs.count("serve.cache", outcome="hit")
-                    result = list(cached)
-                else:
-                    self.cache_misses += 1
-                    outcome = "miss"
-                    obs.count("serve.cache", outcome="miss")
-                    result = self._query(papers, profile, k)
-                    if not self._query_fault:
-                        # A result produced through the fault-degradation path
-                        # is never cached: the next identical query should get
-                        # the healthy ranking back as soon as the fault clears.
-                        self._cache[cache_key] = tuple(result)
-                        while len(self._cache) > self.cache_size:
-                            self._cache.popitem(last=False)
-            span.set("cache", outcome)
+            result = self.batch_top_k([(user, k)])[0]
+            if result.error is not None:
+                raise result.error
+            span.set("cache", result.cache)
         # Split by cache outcome: hit-path latency is microseconds and
         # would otherwise mask the miss-path tail in the merged p99.
         self._observe_latency("serve.query", span.duration,
-                              trace_id=span.trace_id, cache=outcome)
-        return result
+                              trace_id=span.trace_id, cache=result.cache)
+        return result.ids
 
     def cached_top_k(self, user: "str | Sequence[Paper]",
                      k: int = 10) -> BatchQueryResult | None:
@@ -883,15 +884,11 @@ class ServingIndex:
             return None
         start = time.perf_counter()
         with self._serve_lock:
-            cached = self._cache.get((user_key, int(k)))
-            if cached is None:
+            ids = self._cache_hit((user_key, int(k)))
+            if ids is None:
                 return None
-            self._cache.move_to_end((user_key, int(k)))
-            self.cache_hits += 1
             obs.count("serve.queries")
-            obs.count("serve.cache", outcome="hit")
             version = self._pool_version
-            ids = list(cached)
         self._observe_latency("serve.query", time.perf_counter() - start,
                               trace_id=obs.current_trace_id(), cache="hit")
         return BatchQueryResult(ids=ids, scores=None, pool_version=version,
@@ -916,7 +913,9 @@ class ServingIndex:
                 obs.count("serve.degraded", reason="shed")
                 obs.event("serve.degraded", reason="shed")
                 version = self._pool_version
-                ids = self._fallback_rank(papers, k) if self._papers else []
+                ids = (self._fallback_rank(papers, k, self._fallback_locked(),
+                                           self._ids)
+                       if self._papers else [])
             span.set("cache", "shed")
         self._observe_latency("serve.query", span.duration,
                               trace_id=span.trace_id, cache="shed")
@@ -927,13 +926,16 @@ class ServingIndex:
                     ) -> list[BatchQueryResult]:
         """Answer several ``(user, k)`` requests in one coalesced pass.
 
-        The micro-batching rank entry point. Three phases:
+        The one rank path: :meth:`top_k` is a batch of one, and the
+        micro-batching scheduler submits larger batches. Three phases:
 
         1. **Admit** (under ``_serve_lock``): validate and resolve each
            request, serve cache hits, deduplicate the misses into jobs
            (one per distinct ``(user, k)``), resolve interest matrices,
            and — under ``index="ivf"`` — gather each job's candidate
-           lists. Everything that reads mutable pool state happens here.
+           lists. Everything that reads mutable pool state happens here,
+           including the snapshot of the id list that phase 2 maps
+           positions through.
         2. **Score** (lock *released*): pure-numpy ranking over the
            influence snapshot — one blockwise pass shared by every
            exact job (:func:`repro.serve.ann.batch_exact_top_k`),
@@ -958,6 +960,10 @@ class ServingIndex:
         with self._serve_lock:
             version = self._pool_version
             empty = not self._papers
+            # Appends only extend this list and _adopt rebinds _ids to a
+            # new one, so the reference stays consistent with the matrix
+            # and fallback snapshots taken below.
+            pool_ids = self._ids
             for i, (user, k) in enumerate(requests):
                 try:
                     if k < 1:
@@ -969,13 +975,10 @@ class ServingIndex:
                     continue
                 obs.count("serve.queries")
                 cache_key = (user_key, int(k))
-                cached = self._cache.get(cache_key)
+                cached = self._cache_hit(cache_key)
                 if cached is not None:
-                    self._cache.move_to_end(cache_key)
-                    self.cache_hits += 1
-                    obs.count("serve.cache", outcome="hit")
                     results[i] = BatchQueryResult(
-                        ids=list(cached), scores=None,
+                        ids=cached, scores=None,
                         pool_version=version, cache="hit")
                     continue
                 self.cache_misses += 1
@@ -1040,12 +1043,8 @@ class ServingIndex:
                 obs.count("serve.degraded", n, reason=job.reason)
                 for _ in range(n):
                     obs.event("serve.degraded", reason=job.reason)
-                tfidf, fb_matrix = fallback
-                profile_vec = np.mean([tfidf.transform(p)
-                                       for p in job.papers], axis=0)
-                scores = fb_matrix @ profile_vec
-                order = np.argsort(-scores, kind="mergesort")[:job.k]
-                job.ids = [self._ids[int(i)] for i in order]
+                job.ids = self._fallback_rank(job.papers, job.k, fallback,
+                                              pool_ids)
             rank_jobs = [j for j in pending if j.mode == "rank"]
             if rank_jobs and self.index_kind == "ivf":
                 for job in rank_jobs:
@@ -1054,7 +1053,7 @@ class ServingIndex:
                         mix=cfg.max_pool_mix, novelty=novelty,
                         novelty_weight=cfg.influence_weight,
                         block_size=self.block_size)
-                    job.ids = [self._ids[int(p)] for p in positions]
+                    job.ids = [pool_ids[int(p)] for p in positions]
                     job.scores = scores
                     n = len(job.positions)
                     obs.count("serve.ann.lists_probed",
@@ -1071,7 +1070,7 @@ class ServingIndex:
                     novelty=novelty, novelty_weight=cfg.influence_weight,
                     block_size=self.block_size)
                 for job, (positions, scores) in zip(rank_jobs, ranked):
-                    job.ids = [self._ids[int(p)] for p in positions]
+                    job.ids = [pool_ids[int(p)] for p in positions]
                     job.scores = scores
 
         # Phase 3 — publish: cache only when the pool did not move.
@@ -1090,63 +1089,6 @@ class ServingIndex:
                     pool_version=version, cache="miss",
                     degraded_reason=job.reason)
         return results  # type: ignore[return-value]
-
-    def _query(self, user_papers: list[Paper],
-               profile: np.ndarray | None, k: int) -> list[str]:
-        self._query_fault = False
-        if not self._papers:
-            return []
-        if self.degraded:
-            obs.count("serve.degraded", reason="no_model")
-            obs.event("serve.degraded", reason="no_model")
-            return self._fallback_rank(user_papers, k)
-        try:
-            faults.maybe_fail("serve.query")
-            interest = profile
-            if interest is None:
-                try:
-                    interest = self._recommender.model.interest_vectors(
-                        [p.id for p in user_papers]).data
-                except GraphError:
-                    obs.count("serve.degraded", reason="unknown_entity")
-                    obs.event("serve.degraded", reason="unknown_entity")
-                    return self._fallback_rank(user_papers, k)
-            if self.index_kind == "ivf":
-                return self._ivf_top_k(interest, k)
-            return self._blockwise_top_k(interest, k)
-        except InjectedFault:
-            # Per-query degradation: a fault on the model path answers
-            # through the TF-IDF fallback instead of erroring out.
-            self._query_fault = True
-            obs.count("serve.degraded", reason="query_fault")
-            obs.event("serve.degraded", reason="query_fault")
-            return self._fallback_rank(user_papers, k)
-
-    def _blockwise_top_k(self, interest: np.ndarray, k: int) -> list[str]:
-        assert self._influence is not None
-        cfg = self._recommender.config
-        novelty = (self._novelty_scores() if cfg.influence_weight > 0
-                   else None)
-        positions = exact_top_k(interest, self._influence, k,
-                                mix=cfg.max_pool_mix, novelty=novelty,
-                                novelty_weight=cfg.influence_weight,
-                                block_size=self.block_size)
-        return [self._ids[int(position)] for position in positions]
-
-    def _ivf_top_k(self, interest: np.ndarray, k: int) -> list[str]:
-        assert self._influence is not None
-        ann = self._ensure_ann()
-        cfg = self._recommender.config
-        novelty = (self._novelty_scores() if cfg.influence_weight > 0
-                   else None)
-        positions, stats = ann.search(
-            interest, self._influence, k, mix=cfg.max_pool_mix,
-            novelty=novelty, novelty_weight=cfg.influence_weight,
-            nprobe=self.nprobe, block_size=self.block_size)
-        obs.count("serve.ann.lists_probed", stats.lists_probed)
-        obs.count("serve.ann.candidates_scanned", stats.candidates_scanned)
-        obs.observe("serve.ann.scan_fraction", stats.scan_fraction)
-        return [self._ids[int(position)] for position in positions]
 
     def _ensure_ann(self) -> IVFIndex:
         """The fitted coarse quantizer, clustering lazily on first use."""
@@ -1193,18 +1135,19 @@ class ServingIndex:
     # ------------------------------------------------------------------
     # Degraded path
     # ------------------------------------------------------------------
-    def _fallback_rank(self, user_papers: list[Paper], k: int) -> list[str]:
-        tfidf, matrix = self._fallback()
-        profile = np.mean([tfidf.transform(p) for p in user_papers], axis=0)
-        scores = matrix @ profile
-        order = np.argsort(-scores, kind="mergesort")[:k]
-        return [self._ids[i] for i in order]
+    @staticmethod
+    def _fallback_rank(user_papers: list[Paper], k: int,
+                       fallback: tuple[TfIdfIndex, np.ndarray],
+                       ids: list[str]) -> list[str]:
+        """TF-IDF top-*k* of the pool against the user's papers.
 
-    def _fallback(self) -> tuple[TfIdfIndex, np.ndarray]:
-        # Reentrant: already held when reached via top_k(); taken fresh
-        # when a health probe rebuilds the lazy index under live traffic.
-        with self._serve_lock:
-            return self._fallback_locked()
+        *fallback* is a :meth:`_fallback_locked` snapshot and *ids* the
+        pool id list it was built over, so this runs without the lock.
+        """
+        tfidf, matrix = fallback
+        profile = np.mean([tfidf.transform(p) for p in user_papers], axis=0)
+        order = np.argsort(-(matrix @ profile), kind="mergesort")[:k]
+        return [ids[int(i)] for i in order]
 
     def _fallback_locked(self) -> tuple[TfIdfIndex, np.ndarray]:
         if self._fallback_tfidf is None:
@@ -1355,7 +1298,9 @@ class ServingIndex:
     def _probe_fallback(self) -> bool:
         """True when the degradation path can produce finite scores."""
         try:
-            _, matrix = self._fallback()
+            # Locked: the probe may rebuild the lazy index under traffic.
+            with self._serve_lock:
+                _, matrix = self._fallback_locked()
             return bool(np.isfinite(matrix).all())
         except Exception:  # a health probe must never take the service down
             return False

@@ -1,8 +1,7 @@
 """Micro-batching request scheduler with admission control.
 
-One-query-at-a-time :meth:`ServingIndex.top_k` serialises every request
-behind ``_serve_lock`` — the dominant serving bottleneck once the
-closed-loop load generator (PR 6) pushes concurrent traffic.
+:meth:`ServingIndex.top_k` answers one query per call, as a batch of
+one, so concurrent callers each pay their own pass over the pool.
 :class:`BatchScheduler` coalesces concurrent queries into single
 batched matrix passes on the rank hot path (the ``BatchPairScorer``
 pattern applied to serving): requests admit into a bounded queue, a
@@ -448,11 +447,12 @@ class BatchScheduler:
     def quiesce(self, timeout: float = 30.0):
         """Drain barrier: no request is mid-batch while the body runs.
 
-        Needed because :meth:`ServingIndex.batch_top_k` scores *outside*
-        the serving lock and re-reads index internals (``_ids``) at
-        publish time — an index whose internals are swapped mid-batch
-        could pair old-matrix positions with new ids. Holding
-        ``_serve_lock`` alone cannot exclude that; the barrier can.
+        :meth:`ServingIndex.batch_top_k` snapshots everything it scores
+        against (matrix, ids, fallback) under the serving lock, so a
+        swap mid-batch cannot tear an answer; it only leaves that batch
+        answering for the old state, uncached. The barrier makes a swap
+        clean instead: no batch straddles the cutover, and admitted
+        requests answer against the old state before it starts.
 
         On entry: new cache-missing submits park (un-failed, un-shed)
         until the barrier lifts; the flusher drains the already-admitted

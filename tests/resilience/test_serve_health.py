@@ -101,7 +101,10 @@ class TestHealthReport:
         # The degraded answer was not cached: the model path now recovers
         # and is allowed to disagree with the TF-IDF fallback answer.
         assert not index.degraded
+        hits, misses = index.cache_hits, index.cache_misses
         assert index.top_k(list(user.train_papers), k=5)
+        assert index.cache_misses == misses + 1
+        assert index.cache_hits == hits
 
 
 class TestSLOHealth:

@@ -2,10 +2,12 @@
 
 The scheduler's contract is *bit-identical equivalence*: every response
 produced by :class:`BatchScheduler` — whatever the batch it rode in,
-whatever the thread interleaving — must match a serial
-:meth:`ServingIndex.top_k` oracle exactly, ids **and** scores, across
-the exact and IVF strategies, with cache hits, cache misses, and
-degraded-user requests mixed into the same batches. The stress tests
+whatever the thread interleaving — must match a serial oracle exactly,
+ids **and** scores, across the exact and IVF strategies, with cache
+hits, cache misses, and degraded-user requests mixed into the same
+batches. Serial :meth:`ServingIndex.top_k` is itself a batch of one, so
+the oracle checks its ids against the reference rankers
+(:func:`exact_top_k_scored`, :func:`rank_candidates`). The stress tests
 then race ``add_paper`` and ``set_nprobe`` against batched queries and
 replay every response against a fresh replica index driven to the same
 pool version, proving no request was dropped, torn, or answered from a
@@ -29,6 +31,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
+import repro.serve.index as index_module
 from repro.errors import GraphError
 from repro.resilience import faults
 from repro.serve import BatchScheduler, ServingIndex
@@ -302,6 +305,32 @@ class TestIngestRaces:
             f"responses stamped with unreachable versions: {set(by_version)}"
         assert versions_seen - {replica.pool_version}, \
             "every response saw the final pool: the race never interleaved"
+
+    def test_swap_during_scoring_cannot_tear_ids(self, artifact, serve_task,
+                                                 monkeypatch):
+        # Scoring runs with the lock released. An _adopt that lands in
+        # that window rebinds the index's id list; the answer must still
+        # map positions through the ids of the matrix it scored.
+        pool = list(serve_task.new_papers)
+        live = _build_index(artifact, pool, "exact", cache_size=1)
+        donor = _build_index(artifact, list(reversed(pool)), "exact")
+        user = _register(live, serve_task, n=1)[0]
+        expected = live.batch_top_k([(user, 10)])[0].ids
+        live.invalidate()
+
+        original = index_module.batch_exact_top_k
+
+        def swap_then_score(*args, **kwargs):
+            live._adopt(donor)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(index_module, "batch_exact_top_k",
+                            swap_then_score)
+        result = live.batch_top_k([(user, 10)])[0]
+        assert result.ids == expected
+        # The pool version moved under the batch, so nothing was cached.
+        assert live.pool_version > result.pool_version
+        assert (user, 10) not in live._cache
 
     def test_duplicate_concurrent_ingest_commits_exactly_once(self, artifact,
                                                               serve_task):
