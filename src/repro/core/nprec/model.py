@@ -270,20 +270,23 @@ class NPRecModel(Module):
         weight_stack = (self.interest_layers if view == "interest"
                         else self.influence_layers)
 
-        values = [self._base_vectors(layer) for layer in layers]
+        base = [self._base_vectors(layer) for layer in layers]
+        # Attention over sampled neighbours (Eq. 16); scores come from base
+        # embeddings as in KGCN, so each hop's weights serve every fold.
+        attention: list[Tensor] = []
+        for h in range(self.depth):
+            centre_count = batch * k**h
+            scores = (base[h].reshape(centre_count, 1, d)
+                      * base[h + 1].reshape(centre_count, k, d)).sum(axis=2)
+            attention.append(softmax(scores, axis=-1).reshape(centre_count, k, 1))
+
+        values = base
         for i in range(self.depth):
             layer_module = weight_stack[i]
             folded: list[Tensor] = []
             for h in range(self.depth - i):
                 centre_count = batch * k**h
-                centre_base = self._base_vectors(layers[h])       # (C, d)
-                neigh_base = self._base_vectors(layers[h + 1])    # (C*K, d)
-                # Attention over sampled neighbours (Eq. 16); scores come
-                # from base embeddings as in KGCN.
-                scores = (centre_base.reshape(centre_count, 1, d)
-                          * neigh_base.reshape(centre_count, k, d)).sum(axis=2)
-                attention = softmax(scores, axis=-1)              # (C, K)
-                neighbourhood = (attention.reshape(centre_count, k, 1)
+                neighbourhood = (attention[h]
                                  * values[h + 1].reshape(centre_count, k, d)
                                  ).sum(axis=1)                    # (C, d)
                 # tanh keeps representations zero-centred so that inner-

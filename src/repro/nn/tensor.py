@@ -10,6 +10,9 @@ Design notes
 ------------
 * Gradients are accumulated into ``Tensor.grad`` (a plain ndarray), only on
   tensors created with ``requires_grad=True`` or downstream of one.
+* ``Tensor.grad`` belongs to the graph: a first gradient is stored by
+  reference, so siblings may share one array. Accumulation, optimisers
+  and clipping rebind ``.grad`` and never write into it in place.
 * Broadcasting follows numpy semantics; :func:`_unbroadcast` sums gradients
   back down to each parent's shape.
 * The graph is a DAG of ``Tensor`` nodes; :meth:`Tensor.backward` runs a
@@ -130,7 +133,7 @@ class Tensor:
     def _accumulate(self, grad: np.ndarray) -> None:
         grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
         if self.grad is None:
-            self.grad = grad.copy()
+            self.grad = grad
         else:
             self.grad = self.grad + grad
 
@@ -155,7 +158,8 @@ class Tensor:
                     f"backward() without an explicit gradient requires a scalar, got shape {self.shape}"
                 )
             grad = np.ones_like(self.data)
-        self._accumulate(np.asarray(grad, dtype=np.float64))
+        # The one copy: .grad must never alias the caller's seed array.
+        self._accumulate(np.array(grad, dtype=np.float64))
 
         order: list[Tensor] = []
         seen: set[int] = set()
@@ -344,12 +348,21 @@ class Tensor:
     def __getitem__(self, index) -> "Tensor":
         """Differentiable indexing/slicing (supports integer-array gather)."""
         data = self.data[index]
+        # Ints and slices cannot select an element twice, so their backward
+        # is a plain scatter; index arrays may repeat and need np.add.at.
+        parts = index if isinstance(index, tuple) else (index,)
+        basic = all(isinstance(part, slice)
+                    or (isinstance(part, int) and not isinstance(part, bool))
+                    for part in parts)
 
         def make(out: "Tensor") -> Callable[[], None]:
             def backward() -> None:
                 if self.requires_grad:
                     grad = np.zeros_like(self.data)
-                    np.add.at(grad, index, out.grad)
+                    if basic:
+                        grad[index] = out.grad
+                    else:
+                        np.add.at(grad, index, out.grad)
                     self._accumulate(grad)
 
             return backward

@@ -1,4 +1,4 @@
-"""Detailed NPRecModel mechanics: gates, content block, induction."""
+"""Detailed NPRecModel mechanics: gates, content block, induction, aggregation."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from repro.core.nprec import NPRecModel
 from repro.data import load_acm
 from repro.graph import build_academic_network
+from repro.nn import softmax
 
 
 @pytest.fixture(scope="module")
@@ -109,3 +110,76 @@ class TestStackedLayerCache:
         baseline = warm.interest_vectors(ids).data.copy()
         again = warm.interest_vectors(ids).data
         assert np.array_equal(baseline, again)
+
+
+def _per_fold_aggregate(model, paper_indices, view):
+    """The per-fold aggregation NPRecModel used before each hop's base
+    vectors and attention were computed once: every fold recomputes the
+    centre and neighbour base vectors and the attention it needs."""
+    indices = np.asarray(paper_indices, dtype=int)
+    batch, k, d = indices.shape[0], model.neighbor_k, model.dim
+    layers = model._stacked_layers(indices, view)
+    weight_stack = (model.interest_layers if view == "interest"
+                    else model.influence_layers)
+    base_vectors = model._base_vectors
+    values = [base_vectors(layer) for layer in layers]
+    for i in range(model.depth):
+        folded = []
+        for h in range(model.depth - i):
+            centre_count = batch * k**h
+            centre_base = base_vectors(layers[h])
+            neigh_base = base_vectors(layers[h + 1])
+            scores = (centre_base.reshape(centre_count, 1, d)
+                      * neigh_base.reshape(centre_count, k, d)).sum(axis=2)
+            attention = softmax(scores, axis=-1)
+            neighbourhood = (attention.reshape(centre_count, k, 1)
+                             * values[h + 1].reshape(centre_count, k, d)
+                             ).sum(axis=1)
+            folded.append(weight_stack[i](values[h] + neighbourhood).tanh())
+        values = folded
+    return values[0]
+
+
+class TestAggregationEquivalence:
+    """Aggregating each hop once is the per-fold aggregation, reordered."""
+
+    @staticmethod
+    def _forward_backward(model, aggregate, indices, view):
+        model.zero_grad()
+        out = aggregate(model, indices, view)
+        weights = np.random.default_rng(1).normal(size=out.shape)
+        (out * weights).sum().backward()
+        return out.data, {name: p.grad for name, p in model.named_parameters()}
+
+    @pytest.mark.parametrize("view", ["interest", "influence"])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_matches_per_fold_reference(self, graph_and_text, view, depth,
+                                        monkeypatch):
+        graph, text, _, train, _ = graph_and_text
+        model = NPRecModel(graph, text, dim=8, neighbor_k=3, depth=depth,
+                           influence_citations=True, seed=depth)
+        indices = [graph.index_of("paper", p.id) for p in train[:6]]
+
+        reference, reference_grads = self._forward_backward(
+            model, _per_fold_aggregate, indices, view)
+
+        calls = []
+        original = model._base_vectors
+        monkeypatch.setattr(model, "_base_vectors",
+                            lambda layer: calls.append(1) or original(layer))
+        out, grads = self._forward_backward(
+            model, NPRecModel._aggregate, indices, view)
+
+        assert len(calls) == depth + 1
+        assert np.array_equal(out, reference)
+        assert grads.keys() == reference_grads.keys()
+        touched = 0
+        for name, grad in grads.items():
+            expected = reference_grads[name]
+            assert (grad is None) == (expected is None), name
+            if grad is not None:
+                touched += 1
+                np.testing.assert_allclose(grad, expected, rtol=1e-10,
+                                           err_msg=name)
+        # embeddings, text_proj and every layer of the view's stack
+        assert touched == 2 + 2 * depth

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+import repro.nn.tensor as tensor_module
 from repro.errors import ShapeError
-from repro.nn import Tensor, as_tensor, concat, parameter, stack
+from repro.nn import SGD, Tensor, as_tensor, clip_grad_norm, concat, parameter, stack
 
 
 def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -152,6 +153,119 @@ class TestGradients:
         np.testing.assert_allclose(p.grad, [4.0])
         p.zero_grad()
         assert p.grad is None
+
+
+class _AddAtSpy:
+    """Stands in for the ``np`` module of :mod:`repro.nn.tensor` and
+    counts ``np.add.at`` calls; everything else is plain numpy."""
+
+    def __init__(self):
+        self.calls = 0
+        self.add = self
+
+    def at(self, *args):
+        self.calls += 1
+        np.add.at(*args)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def _getitem_grad(index, monkeypatch, shape=(5, 4, 3)):
+    """Gradient of ``(p[index] * w).sum()`` and the number of np.add.at
+    calls its backward made, plus the np.add.at reference gradient."""
+    rng = np.random.default_rng(0)
+    p = parameter(rng.normal(size=shape))
+    weights = rng.normal(size=p.data[index].shape)
+    spy = _AddAtSpy()
+    monkeypatch.setattr(tensor_module, "np", spy)
+    (p[index] * Tensor(weights)).sum().backward()
+    monkeypatch.undo()
+    reference = np.zeros(shape)
+    np.add.at(reference, index, weights)
+    return p.grad, reference, spy.calls
+
+
+class TestGetitemBackward:
+    @pytest.mark.parametrize("index", [
+        2,
+        -1,
+        slice(0, 5, 2),
+        slice(None, None, -2),
+        (slice(1, 4), slice(None, 2)),
+        (1, slice(None), -2),
+        (slice(None), 3),
+    ], ids=["int", "neg-int", "step-slice", "neg-step-slice",
+            "slice-tuple", "mixed-int-slice", "slice-then-int"])
+    def test_basic_index_matches_add_at(self, index, monkeypatch):
+        grad, reference, calls = _getitem_grad(index, monkeypatch)
+        np.testing.assert_array_equal(grad, reference)
+        assert calls == 0
+
+    def test_duplicate_index_array_accumulates(self, monkeypatch):
+        index = np.array([0, 3, 0, 0, 3])
+        grad, reference, calls = _getitem_grad(index, monkeypatch)
+        np.testing.assert_array_equal(grad, reference)
+        assert calls == 1
+        assert not np.array_equal(grad[0], np.zeros((4, 3)))
+
+    def test_duplicates_inside_a_tuple_index(self, monkeypatch):
+        index = (np.array([1, 1, 2]), slice(None), 0)
+        grad, reference, calls = _getitem_grad(index, monkeypatch)
+        np.testing.assert_array_equal(grad, reference)
+        assert calls == 1
+
+    @pytest.mark.parametrize("index", [True, (1, True)], ids=["bool", "int-bool"])
+    def test_bool_index_takes_add_at(self, index, monkeypatch):
+        grad, reference, calls = _getitem_grad(index, monkeypatch)
+        np.testing.assert_array_equal(grad, reference)
+        assert calls == 1
+
+
+class TestGradOwnership:
+    def test_seed_array_is_copied(self):
+        p = parameter(np.ones(3))
+        out = p * 2.0
+        seed = np.array([1.0, 2.0, 3.0])
+        out.backward(seed)
+        seed[:] = 100.0
+        np.testing.assert_array_equal(out.grad, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(p.grad, [2.0, 4.0, 6.0])
+
+    def test_self_add_matches_finite_differences(self):
+        check_gradient(lambda t: ((t + t) ** 2).sum(), np.array([0.5, -1.5, 2.0]))
+
+    def test_mul_plus_self_matches_finite_differences(self):
+        b = np.array([3.0, -2.0, 0.25])
+        check_gradient(lambda t: ((t * Tensor(b) + t) ** 2).sum(),
+                       np.array([0.5, -1.5, 2.0]))
+        x0 = np.array([0.5, -1.5, 2.0])
+        a = parameter(x0.copy())
+        bp = parameter(b.copy())
+        ((a * bp + a) ** 2).sum().backward()
+        expected = numeric_grad(
+            lambda arr: float(((x0 * arr + x0) ** 2).sum()), b.copy())
+        np.testing.assert_allclose(bp.grad, expected, atol=1e-5)
+
+    def test_shared_gradient_survives_sibling_accumulation(self):
+        a = parameter(np.array([1.0, 2.0]))
+        b = parameter(np.array([3.0, 4.0]))
+        (a + b).sum().backward()
+        # Both leaves received the same upstream array by reference.
+        assert a.grad is b.grad
+        before = a.grad.copy()
+        (b * 5.0).sum().backward()
+        np.testing.assert_array_equal(a.grad, before)
+        np.testing.assert_array_equal(b.grad, [6.0, 6.0])
+
+    def test_shared_gradient_survives_sibling_clipping_and_steps(self):
+        a = parameter(np.array([1.0, 2.0]))
+        b = parameter(np.array([3.0, 4.0]))
+        (a + b).sum().backward()
+        clip_grad_norm([b], max_norm=0.1)
+        np.testing.assert_array_equal(a.grad, [1.0, 1.0])
+        SGD([b], lr=0.5, momentum=0.5).step()
+        np.testing.assert_array_equal(a.grad, [1.0, 1.0])
 
 
 class TestConcatStack:
