@@ -186,10 +186,10 @@ class _RequestContext:
     was among the slowest seen or errored.
 
     Nested requests *join* the enclosing trace instead of allocating a
-    second ID: a ``serve.query`` request opened inside a
-    ``loadgen.request`` records its spans under the load generator's
-    trace, and only the outermost context offers the (single, coherent)
-    span tree to the reservoir.
+    second ID: a ``serve.query`` request opened inside a client's own
+    request context records its spans under the client's trace, and
+    only the outermost context offers the (single, coherent) span tree
+    to the reservoir.
     """
 
     __slots__ = ("_name", "_attrs", "_token", "_record", "_owns")

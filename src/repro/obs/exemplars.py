@@ -18,7 +18,7 @@ via ``python -m repro.obs report --exemplars``. Each exemplar carries
 the ``trace_id`` of its originating request, joining it back to the
 span/metric/event lines of the same capture.
 
-Thread-safe: request contexts finish on loadgen worker threads.
+Thread-safe: request contexts finish on concurrent serving threads.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ any layer of the library without cycles.
 Metric names are dotted (``nprec.train.grad_steps``); the Prometheus
 renderer in :mod:`repro.obs.emitters` maps dots to underscores.
 
-Thread-safe: serving and load-generator worker threads update metrics
+Thread-safe: serving threads and scheduler workers update metrics
 concurrently, so get-or-create in the registry holds a registry lock and
 every child metric serialises its own read-modify-write updates (counter
 increments, P² marker adjustments, histogram buckets) behind a per-child
@@ -23,7 +23,7 @@ import math
 import threading
 from typing import Iterator
 
-from repro.obs.quantiles import DEFAULT_QUANTILES, Quantile
+from repro.obs.quantiles import Quantile
 from repro.obs.tracing import current_trace_id
 
 #: Default histogram bucket upper bounds (seconds-flavoured, works for
@@ -231,12 +231,10 @@ class MetricsRegistry:
         return self._child("histogram", name, labels,
                            lambda: Histogram(name, labels, buckets))
 
-    def quantile(self, name: str,
-                 quantiles: tuple[float, ...] = DEFAULT_QUANTILES,
-                 **labels: str) -> Quantile:
+    def quantile(self, name: str, **labels: str) -> Quantile:
         """Get or create the streaming-quantile child for *name* + *labels*."""
         return self._child("quantile", name, labels,
-                           lambda: Quantile(name, labels, quantiles))
+                           lambda: Quantile(name, labels))
 
     # ------------------------------------------------------------------
     def get(self, name: str, **labels: str) -> Metric | None:

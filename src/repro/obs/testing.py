@@ -2,10 +2,10 @@
 
 :class:`FakeClock` replaces ``time.monotonic`` wherever a component
 takes an injectable ``clock`` callable (:class:`repro.obs.slo.SLOMonitor`,
-:class:`repro.loadgen.telemetry.WindowedTelemetry`, ...), making
-windowed behaviour — burn-rate windows, per-second telemetry buckets,
-ring eviction — deterministic. It used to be copy-pasted per test
-module; this is the one shared implementation.
+:class:`repro.serve.scheduler.SheddingGovernor`, ...), making windowed
+behaviour — burn-rate windows, shedding windows, sample eviction —
+deterministic. It used to be copy-pasted per test module; this is the
+one shared implementation.
 """
 
 from __future__ import annotations
@@ -16,11 +16,10 @@ import threading
 class FakeClock:
     """A manually-advanced monotonic clock.
 
-    Thread-safe, because the code it stands in for is threaded: loadgen
-    worker threads read the clock while the coordinator advances it
-    (``advance`` doubles as the injectable ``sleep`` of
-    :class:`repro.loadgen.runner.LoadRunner`, keeping pacing and timing
-    on one time source).
+    Thread-safe, because the code it stands in for is threaded: serving
+    threads read the clock while the test advances it (``advance``
+    doubles as an injectable ``sleep``, keeping pacing and timing on one
+    time source).
 
     Parameters
     ----------

@@ -6,7 +6,7 @@ nesting depth, the index of its parent span, and — when the span was
 opened inside a request context — the request's ``trace_id``, so
 emitters can rebuild per-request call trees without the tracer holding
 them. Spans nest through an explicit per-thread stack, so concurrent
-serving threads (the ``repro.loadgen`` closed loop) each keep their own
+serving threads (the batch scheduler's workers) each keep their own
 well-formed span tree while appending into one shared, lock-protected
 capture.
 

@@ -46,7 +46,7 @@ Guarantees:
   against the live index, rolled back on failure.
 
 CLI: ``python -m repro.serve
-warmup|query|smoke|health|loadtest|compact|swap``.
+warmup|query|smoke|health|compact|swap|serve``.
 """
 
 from repro.serve.ann import (

@@ -34,13 +34,6 @@ Commands
     the live pool onto it, canary-compares golden queries, and either
     cuts over in place or rolls back (exit 1) leaving the incumbent
     serving.
-``loadtest``
-    Drive a warm index with a seeded closed- or open-loop workload
-    (:mod:`repro.loadgen`): load the artifact when present (fit and
-    persist one otherwise), register every evaluation user, warm the
-    cache, run the schedule from real threads, and write
-    ``BENCH_serve_load.json``, a JSONL observability capture, and a
-    run-registry snapshot that CI gates against the committed baseline.
 ``serve``
     Long-running serving daemon: fit-or-load the artifact, register the
     evaluation users, attach the ingestion WAL (and optionally the
@@ -149,7 +142,7 @@ def cmd_warmup(args: argparse.Namespace) -> int:
     print(f"artifact written to {path}")
     if args.index == "ivf":
         # Cluster the evaluation pool once, offline, and persist the
-        # quantizer into the artifact — `query`/`loadtest --index ivf`
+        # quantizer into the artifact — `query`/`serve --index ivf`
         # adopt it by pool fingerprint and never re-cluster at startup.
         index = ServingIndex.from_artifact(str(path), papers=task.new_papers,
                                            **_index_kwargs(args))
@@ -370,104 +363,8 @@ def cmd_swap(args: argparse.Namespace) -> int:
     return 1
 
 
-def cmd_loadtest(args: argparse.Namespace) -> int:
-    from repro import obs
-    from repro.loadgen import (LoadRunner, WorkloadMix, build_report,
-                               build_schedule, write_report)
-    from repro.obs import runs
-
-    # Fit-or-load happens *before* observability capture starts, so the
-    # run snapshot holds serving-and-load metrics only — training
-    # counters would drown the gate in fit noise.
-    task, index = _load_or_fit_index(args)
-    if index.degraded:
-        print("WARNING: index is degraded; load run exercises the "
-              "TF-IDF fallback only", file=sys.stderr)
-
-    obs.configure(enabled=True, reset=True)
-    for user in task.users:
-        index.register_user(user.author_id, list(user.train_papers))
-    user_ids = [u.author_id for u in task.users]
-    for user_id in user_ids:  # warm: first miss per user is not the run's
-        index.top_k(user_id, k=args.k)
-
-    schedule = build_schedule(
-        user_ids, list(task.train_papers), args.requests,
-        mode=args.mode, concurrency=args.concurrency, qps=args.qps,
-        mix=WorkloadMix(query=args.mix_query, ingest=args.mix_ingest,
-                        probe=args.mix_probe),
-        k=args.k, user_order=args.user_order, seed=args.seed)
-    scheduler = None
-    if args.scheduler:
-        from repro.serve.scheduler import BatchScheduler, SheddingGovernor
-        scheduler = BatchScheduler(
-            index, max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
-            queue_depth=args.queue_depth,
-            governor=SheddingGovernor(threshold=args.shed_threshold))
-    print(f"running {len(schedule)} {schedule.mode}-loop requests "
-          f"(concurrency={schedule.concurrency}, seed={schedule.seed}, "
-          f"scheduler={'on' if scheduler else 'off'}, "
-          f"schedule sha256 {schedule.sha256()[:12]}) ...", file=sys.stderr)
-    runner = LoadRunner(index, schedule, scheduler=scheduler,
-                        ops_url=args.ops_url)
-    try:
-        summary = runner.run()
-    finally:
-        if scheduler is not None:
-            scheduler.close()
-
-    meta = {"seed": args.seed, "mode": args.mode,
-            "concurrency": args.concurrency, "requests": args.requests,
-            "k": args.k, "target_qps": args.qps,
-            "index": args.index, "nprobe": args.nprobe,
-            "cache_size": args.cache_size,
-            "user_order": args.user_order,
-            "scheduler": bool(args.scheduler),
-            "schedule_sha256": schedule.sha256()}
-    if scheduler is not None:
-        stats = scheduler.stats()
-        meta.update({"max_batch": args.max_batch,
-                     "max_wait_ms": args.max_wait_ms,
-                     "queue_depth": args.queue_depth})
-        # Gauges so the run-registry gate sees the batched run's shape:
-        # shed_rate gates lower-is-better against the committed zero
-        # baseline; batches/fast hits are informational.
-        obs.gauge("serve.scheduler.shed_rate", stats["shed_rate"])
-        obs.gauge("serve.scheduler.batches", float(stats["batches"]))
-        obs.gauge("serve.scheduler.cache_fast_hits",
-                  float(stats["cache_fast_hits"]))
-        print(f"scheduler: {stats['batches']} batches, "
-              f"{stats['cache_fast_hits']} cache fast hits, "
-              f"{stats['shed']} shed ({stats['shed_rate']:.1%})",
-              file=sys.stderr)
-    report = build_report(schedule, summary, runner.telemetry,
-                          registry=obs.get_registry(), meta=meta)
-    out = write_report(args.out, report)
-    capture = Path(args.capture)
-    capture.parent.mkdir(parents=True, exist_ok=True)
-    obs.write_jsonl(capture)
-    snapshot = runs.write_run(args.runs_dir, run_id=args.run_id, meta=meta)
-
-    overall = report["latency"].get("overall") or {}
-    fmt = lambda key: (f"{overall[key] * 1000:.2f}ms"
-                       if overall.get(key) is not None else "-")
-    print(f"loadtest done: {summary.completed}/{summary.scheduled} requests "
-          f"in {summary.duration:.2f}s ({summary.achieved_qps:.0f} qps), "
-          f"{summary.errors} errors, "
-          f"p50 {fmt('p50')} / p95 {fmt('p95')} / p99 {fmt('p99')}",
-          file=sys.stderr)
-    print(f"report: {out}\ncapture: {capture}\nrun snapshot: {snapshot}",
-          file=sys.stderr)
-    print(json.dumps({"report": str(out), "capture": str(capture),
-                      "run_snapshot": str(snapshot),
-                      "achieved_qps": summary.achieved_qps,
-                      "errors": summary.errors,
-                      "schedule_sha256": schedule.sha256()}))
-    return 0 if summary.errors == 0 else 1
-
-
 def _load_or_fit_index(args: argparse.Namespace):
-    """Fit-or-load shared by ``loadtest`` and ``serve``: (task, index)."""
+    """Fit-or-load the artifact for ``serve``: (task, index)."""
     directory = Path(args.dir)
     if (directory / "manifest.json").exists():
         print(f"loading artifact from {directory} ...", file=sys.stderr)
@@ -644,54 +541,6 @@ def main(argv: list[str] | None = None) -> int:
     swap.add_argument("--retries", type=int, default=3)
     _add_index_args(swap)
     swap.set_defaults(fn=cmd_swap)
-
-    loadtest = sub.add_parser(
-        "loadtest",
-        help="seeded closed/open-loop load run writing BENCH_serve_load.json")
-    loadtest.add_argument("--dir", default="artifacts/serve",
-                          help="artifact directory (loaded when present, "
-                               "fitted and persisted otherwise)")
-    loadtest.add_argument("--seed", type=int, default=0,
-                          help="workload (and fit, when fitting) seed")
-    loadtest.add_argument("--requests", type=int, default=300)
-    loadtest.add_argument("--mode", choices=("closed", "open"),
-                          default="closed")
-    loadtest.add_argument("--concurrency", type=int, default=4)
-    loadtest.add_argument("--qps", type=float, default=None,
-                          help="open-loop target arrival rate")
-    loadtest.add_argument("-k", type=int, default=10)
-    loadtest.add_argument("--mix-query", type=float, default=0.90)
-    loadtest.add_argument("--mix-ingest", type=float, default=0.04)
-    loadtest.add_argument("--mix-probe", type=float, default=0.06)
-    loadtest.add_argument("--scale", type=float, default=0.3,
-                          help="corpus scale when fitting a fresh artifact")
-    loadtest.add_argument("--split-year", type=int, default=2014)
-    loadtest.add_argument("--users", type=int, default=12)
-    loadtest.add_argument("--cache-size", type=int, default=128,
-                          help="serving LRU capacity; size it below the "
-                               "distinct (user, k) working set to benchmark "
-                               "the rank hot path instead of the cache")
-    loadtest.add_argument("--user-order", choices=("random", "round_robin"),
-                          default="random",
-                          help="query user selection: 'random' draws "
-                               "uniform i.i.d. picks (organic traffic), "
-                               "'round_robin' scans users in registration "
-                               "order (digest-style batch workload; every "
-                               "query misses an undersized LRU)")
-    loadtest.add_argument("--out", default="results/BENCH_serve_load.json")
-    loadtest.add_argument("--capture", default="results/obs/serve_load.jsonl")
-    loadtest.add_argument("--runs-dir", default="results/obs/runs")
-    loadtest.add_argument("--run-id", default="serve_load",
-                          help="run-registry snapshot id (fixed so CI can "
-                               "gate against the committed baseline)")
-    loadtest.add_argument("--ops-url", default=None,
-                          help="base URL of a live ops plane (see the "
-                               "serve command); the runner scrapes "
-                               "/metrics and /healthz at every SLO "
-                               "sample and records scrape latency")
-    _add_index_args(loadtest)
-    _add_scheduler_args(loadtest, shed_threshold=True)
-    loadtest.set_defaults(fn=cmd_loadtest)
 
     serve = sub.add_parser(
         "serve",

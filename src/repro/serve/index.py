@@ -227,9 +227,10 @@ class ServingIndex:
         # re-appended.
         self._wal_replaying = False
         # Serialises pool mutation and retrieval so the index can be
-        # driven from concurrent threads (the repro.loadgen closed
-        # loop). Reentrant: add_paper at construction time and health
-        # probes nest inside already-locked sections.
+        # driven from concurrent threads (the serve daemon's scheduler
+        # workers and ingest callers). Reentrant: add_paper at
+        # construction time and health probes nest inside already-locked
+        # sections.
         self._serve_lock = threading.RLock()
         # Publish the serving objectives once; replace=False keeps any
         # operator-tuned SLO registered under the same name.
@@ -686,7 +687,7 @@ class ServingIndex:
 
         The hot-swap cutover primitive (:class:`repro.serve.swap.
         HotSwapper`): callers everywhere hold references to *this*
-        index object — the scheduler, the CLI, the load generator — so
+        index object — the scheduler, the CLI, the ops plane — so
         the swap mutates it under ``_serve_lock`` instead of handing
         out a new object. Serving-surface configuration (block size,
         cache capacity, retrieval strategy, attached scheduler, WAL)

@@ -101,17 +101,17 @@ class TestRequestContext:
         assert exemplar.reason == "error"
 
     def test_nested_request_joins_enclosing_trace(self, obs_enabled):
-        # A serve.query request opened under a loadgen.request must not
+        # A serve.query request opened under a client.request must not
         # allocate a second trace: one ID, one reservoir offer (by the
         # outermost context), one coherent span tree.
-        with obs.request("loadgen.request") as outer:
+        with obs.request("client.request") as outer:
             with obs.request("serve.query") as inner:
                 assert obs.current_trace_id() == outer.trace_id
         assert inner.trace_id == outer.trace_id
         assert obs.current_trace_id() is None
         [exemplar] = obs.get_exemplars().slowest()
-        assert exemplar.name == "loadgen.request"
-        assert {s["name"] for s in exemplar.spans} == {"loadgen.request",
+        assert exemplar.name == "client.request"
+        assert {s["name"] for s in exemplar.spans} == {"client.request",
                                                        "serve.query"}
         assert all(s["trace_id"] == outer.trace_id for s in exemplar.spans)
 

@@ -1,16 +1,21 @@
 """Tests for the embedded HTTP ops plane (:class:`repro.obs.server.ObsServer`)."""
 
+import dataclasses
 import json
+import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro import obs
+from repro.data import load_acm
 from repro.obs.emitters import lint_exposition
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.server import ObsServer
 from repro.obs.slo import GaugeBoundSLO, register_slo
+from repro.serve.index import ServingIndex
 
 
 class StubWal:
@@ -195,3 +200,174 @@ class TestExemplars:
         assert status == 200
         payload = json.loads(body)
         assert "exemplars" in payload
+
+
+USER_IDS = ("load-user-a", "load-user-b")
+
+
+@pytest.fixture(scope="module")
+def acm_papers():
+    papers = list(load_acm(scale=0.15, seed=3).papers)
+    assert len(papers) >= 40
+    return papers
+
+
+@pytest.fixture
+def degraded_index(acm_papers):
+    """A real ServingIndex with no fitted model (TF-IDF fallback only).
+
+    The lock, cache and degradation paths the scrapes race against are
+    the modelled index's; skipping the fit keeps the test fast.
+    """
+    index = ServingIndex(None, papers=acm_papers[:25])
+    index.register_user(USER_IDS[0], acm_papers[25:28])
+    index.register_user(USER_IDS[1], acm_papers[28:31])
+    return index
+
+
+def _drive(index, templates, worker, n_requests, errors):
+    """Issue *n_requests* queries, probes and ingests from one thread.
+
+    Probe and ingest papers are never-seen clones with unique ids and no
+    references, so probes miss the cache and ingests take the cold-start
+    path without tripping the duplicate-id guard.
+    """
+    for i in range(n_requests):
+        template = templates[(worker + i) % len(templates)]
+        paper = dataclasses.replace(template, id=f"load-{worker}-{i:03d}",
+                                    references=(), citation_count=0)
+        try:
+            if i % 10 == 3:
+                index.add_paper(paper)
+            elif i % 10 == 7:
+                index.top_k([paper], k=10)
+            else:
+                index.top_k(USER_IDS[(worker + i) % len(USER_IDS)], k=10)
+        except Exception as exc:  # noqa: BLE001 - recorded
+            errors.append(f"worker {worker} request {i}: {exc!r}")
+
+
+def _serve_concurrently(index, templates, n_workers=4, n_requests=15):
+    """Run :func:`_drive` on *n_workers* threads; returns their errors."""
+    errors = []
+    workers = [threading.Thread(target=_drive,
+                                args=(index, templates, worker, n_requests,
+                                      errors),
+                                daemon=True)
+               for worker in range(n_workers)]
+    for thread in workers:
+        thread.start()
+    for thread in workers:
+        thread.join(timeout=60.0)
+    assert not any(thread.is_alive() for thread in workers)
+    return errors
+
+
+class TestConcurrentScrapeUnderLoad:
+    def test_hammered_endpoints_stay_clean(self, degraded_index,
+                                           acm_papers, obs_enabled):
+        """Scrape threads hammer the ops plane while threads serve.
+
+        Zero non-200s, every exposition lint-clean (no torn bodies),
+        every scrape bounded, and the scraped counters move with the
+        traffic.
+        """
+        results = []   # (endpoint, status, body, latency)
+        failures = []
+        stop = threading.Event()
+
+        with ObsServer(degraded_index, recorder=FlightRecorder()) as srv:
+            def hammer(endpoint):
+                while not stop.is_set():
+                    started = time.perf_counter()
+                    try:
+                        with urllib.request.urlopen(srv.url + endpoint,
+                                                    timeout=10.0) as resp:
+                            body = resp.read()
+                            status = resp.status
+                    except urllib.error.HTTPError as err:
+                        body, status = err.read(), err.code
+                    except Exception as exc:  # noqa: BLE001 - recorded
+                        failures.append(f"{endpoint}: {exc!r}")
+                        continue
+                    results.append((endpoint, status, body,
+                                    time.perf_counter() - started))
+
+            scrapers = [threading.Thread(target=hammer, args=(endpoint,),
+                                         daemon=True)
+                        for endpoint in ("/metrics", "/metrics", "/healthz")]
+            for thread in scrapers:
+                thread.start()
+            try:
+                traffic_errors = _serve_concurrently(degraded_index,
+                                                     acm_papers[31:40])
+            finally:
+                stop.set()
+                for thread in scrapers:
+                    thread.join(timeout=10.0)
+            # A last scrape that starts after the traffic, so the final
+            # body reflects all of it.
+            started = time.perf_counter()
+            status, _, body = _get(srv.url + "/metrics")
+            results.append(("/metrics", status, body,
+                            time.perf_counter() - started))
+
+        assert traffic_errors == []
+        assert failures == []
+        assert results, "the hammer threads never completed a scrape"
+        statuses = {status for _, status, _, _ in results}
+        assert statuses == {200}, f"non-200 under load: {statuses}"
+        # No torn expositions: every /metrics body parses structurally.
+        metric_bodies = [body for endpoint, _, body, _ in results
+                         if endpoint == "/metrics"]
+        assert metric_bodies
+        for body in metric_bodies:
+            assert lint_exposition(body.decode("utf-8")) == []
+        # Bounded latency: an embedded stdlib server answering while the
+        # index is hammered — generous bound, but it catches a serialized
+        # or wedged listener.
+        worst = max(latency for _, _, _, latency in results)
+        assert worst < 5.0, f"scrape latency blew up: {worst:.2f}s"
+        # Live counters made it into the exposition: the last /metrics
+        # body reflects the traffic the run just produced.
+        final = metric_bodies[-1].decode("utf-8")
+        assert "repro_serve_queries" in final
+        assert "repro_process_rss_kb" in final
+
+
+class TestTracesUnderConcurrentServing:
+    def test_trace_ids_stay_per_request_across_threads(
+            self, degraded_index, acm_papers, obs_enabled, tmp_path):
+        """Concurrent serving threads keep one coherent trace per request.
+
+        Every retained exemplar has its own trace id stamped on each of
+        its spans, and every latency exemplar joins back to span lines
+        of the same JSONL capture.
+        """
+        assert _serve_concurrently(degraded_index, acm_papers[31:40]) == []
+
+        reservoir = obs.get_exemplars()
+        exemplars = reservoir.slowest() + reservoir.errored()
+        assert exemplars
+        ids = [exemplar.trace_id for exemplar in exemplars]
+        assert all(ids) and len(set(ids)) == len(ids)
+        for exemplar in exemplars:
+            assert exemplar.spans
+            assert {s["trace_id"] for s in exemplar.spans} == \
+                {exemplar.trace_id}
+
+        path = tmp_path / "capture.jsonl"
+        obs.write_jsonl(path)
+        lines = [json.loads(line)
+                 for line in path.read_text().strip().splitlines()]
+        span_ids = {line["trace_id"] for line in lines
+                    if line.get("type") == "span"}
+        for exemplar in exemplars:
+            assert exemplar.trace_id in span_ids
+        registry = obs.get_registry()
+        for family in ("serve.query.latency", "serve.ingest.latency"):
+            children = registry.family(family)
+            assert children, f"no children recorded for {family}"
+            for child in children:
+                assert child.exemplar is not None, (family, child.labels)
+                assert child.exemplar["trace_id"] in span_ids

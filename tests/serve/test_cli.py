@@ -85,20 +85,6 @@ class TestIvfFlags:
         assert "exact)" in out
         assert "ivf," not in out
 
-    def test_loadtest_accepts_ivf(self, ivf_dir, tmp_path, capsys):
-        code = main(["loadtest", "--dir", str(ivf_dir), "--requests", "20",
-                     "--concurrency", "2", "--index", "ivf", "--nprobe", "2",
-                     "--out", str(tmp_path / "bench.json"),
-                     "--capture", str(tmp_path / "capture.jsonl"),
-                     "--runs-dir", str(tmp_path / "runs"),
-                     "--run-id", "ivf-smoke"])
-        assert code == 0
-        summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert summary["errors"] == 0
-        run = json.loads((tmp_path / "runs" / "ivf-smoke.json").read_text())
-        assert run["meta"]["index"] == "ivf"
-        assert run["meta"]["nprobe"] == 2
-
 
 class TestSchedulerFlags:
     def test_health_reports_scheduler_check(self, warm_dir, capsys):
@@ -120,31 +106,6 @@ class TestSchedulerFlags:
         report = json.loads(capsys.readouterr().out)
         assert code == 0
         assert "scheduler" not in report["checks"]
-
-    def test_loadtest_with_scheduler(self, warm_dir, tmp_path, capsys):
-        code = main(["loadtest", "--dir", str(warm_dir), "--requests", "30",
-                     "--concurrency", "3", "--scheduler",
-                     "--max-batch", "4", "--max-wait-ms", "1.0",
-                     # A threshold no CI box can trip: the shed_rate
-                     # gauge below asserts exactly zero.
-                     "--shed-threshold", "100",
-                     "--out", str(tmp_path / "bench.json"),
-                     "--capture", str(tmp_path / "capture.jsonl"),
-                     "--runs-dir", str(tmp_path / "runs"),
-                     "--run-id", "batched-smoke"])
-        captured = capsys.readouterr()
-        assert code == 0
-        summary = json.loads(captured.out.strip().splitlines()[-1])
-        assert summary["errors"] == 0
-        assert "scheduler: " in captured.err
-        run = json.loads((tmp_path / "runs" / "batched-smoke.json")
-                         .read_text())
-        assert run["meta"]["scheduler"] is True
-        assert run["meta"]["max_batch"] == 4
-        gauges = {m["name"]: m for m in run["metrics"]
-                  if m["kind"] == "gauge"}
-        assert gauges["serve.scheduler.shed_rate"]["value"] == 0.0
-        assert gauges["serve.scheduler.batches"]["value"] >= 1.0
 
 
 class TestParsing:
