@@ -34,6 +34,83 @@ from repro.utils.rng import as_generator
 _VIEWS = ("interest", "influence")
 
 
+def _unit_row(vector: np.ndarray) -> np.ndarray:
+    """*vector* as float64 scaled to unit L2 norm (a zero row stays zero)."""
+    vector = np.asarray(vector, dtype=np.float64)
+    norm = np.linalg.norm(vector)
+    return vector / norm if norm > 0 else vector
+
+
+class ContentRows:
+    """The static lexical-content block as a CSR row store.
+
+    ``data``/``indices``/``indptr`` hold the non-zeros of an
+    ``(n_rows, width)`` matrix row by row. Only paper rows can be non-zero
+    and a TF-IDF row is sparse, so the dense block would be almost all
+    zeros. Indexing with an int or an integer index array gathers the
+    selected rows as a dense float64 array, equal to the same rows of the
+    dense matrix.
+    """
+
+    def __init__(self, data: np.ndarray, indices: np.ndarray,
+                 indptr: np.ndarray, width: int) -> None:
+        self.data = data
+        self.indices = indices
+        self.indptr = indptr
+        self.width = int(width)
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[np.ndarray | None],
+                  width: int) -> "ContentRows":
+        """The store of dense *rows* (``None`` is an all-zero row)."""
+        store = cls(np.zeros(0), np.zeros(0, dtype=np.int32),
+                    np.zeros(1, dtype=np.int64), width)
+        store.append(rows)
+        return store
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.indptr) - 1, self.width)
+
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+    def append(self, rows: Sequence[np.ndarray | None]) -> None:
+        """Append dense *rows* (``None`` is an all-zero row): one O(nnz) copy."""
+        columns, values = [], []
+        for row in rows:
+            if row is None:
+                row = np.zeros(0)
+            elif row.shape != (self.width,):
+                raise ValueError(f"content row of shape {row.shape}, "
+                                 f"expected ({self.width},)")
+            nonzero = np.flatnonzero(row)
+            columns.append(nonzero.astype(np.int32))
+            values.append(row[nonzero])
+        counts = np.cumsum([len(c) for c in columns], dtype=np.int64)
+        self.data = np.concatenate([self.data, *values])
+        self.indices = np.concatenate([self.indices, *columns])
+        self.indptr = np.concatenate([self.indptr, self.indptr[-1] + counts])
+
+    def __getitem__(self, index: int | np.ndarray) -> np.ndarray:
+        rows = np.asarray(index, dtype=np.int64)
+        flat = rows.reshape(-1)
+        if flat.size and (flat.min() < 0 or flat.max() >= self.shape[0]):
+            raise IndexError(f"content row index out of range "
+                             f"for {self.shape[0]} rows")
+        starts = self.indptr[flat]
+        counts = self.indptr[flat + 1] - starts
+        # Position of every gathered non-zero in data/indices: each row's
+        # run starts at its indptr entry.
+        offsets = np.cumsum(counts) - counts
+        positions = np.repeat(starts - offsets, counts) + np.arange(counts.sum())
+        out = np.zeros((flat.size, self.width))
+        out[np.repeat(np.arange(flat.size), counts),
+            self.indices[positions]] = self.data[positions]
+        return out.reshape(rows.shape + (self.width,))
+
+
 class NPRecModel(Module):
     """Asymmetric hetero-GCN scorer for paper pairs.
 
@@ -53,6 +130,10 @@ class NPRecModel(Module):
         Graph-convolution depth (the H of Tab. VIII).
     use_text / use_network:
         Ablation switches: NPRec+SC uses text only, NPRec+SN network only.
+    content_vectors:
+        Optional ``paper id -> lexical content row`` map (e.g. TF-IDF),
+        stored L2-normalised in a :class:`ContentRows` store; or such a
+        store itself, used as it is (the artifact load path).
     seed:
         Controls embedding init and neighbourhood sampling.
     """
@@ -68,7 +149,7 @@ class NPRecModel(Module):
                  use_text: bool = True, use_network: bool = True,
                  influence_citations: bool = False,
                  block_gates: tuple[float, ...] | None = None,
-                 content_vectors: dict[str, np.ndarray] | None = None,
+                 content_vectors: dict[str, np.ndarray] | ContentRows | None = None,
                  seed: int | np.random.Generator | None = 0) -> None:
         if not use_text and not use_network:
             raise ValueError("at least one of use_text/use_network must be enabled")
@@ -170,25 +251,26 @@ class NPRecModel(Module):
         # identical on both views, contributing a symmetric exact-term
         # similarity to the score — the "research contents" part of the
         # Eq. 22 correlation. Not trainable; rows are pre-normalised.
-        self._content_matrix: np.ndarray | None = None
+        self._content_matrix: ContentRows | None = None
         self.content_gate = float(block_gates[3]) if len(block_gates) > 3 else 1.0
         self.content_trained_gate = (float(block_gates[4])
                                      if len(block_gates) > 4 else 0.5)
-        if content_vectors is not None:
-            sample = next(iter(content_vectors.values()))
-            content = np.zeros((graph.num_entities, sample.shape[0]))
+        if isinstance(content_vectors, ContentRows):
+            self._content_matrix = content_vectors
+        elif content_vectors is not None:
+            rows: list[np.ndarray | None] = [None] * graph.num_entities
             for pid, vector in content_vectors.items():
                 if ("paper", pid) in graph:
-                    norm = np.linalg.norm(vector)
-                    content[graph.index_of("paper", pid)] = (
-                        vector / norm if norm > 0 else vector)
-            self._content_matrix = content
+                    rows[graph.index_of("paper", pid)] = _unit_row(vector)
+            width = next(iter(content_vectors.values())).shape[0]
+            self._content_matrix = ContentRows.from_rows(rows, width)
+        if self._content_matrix is not None:
             # Trained lexical projection: supervised metric learning on the
             # sparse content (learns which terms matter for citation
             # relevance, as JTIE's bilinear does), complementing the raw
             # cosine block above.
-            self.content_proj = Linear(sample.shape[0], dim, bias=False,
-                                       rng=int(rng.integers(2**31)))
+            self.content_proj = Linear(self._content_matrix.shape[1], dim,
+                                       bias=False, rng=int(rng.integers(2**31)))
 
         # Pre-sampled receptive fields per paper and view (deterministic).
         self._fields: dict[tuple[int, str], list[np.ndarray]] = {}
@@ -347,8 +429,12 @@ class NPRecModel(Module):
         return correlation + potential + self.score_bias
 
     @property
-    def content_matrix(self) -> np.ndarray | None:
-        """The static lexical-content rows (L2-normalised), or None."""
+    def content_matrix(self) -> ContentRows | None:
+        """The static lexical-content rows (L2-normalised), or None.
+
+        A :class:`ContentRows` CSR store over the entity rows: indexing it
+        gathers dense rows; ``shape`` and ``nbytes`` are those of the store.
+        """
         return self._content_matrix
 
     # ------------------------------------------------------------------
@@ -411,11 +497,9 @@ class NPRecModel(Module):
             self._text_matrix = np.vstack([self._text_matrix, rows])
         if self._content_matrix is not None:
             assert content_vector is not None
-            content = np.asarray(content_vector, dtype=np.float64)
-            norm = np.linalg.norm(content)
-            rows = np.zeros((added, self._content_matrix.shape[1]))
-            rows[paper_index - old_n] = content / norm if norm > 0 else content
-            self._content_matrix = np.vstack([self._content_matrix, rows])
+            content_rows: list[np.ndarray | None] = [None] * added
+            content_rows[paper_index - old_n] = _unit_row(content_vector)
+            self._content_matrix.append(content_rows)
 
         # Cached index stacks stay valid (indices are stable), but drop
         # them anyway so memory accounting follows the grown tables.

@@ -12,7 +12,8 @@ An artifact is a directory::
     sem/rules.npz            expert-rule fusion weights + normalisation
     sem/labeler.npz          CRF sentence tagger (only when trained)
     model/weights.npz        NPRecModel parameters (state_dict)
-    model/static.npz         text / content / mask matrices
+    model/static.npz         text + mask matrices, content block as CSR
+                             (content_data / content_indices / content_indptr)
     model/fields.npz         sampled receptive fields per paper and view
     model/field_rng.json     neighbourhood-sampler RNG state
     profile_text/meta.json|weights.npz
@@ -47,7 +48,7 @@ import numpy as np
 
 from repro import obs
 from repro.baselines.neural import JTIERecommender
-from repro.core.nprec.model import NPRecModel
+from repro.core.nprec.model import ContentRows, NPRecModel
 from repro.core.nprec.recommend import NPRecConfig, NPRecRecommender
 from repro.core.rules import ExpertRuleSet
 from repro.core.sem import SEMConfig, SubspaceEmbeddingMethod
@@ -69,7 +70,8 @@ from repro.text.sequence_labeler import SequenceLabeler
 #: v2: manifests may cover an optional ``ann/`` quantizer directory and
 #: carry its pool fingerprint — v1 artifacts must be re-saved (they
 #: were only ever produced by ephemeral warmup runs, never shipped).
-SCHEMA_VERSION = 2
+#: v3: the content block is stored as CSR arrays, so v2 artifacts must be re-saved.
+SCHEMA_VERSION = 3
 
 MANIFEST_NAME = "manifest.json"
 
@@ -232,7 +234,8 @@ def _config_payload(rec: NPRecRecommender) -> dict:
             "block_gates": list(model.block_gates),
             "content_gate": model.content_gate,
             "content_trained_gate": model.content_trained_gate,
-            "has_content": model.content_matrix is not None,
+            "content_width": (None if model.content_matrix is None
+                              else model.content_matrix.shape[1]),
         },
         "has_profile_text": rec._profile_text is not None,
     }
@@ -274,8 +277,11 @@ def _save_model(model: NPRecModel, root: Path) -> None:
     static: dict[str, np.ndarray] = {"nonpaper_mask": model._nonpaper_mask}
     if model._text_matrix is not None:
         static["text_matrix"] = model._text_matrix
-    if model._content_matrix is not None:
-        static["content_matrix"] = model._content_matrix
+    content = model.content_matrix
+    if content is not None:
+        static["content_data"] = content.data
+        static["content_indices"] = content.indices
+        static["content_indptr"] = content.indptr
     _save_npz(root / "static.npz", static)
 
     fields: dict[str, np.ndarray] = {}
@@ -602,7 +608,6 @@ def _load_model(graph: HeterogeneousGraph, arch: dict,
                 root: Path) -> NPRecModel:
     static = _load_npz(root / "static.npz")
     text_matrix = static.get("text_matrix")
-    content_matrix = static.get("content_matrix")
     paper_rows = {graph.key_of(i).id: i
                   for i in graph.entities_of_type("paper")}
     text_vectors = None
@@ -611,30 +616,34 @@ def _load_model(graph: HeterogeneousGraph, arch: dict,
             raise ArtifactError("use_text model without a persisted text matrix")
         text_vectors = {pid: text_matrix[row]
                         for pid, row in paper_rows.items()}
-    content_vectors = None
-    if arch["has_content"]:
-        if content_matrix is None:
-            raise ArtifactError("content model without a persisted content matrix")
-        content_vectors = {pid: content_matrix[row]
-                           for pid, row in paper_rows.items()}
+    content = None
+    if arch["content_width"] is not None:
+        try:
+            content = ContentRows(static["content_data"],
+                                  static["content_indices"],
+                                  static["content_indptr"],
+                                  int(arch["content_width"]))
+        except KeyError:
+            raise ArtifactError(
+                "content model without persisted content arrays") from None
 
+    # The content store is passed as persisted: the constructor takes it
+    # as it is, with no dense detour and no re-normalisation.
     model = NPRecModel(
         graph, text_vectors, dim=int(arch["dim"]),
         neighbor_k=int(arch["neighbor_k"]), depth=int(arch["depth"]),
         use_text=bool(arch["use_text"]), use_network=bool(arch["use_network"]),
         influence_citations=bool(arch["influence_citations"]),
-        content_vectors=content_vectors, seed=0)
-    # Overwrite every derived array with the exact persisted bytes: the
-    # constructor re-normalises content rows and re-draws init weights,
-    # neither of which is guaranteed bit-stable across numpy builds.
+        content_vectors=content, seed=0)
+    # Overwrite every other derived array with the exact persisted bytes:
+    # the constructor re-draws init weights, which is not guaranteed
+    # bit-stable across numpy builds.
     model.block_gates = [float(g) for g in arch["block_gates"]]
     model.content_gate = float(arch["content_gate"])
     model.content_trained_gate = float(arch["content_trained_gate"])
     model._nonpaper_mask = static["nonpaper_mask"]
     if text_matrix is not None:
         model._text_matrix = text_matrix
-    if content_matrix is not None:
-        model._content_matrix = content_matrix
     model.load_state_dict(_load_npz(root / "weights.npz"))
 
     fields = _load_npz(root / "fields.npz")

@@ -1,11 +1,14 @@
 """Detailed NPRecModel mechanics: gates, content block, induction, aggregation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.nprec import NPRecModel
+from repro.core.nprec.model import ContentRows
 from repro.data import load_acm
-from repro.graph import build_academic_network
+from repro.graph import attach_paper_to_network, build_academic_network
 from repro.nn import softmax
 
 
@@ -183,3 +186,137 @@ class TestAggregationEquivalence:
                                            err_msg=name)
         # embeddings, text_proj and every layer of the view's stack
         assert touched == 2 + 2 * depth
+
+
+class _DenseRows:
+    """Dense reference for the content store: the ``(n_entities, width)``
+    matrix the model kept before the CSR layout, grown by ``vstack``."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def __getitem__(self, index):
+        return self.matrix[index]
+
+    def append(self, rows):
+        block = np.zeros((len(rows), self.matrix.shape[1]))
+        for i, row in enumerate(rows):
+            if row is not None:
+                block[i] = row
+        self.matrix = np.vstack([self.matrix, block])
+
+
+def _dense_content(graph, content):
+    """The dense content block, built as the model built it before CSR."""
+    sample = next(iter(content.values()))
+    matrix = np.zeros((graph.num_entities, sample.shape[0]))
+    for pid, vector in content.items():
+        if ("paper", pid) in graph:
+            norm = np.linalg.norm(vector)
+            matrix[graph.index_of("paper", pid)] = (
+                vector / norm if norm > 0 else vector)
+    return matrix
+
+
+class TestSparseContentEquivalence:
+    """The CSR content store gathers exactly the dense block's rows, so
+    every view and score is bit-identical to the dense model's."""
+
+    WIDTH = 30
+
+    @pytest.fixture
+    def setup(self):
+        corpus = load_acm(scale=0.2, seed=50)
+        train, new = corpus.split_by_year(2014)
+        held_out = new[-3:]
+        papers = train + new[:-3]
+        graph = build_academic_network(corpus, papers=papers,
+                                       citation_whitelist={p.id for p in train})
+        rng = np.random.default_rng(4)
+        text = {p.id: rng.normal(size=10) for p in train + new}
+        content = {}
+        for p in train + new:
+            row = np.abs(rng.normal(size=self.WIDTH))
+            row[rng.random(self.WIDTH) < 0.8] = 0.0
+            content[p.id] = row
+        content[new[0].id] = np.zeros(self.WIDTH)  # an empty fit-time row
+        content[held_out[0].id] = np.zeros(self.WIDTH)  # an empty ingest row
+        sparse = NPRecModel(graph, text, dim=8, neighbor_k=3, depth=2,
+                            content_vectors=content, seed=5)
+        dense = NPRecModel(graph, text, dim=8, neighbor_k=3, depth=2,
+                           content_vectors=content, seed=5)
+        dense._content_matrix = _DenseRows(_dense_content(graph, content))
+        return graph, text, content, train, new[:-3], held_out, sparse, dense
+
+    @staticmethod
+    def _assert_views_equal(sparse, dense, citing, cited):
+        assert np.array_equal(sparse.interest_vectors(citing).data,
+                              dense.interest_vectors(citing).data)
+        assert np.array_equal(sparse.influence_vectors(cited).data,
+                              dense.influence_vectors(cited).data)
+        assert np.array_equal(sparse.score_pairs(citing, cited).data,
+                              dense.score_pairs(citing, cited).data)
+
+    def test_views_match_dense_model(self, setup):
+        _, _, _, train, new, _, sparse, dense = setup
+        citing = [p.id for p in train[:5]] + [new[0].id]
+        cited = [p.id for p in new[:6]]
+        self._assert_views_equal(sparse, dense, citing, cited)
+
+    def test_views_match_after_attach(self, setup):
+        graph, text, content, train, new, held_out, sparse, dense = setup
+        novel = dataclasses.replace(
+            held_out[2], id="novel-meta", authors=("author-never-seen",),
+            keywords=("keyword-never-seen", "another-new-keyword"))
+        content[novel.id] = content[held_out[2].id]
+        text[novel.id] = text[held_out[2].id]
+        added = []
+        for paper in list(held_out[:2]) + [novel]:
+            index = attach_paper_to_network(graph, paper)
+            grown = [model.attach_paper(index, text_vector=text[paper.id],
+                                        content_vector=content[paper.id])
+                     for model in (sparse, dense)]
+            assert grown[0] == grown[1]
+            added.append(grown[0])
+        assert added[-1] >= 4  # the paper, its new author and keywords
+        n = graph.num_entities
+        assert sparse.content_matrix.shape == (n, self.WIDTH)
+        # The grown block is the one a fit on the grown graph would build.
+        rebuilt = _dense_content(graph, content)
+        assert np.array_equal(dense.content_matrix.matrix, rebuilt)
+        assert np.array_equal(sparse.content_matrix[np.arange(n)], rebuilt)
+        zero_row = graph.index_of("paper", held_out[0].id)
+        assert not sparse.content_matrix[zero_row].any()
+        attached = [p.id for p in held_out[:2]] + [novel.id]
+        citing = [p.id for p in train[:3]] + attached
+        cited = [p.id for p in new[:3]] + attached
+        self._assert_views_equal(sparse, dense, citing, cited)
+
+    def test_gather_matches_dense_rows(self, setup):
+        graph, _, _, _, new, _, sparse, dense = setup
+        store, matrix = sparse.content_matrix, dense.content_matrix.matrix
+        paper = graph.index_of("paper", new[1].id)
+        assert np.array_equal(store[paper], matrix[paper])
+        assert store[paper].shape == (self.WIDTH,)
+        repeated = np.array([paper, 0, paper, graph.num_entities - 1, paper])
+        assert np.array_equal(store[repeated], matrix[repeated])
+        metadata = np.array([i for i in range(graph.num_entities)
+                             if graph.key_of(i).type != "paper"][:25])
+        assert len(metadata) == 25
+        assert np.array_equal(store[metadata], np.zeros((25, self.WIDTH)))
+        empty = store[np.array([], dtype=int)]
+        assert empty.shape == (0, self.WIDTH)
+        assert np.array_equal(store[np.arange(graph.num_entities)], matrix)
+        with pytest.raises(IndexError):
+            store[graph.num_entities]
+
+    def test_shape_and_nbytes(self, setup):
+        graph, *_, sparse, dense = setup
+        store = sparse.content_matrix
+        assert isinstance(store, ContentRows)
+        assert store.shape == (graph.num_entities, self.WIDTH)
+        nnz = int(np.count_nonzero(dense.content_matrix.matrix))
+        assert len(store.data) == len(store.indices) == nnz
+        assert store.nbytes == (store.data.nbytes + store.indices.nbytes
+                                + store.indptr.nbytes)
+        assert store.nbytes < dense.content_matrix.matrix.nbytes

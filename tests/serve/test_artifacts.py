@@ -1,5 +1,6 @@
 """Artifact store tests: exact round trip + loud failure modes."""
 
+import dataclasses
 import json
 import shutil
 
@@ -7,10 +8,13 @@ import numpy as np
 import pytest
 
 from repro.core.nprec import NPRecRecommender
+from repro.core.nprec.model import ContentRows
 from repro.core.rules import venue_difference
 from repro.errors import ArtifactError, NotFittedError, SchemaVersionError
 from repro.serve import (
     SCHEMA_VERSION,
+    ServingIndex,
+    WriteAheadLog,
     load_author_affiliations,
     load_pipeline,
     save_pipeline,
@@ -158,3 +162,70 @@ class TestManifest:
                    for p in directory.rglob("*")
                    if p.is_file() and p.name != "manifest.json"}
         assert files == on_disk
+
+
+class TestSparseContentLayout:
+    """The content block is persisted and replayed as CSR arrays."""
+
+    def test_save_load_save_load_is_stable(self, artifact, tmp_path):
+        directory, baseline = artifact
+        first = load_pipeline(directory)
+        resaved = save_pipeline(first, tmp_path / "again")
+        second = load_pipeline(resaved)
+        assert ((resaved / "model" / "static.npz").read_bytes()
+                == (directory / "model" / "static.npz").read_bytes())
+        user = baseline["user"]
+        for reloaded in (first, second):
+            assert reloaded.rank(list(user.train_papers),
+                                 user.candidate_set(20)) == baseline["head"]
+            assert reloaded.rank(list(user.train_papers),
+                                 list(user.candidates)) == baseline["full"]
+
+    def test_static_holds_no_dense_content_block(self, artifact,
+                                                 fitted_recommender):
+        directory, _ = artifact
+        content = fitted_recommender.model.content_matrix
+        assert isinstance(content, ContentRows)
+        width = content.shape[1]
+        with np.load(directory / "model" / "static.npz") as static:
+            arrays = {name: static[name] for name in static.files}
+        assert all(a.ndim < 2 or width not in a.shape for a in arrays.values())
+        assert np.array_equal(arrays["content_indptr"], content.indptr)
+        reloaded = load_pipeline(directory).model.content_matrix
+        assert isinstance(reloaded, ContentRows)
+        assert reloaded.shape == content.shape
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(reloaded, name),
+                                  arrays[f"content_{name}"]), name
+
+    def test_wal_replay_equals_never_crashed(self, artifact, serve_task,
+                                             tmp_path):
+        directory, _ = artifact
+        fresh = [dataclasses.replace(paper, id=f"sparse-{i}", references=(),
+                                     citation_count=0)
+                 for i, paper in enumerate(serve_task.new_papers[:4])]
+        user = serve_task.users[3]
+        wal_path = tmp_path / "ingest.wal"
+        kwargs = dict(papers=list(serve_task.new_papers), index="exact")
+
+        live = ServingIndex.from_artifact(
+            directory, wal=WriteAheadLog(wal_path), **kwargs)
+        for paper in fresh:
+            live.add_paper(paper)
+        live.wal.close()
+        live.register_user(user.author_id, list(user.train_papers))
+        want = live.batch_top_k([(user.author_id, 10)])[0]
+
+        restarted = ServingIndex.from_artifact(
+            directory, wal=WriteAheadLog(wal_path), **kwargs)
+        assert restarted.wal.lag == len(fresh)
+        restarted.register_user(user.author_id, list(user.train_papers))
+        got = restarted.batch_top_k([(user.author_id, 10)])[0]
+        assert got.ids == want.ids
+        assert got.scores.tobytes() == want.scores.tobytes()
+        live_rows = live._recommender.model.content_matrix
+        replayed_rows = restarted._recommender.model.content_matrix
+        assert replayed_rows.shape == live_rows.shape
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(replayed_rows, name),
+                                  getattr(live_rows, name)), name
