@@ -297,6 +297,34 @@ class NPRecModel(Module):
             self._fields[key] = field
         return field
 
+    def extra_state(self) -> tuple[dict[str, np.ndarray], dict]:
+        """The receptive fields sampled so far (``{view}_nodes`` and one
+        ``(nodes, k**hop)`` matrix ``{view}_hop{hop}`` per hop) and the
+        sampler's RNG state. Fields are drawn lazily, in the order training
+        first visits each node, so resuming bit-identically needs both."""
+        arrays: dict[str, np.ndarray] = {}
+        for view in _VIEWS:
+            keys = sorted(index for index, v in self._fields if v == view)
+            arrays[f"{view}_nodes"] = np.asarray(keys, dtype=np.int64)
+            for hop in range(self.depth + 1):
+                rows = [self._fields[(index, view)][hop] for index in keys]
+                arrays[f"{view}_hop{hop}"] = (
+                    np.asarray(rows, dtype=np.int64) if rows
+                    else np.zeros((0, self.neighbor_k ** hop), dtype=np.int64))
+        return arrays, {"field_rng": self._field_rng.bit_generator.state}
+
+    def load_extra_state(self, arrays: dict[str, np.ndarray],
+                         meta: dict) -> None:
+        fields: dict[tuple[int, str], list[np.ndarray]] = {}
+        for view in _VIEWS:
+            hops = [arrays[f"{view}_hop{hop}"] for hop in range(self.depth + 1)]
+            for position, index in enumerate(arrays[f"{view}_nodes"]):
+                fields[(int(index), view)] = [
+                    hop_matrix[position].astype(int) for hop_matrix in hops]
+        self._fields = fields
+        self._field_rng.bit_generator.state = meta["field_rng"]
+        self._layer_cache.clear()
+
     def _stacked_layers(self, indices: np.ndarray, view: str) -> list[np.ndarray]:
         """Concatenated per-hop receptive-field index arrays for a batch.
 

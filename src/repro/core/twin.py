@@ -15,7 +15,6 @@ provided for the ablation the paper mentions as "other choices".
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -24,12 +23,10 @@ import numpy as np
 from repro import obs
 from repro.core.annotation import Triplet
 from repro.core.subspace_model import SubspaceEmbeddingNetwork
-from repro.errors import InjectedFault, NumericalError
 from repro.nn import Adam, Tensor, l2_regularization, stack as tensor_stack
 from repro.resilience import faults
-from repro.resilience.checkpoint import CheckpointManager, TrainState
-from repro.resilience.guards import GuardPolicy, NumericGuard
-from repro.utils.rng import as_generator
+from repro.resilience.checkpoint import (
+    CheckpointLike, GuardLike, resilience_options, run_epochs)
 
 #: Supported D^k implementations.
 DISTANCE_FUNCTIONS = ("neg_dot", "euclidean", "cosine")
@@ -72,33 +69,25 @@ class TwinNetworkTrainer:
         L2 regularisation coefficient lambda.
     lr, epochs, batch_size, seed:
         Optimisation hyperparameters.
-    checkpoint, checkpoint_every, keep_checkpoints:
-        Optional atomic per-epoch checkpointing (a directory path or a
-        :class:`~repro.resilience.checkpoint.CheckpointManager`);
-        ``train(..., resume=True)`` then continues from the newest
-        snapshot bit-identically to an uninterrupted run.
-    guard:
-        Optional :class:`~repro.resilience.guards.NumericGuard` (or a
-        :class:`GuardPolicy`, or ``True`` for defaults): NaN/Inf and
-        divergence trips roll back to the epoch-start state, decay the
-        learning rate, and retry within the policy's rollback budget.
+    checkpoint, guard:
+        Optional per-epoch snapshots for ``train(..., resume=True)`` and
+        NaN/divergence rollback, as in
+        :class:`~repro.core.nprec.trainer.NPRecTrainer`; both trainers run
+        :func:`~repro.resilience.checkpoint.run_epochs`.
     """
 
     def __init__(self, network: SubspaceEmbeddingNetwork, distance: str = "neg_dot",
                  margin: float = 0.5, reg: float = 1e-6, lr: float = 1e-3,
                  epochs: int = 5, batch_size: int = 16,
                  seed: int | np.random.Generator | None = 0,
-                 checkpoint: "CheckpointManager | str | os.PathLike | None" = None,
-                 checkpoint_every: int = 1, keep_checkpoints: int = 3,
-                 guard: "NumericGuard | GuardPolicy | bool | None" = None) -> None:
+                 checkpoint: CheckpointLike = None,
+                 guard: GuardLike = None) -> None:
         if distance not in DISTANCE_FUNCTIONS:
             raise ValueError(f"unknown distance {distance!r}; choose from {DISTANCE_FUNCTIONS}")
         if margin < 0:
             raise ValueError(f"margin must be >= 0, got {margin}")
         if epochs < 1 or batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if checkpoint_every < 1:
-            raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
         self.network = network
         self.distance = distance
         self.margin = margin
@@ -107,15 +96,7 @@ class TwinNetworkTrainer:
         self.batch_size = batch_size
         self._seed = seed
         self.optimizer = Adam(network.parameters(), lr=lr)
-        if isinstance(checkpoint, (str, os.PathLike)):
-            checkpoint = CheckpointManager(checkpoint, keep_last=keep_checkpoints)
-        self.checkpoint = checkpoint
-        self.checkpoint_every = checkpoint_every
-        if isinstance(guard, GuardPolicy):
-            guard = NumericGuard(guard)
-        elif guard is True:
-            guard = NumericGuard()
-        self.guard: NumericGuard | None = guard or None
+        self.checkpoint, self.guard = resilience_options(checkpoint, guard)
 
     # ------------------------------------------------------------------
     def _embed_batch(self, paper_ids: set[str],
@@ -150,7 +131,8 @@ class TwinNetworkTrainer:
         resume:
             Continue from the newest checkpoint snapshot (requires the
             trainer's *checkpoint* option); the resumed run's history and
-            final weights are bit-identical to an uninterrupted one.
+            final weights are bit-identical to an uninterrupted one; one
+            past ``epochs`` raises :class:`ValueError`.
         """
         triplets = list(triplets)
         if not triplets:
@@ -161,46 +143,20 @@ class TwinNetworkTrainer:
         if missing:
             raise KeyError(f"encoded cache missing {len(missing)} papers, "
                            f"e.g. {sorted(missing)[:3]}")
-        rng = as_generator(self._seed)
-        history = TrainHistory()
-        order = np.arange(len(triplets))
-        columns = {"losses": history.losses,
-                   "violation_rates": history.violation_rates}
-        start_epoch = self._maybe_resume(rng, order, columns, resume)
         with obs.profile("sem.twin.train"), \
                 obs.trace("sem.twin.train", epochs=self.epochs,
                           triplets=len(triplets), distance=self.distance):
-            epoch = start_epoch
-            while epoch < self.epochs:
-                snapshot = None
-                if self.guard is not None:
-                    snapshot = TrainState.capture(epoch, self.network,
-                                                  self.optimizer, rng, order,
-                                                  columns)
-                try:
-                    mean_loss, violation_rate = self._run_epoch(
-                        triplets, encoded, order, rng, epoch)
-                    if self.guard is not None:
-                        self.guard.check_epoch(mean_loss, epoch)
-                except (NumericalError, InjectedFault):
-                    if snapshot is None or not self.guard.admit_rollback():
-                        raise
-                    snapshot.restore(self.network, self.optimizer, rng, order,
-                                     columns)
-                    self.guard.decay_lr(self.optimizer)
-                    continue
-                history.losses.append(mean_loss)
-                history.violation_rates.append(violation_rate)
-                epoch += 1
-                self._maybe_checkpoint(epoch, rng, order, columns)
-        return history
+            return run_epochs(
+                lambda epoch, order: self._run_epoch(triplets, encoded, order,
+                                                     epoch),
+                TrainHistory(), module=self.network, optimizer=self.optimizer,
+                epochs=self.epochs, n_examples=len(triplets), seed=self._seed,
+                checkpoint=self.checkpoint, guard=self.guard, resume=resume)
 
     # ------------------------------------------------------------------
     def _run_epoch(self, triplets: list[Triplet],
                    encoded: Mapping[str, tuple[np.ndarray, Sequence[int]]],
-                   order: np.ndarray, rng: np.random.Generator,
-                   epoch: int) -> tuple[float, float]:
-        rng.shuffle(order)
+                   order: np.ndarray, epoch: int) -> tuple[float, float]:
         epoch_loss = 0.0
         violations = 0
         with obs.trace("sem.twin.train.epoch", epoch=epoch) as span:
@@ -223,9 +179,9 @@ class TwinNetworkTrainer:
                     loss = loss + l2_regularization(self.optimizer.params, self.reg)
                 loss.backward()
                 if self.guard is not None:
-                    where = f"twin epoch {epoch}, batch offset {start}"
-                    self.guard.check_loss(loss.item(), where)
-                    self.guard.check_gradients(self.optimizer.params, where)
+                    self.guard.check_step(
+                        loss.item(), self.optimizer.params,
+                        f"twin epoch {epoch}, batch offset {start}")
                 self.optimizer.step()
                 epoch_loss += loss.item() * len(batch)
                 obs.count("sem.twin.grad_steps")
@@ -240,29 +196,6 @@ class TwinNetworkTrainer:
         obs.observe("sem.twin.epoch_duration_seconds", span.duration)
         obs.observe_quantile("sem.twin.epoch.latency", span.duration)
         return mean_loss, violations / len(triplets)
-
-    def _maybe_resume(self, rng: np.random.Generator, order: np.ndarray,
-                      columns: dict[str, list[float]], resume: bool) -> int:
-        if not resume:
-            return 0
-        if self.checkpoint is None:
-            raise ValueError("resume=True requires a checkpoint directory "
-                             "or CheckpointManager")
-        state = self.checkpoint.latest()
-        if state is None:
-            return 0
-        state.restore(self.network, self.optimizer, rng, order, columns)
-        obs.count("resilience.checkpoint.resumed")
-        return min(state.epoch, self.epochs)
-
-    def _maybe_checkpoint(self, completed: int, rng: np.random.Generator,
-                          order: np.ndarray,
-                          columns: dict[str, list[float]]) -> None:
-        if self.checkpoint is None:
-            return
-        if completed % self.checkpoint_every == 0 or completed == self.epochs:
-            self.checkpoint.save(TrainState.capture(
-                completed, self.network, self.optimizer, rng, order, columns))
 
     def violation_rate(self, triplets: Sequence[Triplet],
                        encoded: Mapping[str, tuple[np.ndarray, Sequence[int]]]) -> float:

@@ -4,8 +4,8 @@ A checkpoint directory holds one subdirectory per snapshot::
 
     <root>/
         epoch-0001/
-            state.npz       model weights, Adam moments, shuffle order
-            meta.json       epoch, Adam t/lr, RNG state, history, schema
+            state.npz       model weights + extra arrays, Adam moments, order
+            meta.json       epoch, Adam t/lr, RNG state, history, extra, schema
             manifest.json   sha256 per file (the serve.artifacts convention)
         epoch-0002/
         ...
@@ -18,10 +18,13 @@ snapshot — never a truncated one. Retention keeps the newest *keep_last*
 snapshots.
 
 A :class:`TrainState` captures everything a trainer's epoch loop
-consumes — model ``state_dict``, Adam moments/step/lr, the shuffle RNG's
-``bit_generator.state``, the (persistently shuffled) epoch order array,
-and the per-epoch history columns — which is exactly the set needed for
-a resumed run to be bit-identical to an uninterrupted one.
+consumes — model ``state_dict`` and ``extra_state``, Adam
+moments/step/lr, the shuffle RNG's ``bit_generator.state``, the
+(persistently shuffled) epoch order array, and the per-epoch history
+columns — which is exactly the set needed for a resumed run to be
+bit-identical to an uninterrupted one.
+
+:func:`run_epochs` is the one epoch loop both trainers run on top.
 """
 
 from __future__ import annotations
@@ -32,20 +35,26 @@ import os
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable, TypeAlias, TypeVar
 
 import numpy as np
 
 from repro import obs
-from repro.errors import ArtifactError
+from repro.errors import ArtifactError, InjectedFault, NumericalError
 from repro.nn.layers import Module
 from repro.nn.optim import Adam
+from repro.resilience.guards import GuardPolicy, NumericGuard
+from repro.utils.rng import SeedLike, as_generator
 
 #: On-disk checkpoint layout version; mismatches refuse to load.
-CHECKPOINT_SCHEMA_VERSION = 1
+#: v2 adds the model's extra state, without which NPRec cannot resume
+#: bit-identically in a new process.
+CHECKPOINT_SCHEMA_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 
 _MODEL_PREFIX = "model."
+_EXTRA_PREFIX = "extra."
 _ADAM_M_PREFIX = "adam.m."
 _ADAM_V_PREFIX = "adam.v."
 _ORDER_KEY = "order"
@@ -83,6 +92,7 @@ class TrainState:
     rng_state: dict
     order: np.ndarray
     history: dict[str, list[float]]
+    extra: tuple[dict[str, np.ndarray], dict]
 
     @classmethod
     def capture(cls, epoch: int, module: Module, optimizer: Adam,
@@ -96,6 +106,7 @@ class TrainState:
             rng_state=copy.deepcopy(rng.bit_generator.state),
             order=np.asarray(order).copy(),
             history={name: list(column) for name, column in history.items()},
+            extra=module.extra_state(),
         )
 
     def restore(self, module: Module, optimizer: Adam,
@@ -108,6 +119,7 @@ class TrainState:
                 f"examples but the current run has {order.shape[0]}; resume "
                 "requires the identical training set")
         module.load_state_dict(self.model_state)
+        module.load_extra_state(*self.extra)
         optimizer.load_state_dict(self.optimizer_state)
         rng.bit_generator.state = copy.deepcopy(self.rng_state)
         order[:] = self.order
@@ -167,6 +179,8 @@ class CheckpointManager:
             arrays[f"{_ADAM_M_PREFIX}{i}"] = m
         for i, v in enumerate(state.optimizer_state["v"]):
             arrays[f"{_ADAM_V_PREFIX}{i}"] = v
+        for name, value in state.extra[0].items():
+            arrays[f"{_EXTRA_PREFIX}{name}"] = value
         arrays[_ORDER_KEY] = np.asarray(state.order, dtype=np.int64)
         np.savez(tmp / "state.npz", **arrays)
 
@@ -178,6 +192,7 @@ class CheckpointManager:
                      "n_params": len(state.optimizer_state["m"])},
             "rng_state": state.rng_state,
             "history": state.history,
+            "extra": state.extra[1],
         }
         with open(tmp / "meta.json", "w", encoding="utf-8") as handle:
             json.dump(meta, handle)
@@ -271,6 +286,9 @@ class CheckpointManager:
             order=arrays[_ORDER_KEY],
             history={name: [float(x) for x in column]
                      for name, column in meta["history"].items()},
+            extra=({name[len(_EXTRA_PREFIX):]: value
+                    for name, value in arrays.items()
+                    if name.startswith(_EXTRA_PREFIX)}, meta["extra"]),
         )
 
     def latest(self) -> TrainState | None:
@@ -288,3 +306,82 @@ class CheckpointManager:
                 obs.count("resilience.checkpoint.corrupt")
                 continue
         return None
+
+
+#: A trainer's *checkpoint* argument (a directory gets default retention)
+#: and *guard* argument (``True`` means the default policy).
+CheckpointLike: TypeAlias = CheckpointManager | str | os.PathLike | None
+GuardLike: TypeAlias = NumericGuard | GuardPolicy | bool | None
+History = TypeVar("History")
+
+
+def resilience_options(checkpoint: CheckpointLike, guard: GuardLike
+                       ) -> tuple[CheckpointManager | None, NumericGuard | None]:
+    """Normalise a trainer's *checkpoint* and *guard* arguments."""
+    if isinstance(checkpoint, (str, os.PathLike)):
+        checkpoint = CheckpointManager(checkpoint)
+    if isinstance(guard, GuardPolicy):
+        guard = NumericGuard(guard)
+    elif guard is True:
+        guard = NumericGuard()
+    return checkpoint, guard or None
+
+
+def run_epochs(epoch_fn: Callable[[int, np.ndarray], tuple[Any, ...]],
+               history: History, *, module: Module, optimizer: Adam,
+               epochs: int, n_examples: int, seed: SeedLike,
+               checkpoint: CheckpointManager | None = None,
+               guard: NumericGuard | None = None,
+               resume: bool = False) -> History:
+    """The epoch loop both trainers run; returns the filled *history*.
+
+    Each epoch shuffles the example order in place, then
+    ``epoch_fn(epoch, order)`` trains one pass and returns one value per
+    field of the *history* dataclass, loss first. ``resume=True`` starts
+    from the newest snapshot of *checkpoint* (one past *epochs* raises
+    :class:`ValueError`). A *guard* checks each epoch's loss, and on a
+    ``NumericalError`` or ``InjectedFault`` restores the epoch-start
+    state, decays the learning rate and retries, within its rollback
+    budget. With a *checkpoint*, every completed epoch is snapshotted.
+    """
+    rng = as_generator(seed)
+    order = np.arange(n_examples)
+    columns: dict[str, list] = vars(history)
+    epoch = 0
+    if resume:
+        if checkpoint is None:
+            raise ValueError("resume=True requires a checkpoint directory "
+                             "or CheckpointManager")
+        state = checkpoint.latest()
+        if state is not None:
+            if state.epoch > epochs:
+                raise ValueError(
+                    f"cannot resume: the newest checkpoint in "
+                    f"{checkpoint.root} holds {state.epoch} completed "
+                    f"epochs but this run trains only epochs={epochs}")
+            state.restore(module, optimizer, rng, order, columns)
+            obs.count("resilience.checkpoint.resumed")
+            epoch = state.epoch
+    while epoch < epochs:
+        snapshot = None
+        if guard is not None:
+            snapshot = TrainState.capture(epoch, module, optimizer, rng,
+                                          order, columns)
+        try:
+            rng.shuffle(order)
+            values = epoch_fn(epoch, order)
+            if guard is not None:
+                guard.check_epoch(values[0], epoch)
+        except (NumericalError, InjectedFault):
+            if snapshot is None or not guard.admit_rollback():
+                raise
+            snapshot.restore(module, optimizer, rng, order, columns)
+            guard.decay_lr(optimizer)
+            continue
+        for column, value in zip(columns.values(), values, strict=True):
+            column.append(value)
+        epoch += 1
+        if checkpoint is not None:
+            checkpoint.save(TrainState.capture(epoch, module, optimizer, rng,
+                                               order, columns))
+    return history

@@ -101,6 +101,12 @@ class NumericGuard:
                     f"non-finite gradient in parameter #{i} "
                     f"(shape {param.grad.shape}) at {where}")
 
+    def check_step(self, loss: float, params: Iterable[Tensor],
+                   where: str) -> None:
+        """Per-batch :meth:`check_loss` then :meth:`check_gradients`."""
+        self.check_loss(loss, where)
+        self.check_gradients(params, where)
+
     def check_epoch(self, mean_loss: float, epoch: int) -> None:
         """End-of-epoch check: finiteness plus the divergence bound."""
         self.check_loss(mean_loss, f"epoch {epoch} mean loss")

@@ -75,8 +75,6 @@ SCHEMA_VERSION = 3
 
 MANIFEST_NAME = "manifest.json"
 
-_VIEWS = ("interest", "influence")
-
 
 # ----------------------------------------------------------------------
 # Small helpers
@@ -284,19 +282,9 @@ def _save_model(model: NPRecModel, root: Path) -> None:
         static["content_indptr"] = content.indptr
     _save_npz(root / "static.npz", static)
 
-    fields: dict[str, np.ndarray] = {}
-    for view in _VIEWS:
-        keys = sorted(index for index, v in model._fields if v == view)
-        fields[f"{view}_nodes"] = np.asarray(keys, dtype=np.int64)
-        for hop in range(model.depth + 1):
-            rows = [model._fields[(index, view)][hop] for index in keys]
-            width = model.neighbor_k ** hop
-            stacked = (np.asarray(rows, dtype=np.int64) if rows
-                       else np.zeros((0, width), dtype=np.int64))
-            fields[f"{view}_hop{hop}"] = stacked
+    fields, meta = model.extra_state()
     _save_npz(root / "fields.npz", fields)
-    _write_json(root / "field_rng.json",
-                {"state": model._field_rng.bit_generator.state})
+    _write_json(root / "field_rng.json", {"state": meta["field_rng"]})
 
 
 def _save_profile_text(module: JTIERecommender, root: Path) -> None:
@@ -646,19 +634,9 @@ def _load_model(graph: HeterogeneousGraph, arch: dict,
         model._text_matrix = text_matrix
     model.load_state_dict(_load_npz(root / "weights.npz"))
 
-    fields = _load_npz(root / "fields.npz")
-    restored: dict[tuple[int, str], list[np.ndarray]] = {}
-    for view in _VIEWS:
-        nodes = fields[f"{view}_nodes"]
-        hops = [fields[f"{view}_hop{hop}"] for hop in range(model.depth + 1)]
-        for position, index in enumerate(nodes):
-            restored[(int(index), view)] = [
-                hop_matrix[position].astype(int) for hop_matrix in hops]
-    model._fields = restored
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = _read_json(root / "field_rng.json")["state"]
-    model._field_rng = rng
-    model._layer_cache.clear()
+    model.load_extra_state(
+        _load_npz(root / "fields.npz"),
+        {"field_rng": _read_json(root / "field_rng.json")["state"]})
     return model
 
 

@@ -3,22 +3,27 @@
 The resume tests are the contract at the heart of repro.resilience: a
 run that is killed and resumed from its newest checkpoint must produce
 *exactly* the history and weights of a run that never stopped — float
-equality, not approx.
+equality, not approx. Both trainers run the same epoch protocol
+(:func:`repro.resilience.checkpoint.run_epochs`), so each contract test
+runs on both: parametrised over the ``harness`` fixture, or, for the two
+cheap error-path checks, looping over both trainers in one test.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import repro.core.nprec.trainer as nprec_trainer_mod
+import repro.core.twin as twin_mod
 from repro.core.annotation import annotate_triplets
 from repro.core.nprec import NPRecModel, NPRecTrainer, build_training_pairs
 from repro.core.rules import ExpertRuleSet
 from repro.core.subspace_model import SubspaceEmbeddingNetwork
 from repro.core.twin import TwinNetworkTrainer
 from repro.data import load_acm, load_scopus
-from repro.errors import InjectedFault, NumericalError
+from repro.errors import InjectedFault
 from repro.graph import build_academic_network
 from repro.resilience import faults
 from repro.resilience.checkpoint import CheckpointManager
@@ -43,7 +48,8 @@ def _fault_seed(probability: float, lo: int, hi: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# NPRec setup
+# One harness per trainer: how to build it, train it, read its weights,
+# and which module-level name its per-batch loss is looked up through.
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def nprec_setup():
@@ -63,12 +69,14 @@ def nprec_setup():
         defaults.update(kwargs)
         return NPRecTrainer(model, **defaults)
 
-    return make_trainer, pairs
+    return SimpleNamespace(
+        make=make_trainer,
+        train=lambda trainer, **kwargs: trainer.train(pairs, **kwargs),
+        weights=lambda trainer: trainer.model,
+        n_batches=math.ceil(len(pairs) / 32),
+        loss_site=(nprec_trainer_mod, "binary_cross_entropy_with_logits"))
 
 
-# ----------------------------------------------------------------------
-# Twin setup
-# ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def twin_setup():
     papers = load_scopus(scale=0.15, seed=5).papers[:40]
@@ -90,10 +98,23 @@ def twin_setup():
         defaults.update(kwargs)
         return TwinNetworkTrainer(network, **defaults)
 
-    return make_trainer, triplets, encoded
+    return SimpleNamespace(
+        make=make_trainer,
+        train=lambda trainer, **kwargs: trainer.train(triplets, encoded,
+                                                      **kwargs),
+        weights=lambda trainer: trainer.network,
+        n_batches=math.ceil(len(triplets) / 8),
+        loss_site=(twin_mod, "tensor_stack"))
 
 
-def _assert_same_weights(left, right):
+@pytest.fixture(params=["nprec", "twin"])
+def harness(request):
+    return request.getfixturevalue(f"{request.param}_setup")
+
+
+def _assert_same_run(left, left_history, right, right_history):
+    """Float-equal history columns and weights."""
+    assert vars(left_history) == vars(right_history)
     left_state, right_state = left.state_dict(), right.state_dict()
     assert set(left_state) == set(right_state)
     for name, value in left_state.items():
@@ -104,86 +125,81 @@ def _assert_same_weights(left, right):
 # Bit-identical resume
 # ----------------------------------------------------------------------
 class TestResumeBitIdentity:
-    def test_nprec_killed_run_resumes_bit_identically(self, nprec_setup,
-                                                      tmp_path):
-        make_trainer, pairs = nprec_setup
-        baseline_trainer = make_trainer()
-        baseline = baseline_trainer.train(pairs)
+    def test_killed_run_resumes_bit_identically(self, harness, tmp_path):
+        baseline_trainer = harness.make()
+        baseline = harness.train(baseline_trainer)
 
-        n_batches = math.ceil(len(pairs) / 32)
-        seed = _fault_seed(0.25, lo=n_batches, hi=EPOCHS * n_batches)
-        trainer = make_trainer(checkpoint=tmp_path / "ckpt")
+        seed = _fault_seed(0.25, lo=harness.n_batches,
+                           hi=EPOCHS * harness.n_batches)
+        trainer = harness.make(checkpoint=tmp_path / "ckpt")
         with faults.inject(f"trainer.batch:0.25:{seed}"):
             with pytest.raises(InjectedFault):
-                trainer.train(pairs)
+                harness.train(trainer)
         # At least one epoch completed before the kill ...
         saved = CheckpointManager(tmp_path / "ckpt").epochs()
         assert saved and max(saved) < EPOCHS
         # ... and the resumed run matches the uninterrupted one exactly.
-        history = trainer.train(pairs, resume=True)
-        assert history.losses == baseline.losses
-        assert history.accuracies == baseline.accuracies
-        _assert_same_weights(trainer.model, baseline_trainer.model)
+        history = harness.train(trainer, resume=True)
+        _assert_same_run(harness.weights(trainer), history,
+                         harness.weights(baseline_trainer), baseline)
 
-    def test_twin_fresh_trainer_resumes_bit_identically(self, twin_setup,
-                                                        tmp_path):
+    def test_fresh_trainer_resumes_bit_identically(self, harness, tmp_path):
         """Resume across a 'process boundary': a brand-new trainer picks
         up a previous trainer's checkpoints and lands on the same bits."""
-        make_trainer, triplets, encoded = twin_setup
-        baseline_trainer = make_trainer()
-        baseline = baseline_trainer.train(triplets, encoded)
+        baseline_trainer = harness.make()
+        baseline = harness.train(baseline_trainer)
 
-        first = make_trainer(epochs=2, checkpoint=tmp_path / "ckpt")
-        first.train(triplets, encoded)
+        harness.train(harness.make(epochs=2, checkpoint=tmp_path / "ckpt"))
 
-        second = make_trainer(checkpoint=tmp_path / "ckpt")
-        history = second.train(triplets, encoded, resume=True)
-        assert history.losses == baseline.losses
-        assert history.violation_rates == baseline.violation_rates
-        _assert_same_weights(second.network, baseline_trainer.network)
+        second = harness.make(checkpoint=tmp_path / "ckpt")
+        history = harness.train(second, resume=True)
+        _assert_same_run(harness.weights(second), history,
+                         harness.weights(baseline_trainer), baseline)
 
-    def test_resume_requires_checkpoint(self, twin_setup):
-        make_trainer, triplets, encoded = twin_setup
-        with pytest.raises(ValueError, match="resume=True requires"):
-            make_trainer().train(triplets, encoded, resume=True)
+    def test_resume_requires_checkpoint(self, nprec_setup, twin_setup):
+        for harness in (nprec_setup, twin_setup):
+            with pytest.raises(ValueError, match="resume=True requires"):
+                harness.train(harness.make(), resume=True)
+
+    def test_resume_past_epochs_raises(self, harness, tmp_path):
+        harness.train(harness.make(checkpoint=tmp_path / "ckpt"))
+        shorter = harness.make(epochs=2, checkpoint=tmp_path / "ckpt")
+        with pytest.raises(ValueError,
+                           match=f"holds {EPOCHS} completed epochs.*epochs=2"):
+            harness.train(shorter, resume=True)
 
     def test_resume_with_no_snapshots_trains_from_scratch(self, twin_setup,
                                                           tmp_path):
-        make_trainer, triplets, encoded = twin_setup
-        baseline = make_trainer().train(triplets, encoded)
-        trainer = make_trainer(checkpoint=tmp_path / "empty")
-        history = trainer.train(triplets, encoded, resume=True)
+        baseline = twin_setup.train(twin_setup.make())
+        trainer = twin_setup.make(checkpoint=tmp_path / "empty")
+        history = twin_setup.train(trainer, resume=True)
         assert history.losses == baseline.losses
 
-    def test_checkpoint_every_skips_intermediate_epochs(self, twin_setup,
-                                                        tmp_path):
-        make_trainer, triplets, encoded = twin_setup
-        trainer = make_trainer(epochs=3, checkpoint=tmp_path / "ckpt",
-                               checkpoint_every=2)
-        trainer.train(triplets, encoded)
-        # Epoch 2 (multiple of 2) and the final epoch 3 are snapshotted.
-        assert CheckpointManager(tmp_path / "ckpt").epochs() == [2, 3]
+    def test_every_epoch_snapshotted_and_keep_last_prunes(self, twin_setup,
+                                                          tmp_path):
+        manager = CheckpointManager(tmp_path / "ckpt", keep_last=2)
+        twin_setup.train(twin_setup.make(epochs=3, checkpoint=manager))
+        assert manager.epochs() == [2, 3]
 
 
 # ----------------------------------------------------------------------
 # Guard trips and rollback inside the epoch loop
 # ----------------------------------------------------------------------
 class TestGuardedTraining:
-    def test_nan_loss_rolls_back_and_recovers(self, nprec_setup, monkeypatch):
-        make_trainer, pairs = nprec_setup
-        original = nprec_trainer_mod.binary_cross_entropy_with_logits
+    def test_nan_loss_rolls_back_and_recovers(self, harness, monkeypatch):
+        module, name = harness.loss_site
+        original = getattr(module, name)
         calls = {"n": 0}
 
-        def poisoned(logits, labels):
+        def poisoned(*args):
             calls["n"] += 1
-            loss = original(logits, labels)
+            loss = original(*args)
             return loss * float("nan") if calls["n"] == 1 else loss
 
-        monkeypatch.setattr(nprec_trainer_mod,
-                            "binary_cross_entropy_with_logits", poisoned)
-        trainer = make_trainer(epochs=2, guard=True)
+        monkeypatch.setattr(module, name, poisoned)
+        trainer = harness.make(epochs=2, guard=True)
         initial_lr = trainer.optimizer.lr
-        history = trainer.train(pairs)
+        history = harness.train(trainer)
 
         # The poisoned first batch tripped the guard, the epoch was
         # retried from its start, and training still completed in full.
@@ -193,33 +209,32 @@ class TestGuardedTraining:
         assert trainer.optimizer.lr == pytest.approx(initial_lr * 0.5)
 
     def test_persistent_fault_exhausts_rollback_budget(self, twin_setup):
-        make_trainer, triplets, encoded = twin_setup
-        trainer = make_trainer(guard=GuardPolicy(max_rollbacks=2))
+        trainer = twin_setup.make(guard=GuardPolicy(max_rollbacks=2))
         with faults.inject("trainer.batch:1.0"):
             with pytest.raises(InjectedFault):
-                trainer.train(triplets, encoded)
+                twin_setup.train(trainer)
         assert trainer.guard.rollbacks_used == 2
 
-    def test_fault_without_guard_propagates(self, twin_setup):
-        make_trainer, triplets, encoded = twin_setup
-        with faults.inject("trainer.batch:1.0"):
-            with pytest.raises(InjectedFault):
-                make_trainer().train(triplets, encoded)
+    def test_fault_without_guard_propagates(self, nprec_setup, twin_setup):
+        for harness in (nprec_setup, twin_setup):
+            with faults.inject("trainer.batch:1.0"):
+                with pytest.raises(InjectedFault):
+                    harness.train(harness.make())
 
     def test_guard_accepts_policy_and_bool(self, twin_setup):
-        make_trainer, _, _ = twin_setup
+        make_trainer = twin_setup.make
         assert isinstance(make_trainer(guard=True).guard, NumericGuard)
         custom = make_trainer(guard=GuardPolicy(max_rollbacks=5)).guard
         assert custom.policy.max_rollbacks == 5
         assert make_trainer(guard=None).guard is None
         assert make_trainer(guard=False).guard is None
 
-    def test_guarded_run_matches_unguarded_when_quiet(self, twin_setup):
+    def test_guarded_run_matches_unguarded_when_quiet(self, harness):
         """With no trips, the guard must not change a single bit."""
-        make_trainer, triplets, encoded = twin_setup
-        plain_trainer = make_trainer(epochs=2)
-        plain = plain_trainer.train(triplets, encoded)
-        guarded_trainer = make_trainer(epochs=2, guard=True)
-        guarded = guarded_trainer.train(triplets, encoded)
-        assert guarded.losses == plain.losses
-        _assert_same_weights(guarded_trainer.network, plain_trainer.network)
+        plain_trainer = harness.make(epochs=2)
+        plain = harness.train(plain_trainer)
+        guarded_trainer = harness.make(epochs=2, guard=True)
+        guarded = harness.train(guarded_trainer)
+        assert guarded_trainer.guard.rollbacks_used == 0
+        _assert_same_run(harness.weights(guarded_trainer), guarded,
+                         harness.weights(plain_trainer), plain)
