@@ -29,6 +29,7 @@ from repro.nn import (
     Tensor,
     binary_cross_entropy_with_logits,
     concat,
+    no_grad,
 )
 from repro.utils.rng import as_generator
 
@@ -232,18 +233,32 @@ class JTIERecommender(Recommender):
             papers = [p for p in corpus.papers_of_author(author) if p.id in by_id]
             if papers:
                 profiles[author] = np.mean([self._vector(p) for p in papers], axis=0)
+        # Profile and item matrices are built once; each batch gathers its
+        # rows. Samples whose author has no historical profile (row -1)
+        # are skipped.
+        profile_rows = {author: row for row, author in enumerate(profiles)}
+        user_rows = np.array([profile_rows.get(a, -1) for a, _, _ in samples],
+                             dtype=int)
+        item_ids = list(dict.fromkeys(pid for a, pid, _ in samples
+                                      if a in profiles))
+        item_rows_of = {pid: row for row, pid in enumerate(item_ids)}
+        item_rows = np.array([item_rows_of.get(pid, -1) for _, pid, _ in samples],
+                             dtype=int)
+        profile_matrix = np.array(list(profiles.values()))
+        item_matrix = np.array([self._vector(by_id[pid]) for pid in item_ids])
+        sample_labels = np.array([y for _, _, y in samples])
         optimizer = Adam(self.bilinear_.parameters() + bias.parameters(), lr=self.lr)
         order = np.arange(len(samples))
         for _ in range(self.epochs):
             rng.shuffle(order)
             for start in range(0, len(order), self.batch_size):
-                batch = [samples[i] for i in order[start:start + self.batch_size]
-                         if samples[i][0] in profiles]
-                if not batch:
+                batch = order[start:start + self.batch_size]
+                batch = batch[user_rows[batch] >= 0]
+                if not batch.size:
                     continue
-                user_mat = np.stack([profiles[a] for a, _, _ in batch])
-                item_mat = np.stack([self._vector(by_id[pid]) for _, pid, _ in batch])
-                labels = np.array([y for _, _, y in batch])
+                user_mat = profile_matrix[user_rows[batch]]
+                item_mat = item_matrix[item_rows[batch]]
+                labels = sample_labels[batch]
                 optimizer.zero_grad()
                 u = self.bilinear_(Tensor(user_mat)).tanh()
                 v = self.bilinear_(Tensor(item_mat)).tanh()
@@ -252,6 +267,7 @@ class JTIERecommender(Recommender):
                 optimizer.step()
         return self
 
+    @no_grad()
     def rank(self, user_papers: Sequence[Paper],
              candidates: Sequence[Paper]) -> list[str]:
         if self.bilinear_ is None:

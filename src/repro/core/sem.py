@@ -122,6 +122,10 @@ class SubspaceEmbeddingMethod:
             raise ValueError("need at least three papers to train SEM")
         cfg = self.config
         rng = as_generator(cfg.seed)
+        # Sentence encodings and embeddings belong to the previous fit's
+        # encoder and network.
+        self._encoded.clear()
+        self._embedding_cache.clear()
 
         self.encoder = SentenceEncoder(dim=cfg.encoder_dim)
         self.encoder.fit_frequencies([p.abstract for p in papers])
@@ -174,7 +178,6 @@ class SubspaceEmbeddingMethod:
             seed=int(rng.integers(2**31)),
         )
         self.history_ = trainer.train(self.triplets_, self._encoded)
-        self._embedding_cache.clear()
         return self
 
     def _learn_rule_weights(self, papers: Sequence[Paper],
@@ -217,19 +220,25 @@ class SubspaceEmbeddingMethod:
             raise NotFittedError("SubspaceEmbeddingMethod.fit must be called first")
         return self.network
 
+    def _embed_missing(self, papers: Sequence[Paper]) -> None:
+        """Cache the embeddings of *papers* not cached yet, in one batch."""
+        network = self._require_network()
+        missing = list({p.id: p for p in papers
+                        if p.id not in self._embedding_cache}.values())
+        # Fault site covers the actual compute only, once per computed
+        # paper — cache hits model a fault-free fast path.
+        for _ in missing:
+            faults.maybe_fail("sem.embed")
+        if missing:
+            embeddings = network.embed_batch(
+                [self._encode_paper(p) for p in missing])
+            self._embedding_cache.update(
+                zip((p.id for p in missing), embeddings))
+
     def embed(self, paper: Paper) -> np.ndarray:
         """Subspace embeddings of one paper: ``(K, 2 * out_dim)``."""
-        network = self._require_network()
-        cached = self._embedding_cache.get(paper.id)
-        if cached is not None:
-            return cached
-        # Fault site covers the actual compute only — cache hits above
-        # model a fault-free fast path.
-        faults.maybe_fail("sem.embed")
-        sentence_vectors, labels = self._encode_paper(paper)
-        result = network.embed(sentence_vectors, labels)
-        self._embedding_cache[paper.id] = result
-        return result
+        self._embed_missing([paper])
+        return self._embedding_cache[paper.id]
 
     def embed_many(self, papers: Sequence[Paper]) -> np.ndarray:
         """Stacked subspace embeddings: ``(n, K, 2 * out_dim)``."""
@@ -238,7 +247,8 @@ class SubspaceEmbeddingMethod:
         if not papers:
             return np.zeros((0, self.config.num_subspaces,
                              network.embedding_dim))
-        return np.stack([self.embed(p) for p in papers])
+        self._embed_missing(papers)
+        return np.stack([self._embedding_cache[p.id] for p in papers])
 
     def subspace_matrix(self, papers: Sequence[Paper], subspace: int) -> np.ndarray:
         """Embeddings of all *papers* in one subspace: ``(n, 2 * out_dim)``."""
@@ -246,7 +256,7 @@ class SubspaceEmbeddingMethod:
             raise ValueError(
                 f"subspace must be in [0, {self.config.num_subspaces}), got {subspace}"
             )
-        return np.stack([self.embed(p)[subspace] for p in papers])
+        return self.embed_many(papers)[:, subspace]
 
     def fused_embeddings(self, papers: Sequence[Paper],
                          weights: Sequence[float] | None = None) -> np.ndarray:

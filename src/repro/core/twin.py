@@ -23,7 +23,7 @@ import numpy as np
 from repro import obs
 from repro.core.annotation import Triplet
 from repro.core.subspace_model import SubspaceEmbeddingNetwork
-from repro.nn import Adam, Tensor, l2_regularization, stack as tensor_stack
+from repro.nn import Adam, Tensor, l2_regularization, no_grad
 from repro.resilience import faults
 from repro.resilience.checkpoint import (
     CheckpointLike, GuardLike, resilience_options, run_epochs)
@@ -33,16 +33,20 @@ DISTANCE_FUNCTIONS = ("neg_dot", "euclidean", "cosine")
 
 
 def pair_distance(a: Tensor, b: Tensor, kind: str = "neg_dot") -> Tensor:
-    """Differentiable distance between two subspace embedding vectors."""
+    """Differentiable distance between subspace embedding vectors.
+
+    Reduces over the last axis: two ``(d,)`` vectors give a scalar, two
+    ``(n, d)`` row stacks give the ``(n,)`` row-wise distances.
+    """
     if kind == "neg_dot":
-        return -(a * b).sum()
+        return -(a * b).sum(axis=-1)
     if kind == "euclidean":
         diff = a - b
-        return ((diff * diff).sum() + 1e-12) ** 0.5
+        return ((diff * diff).sum(axis=-1) + 1e-12) ** 0.5
     if kind == "cosine":
-        norm_a = ((a * a).sum() + 1e-12) ** 0.5
-        norm_b = ((b * b).sum() + 1e-12) ** 0.5
-        return 1.0 - (a * b).sum() / (norm_a * norm_b)
+        norm_a = ((a * a).sum(axis=-1) + 1e-12) ** 0.5
+        norm_b = ((b * b).sum(axis=-1) + 1e-12) ** 0.5
+        return 1.0 - (a * b).sum(axis=-1) / (norm_a * norm_b)
     raise ValueError(f"unknown distance {kind!r}; choose from {DISTANCE_FUNCTIONS}")
 
 
@@ -99,20 +103,26 @@ class TwinNetworkTrainer:
         self.checkpoint, self.guard = resilience_options(checkpoint, guard)
 
     # ------------------------------------------------------------------
-    def _embed_batch(self, paper_ids: set[str],
-                     encoded: Mapping[str, tuple[np.ndarray, Sequence[int]]]
-                     ) -> dict[str, list[Tensor]]:
-        embeddings: dict[str, list[Tensor]] = {}
-        for pid in paper_ids:
-            sentence_vectors, labels = encoded[pid]
-            embeddings[pid] = self.network(sentence_vectors, labels)
-        return embeddings
+    def _distances(self, triplets: Sequence[Triplet],
+                   encoded: Mapping[str, tuple[np.ndarray, Sequence[int]]]
+                   ) -> tuple[Tensor, Tensor]:
+        """``(D^k(p, q), D^k(p, q'))`` of every triplet, each ``(n,)``.
 
-    def _triplet_distances(self, triplet: Triplet,
-                           embeddings: dict[str, list[Tensor]]) -> tuple[Tensor, Tensor]:
-        anchor = embeddings[triplet.anchor][triplet.subspace]
-        positive = embeddings[triplet.positive][triplet.subspace]
-        negative = embeddings[triplet.negative][triplet.subspace]
+        The triplets' distinct papers embed in one batched forward; each
+        triplet's anchor, positive and negative rows are gathered by
+        (paper row, subspace) index.
+        """
+        rows = {pid: row for row, pid in enumerate(dict.fromkeys(
+            pid for t in triplets for pid in (t.anchor, t.positive, t.negative)))}
+        embeddings = self.network.forward_batch([encoded[pid] for pid in rows])
+        subspaces = np.array([t.subspace for t in triplets])
+
+        def gather(ids) -> Tensor:
+            return embeddings[np.array([rows[pid] for pid in ids]), subspaces]
+
+        anchor = gather(t.anchor for t in triplets)
+        positive = gather(t.positive for t in triplets)
+        negative = gather(t.negative for t in triplets)
         return (pair_distance(anchor, positive, self.distance),
                 pair_distance(anchor, negative, self.distance))
 
@@ -163,18 +173,11 @@ class TwinNetworkTrainer:
             for start in range(0, len(order), self.batch_size):
                 faults.maybe_fail("trainer.batch")
                 batch = [triplets[i] for i in order[start:start + self.batch_size]]
-                unique_ids = {t.anchor for t in batch} | {t.positive for t in batch} \
-                    | {t.negative for t in batch}
                 self.optimizer.zero_grad()
-                embeddings = self._embed_batch(unique_ids, encoded)
-                terms: list[Tensor] = []
-                for triplet in batch:
-                    d_pos, d_neg = self._triplet_distances(triplet, embeddings)
-                    # Eq. 14: positive pair must be farther by >= margin.
-                    terms.append((d_neg - d_pos + self.margin).clip_min(0.0))
-                    if d_pos.item() <= d_neg.item():
-                        violations += 1
-                loss = tensor_stack(terms).mean()
+                d_pos, d_neg = self._distances(batch, encoded)
+                # Eq. 14: positive pair must be farther by >= margin.
+                loss = (d_neg - d_pos + self.margin).clip_min(0.0).mean()
+                violations += int((d_pos.data <= d_neg.data).sum())
                 if self.reg > 0:
                     loss = loss + l2_regularization(self.optimizer.params, self.reg)
                 loss.backward()
@@ -203,11 +206,6 @@ class TwinNetworkTrainer:
         triplets = list(triplets)
         if not triplets:
             raise ValueError("no triplets to evaluate")
-        unique_ids = {t.anchor for t in triplets} | {t.positive for t in triplets} \
-            | {t.negative for t in triplets}
-        embeddings = self._embed_batch(unique_ids, encoded)
-        wrong = 0
-        for triplet in triplets:
-            d_pos, d_neg = self._triplet_distances(triplet, embeddings)
-            wrong += int(d_pos.item() <= d_neg.item())
-        return wrong / len(triplets)
+        with no_grad():
+            d_pos, d_neg = self._distances(triplets, encoded)
+        return int((d_pos.data <= d_neg.data).sum()) / len(triplets)

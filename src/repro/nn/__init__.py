@@ -43,10 +43,10 @@ from repro.nn.losses import (
 )
 from repro.nn.optim import SGD, Adam, Optimizer, StepLR, clip_grad_norm
 from repro.nn.serialization import load_module, save_module
-from repro.nn.tensor import Tensor, as_tensor, concat, parameter, stack
+from repro.nn.tensor import Tensor, as_tensor, concat, no_grad, parameter, stack
 
 __all__ = [
-    "Tensor", "as_tensor", "concat", "stack", "parameter",
+    "Tensor", "as_tensor", "concat", "stack", "parameter", "no_grad",
     "Module", "Linear", "MLP", "Embedding", "Sequential", "Dropout",
     "Tanh", "ReLU", "Sigmoid",
     "GlobalAttentionPooling", "cross_subspace_attention", "fuse_with_context",

@@ -43,7 +43,8 @@ class GlobalAttentionPooling(Module):
         return weights @ transformed  # (out_dim,)
 
 
-def cross_subspace_attention(vectors: list[Tensor]) -> list[Tensor]:
+def cross_subspace_attention(vectors: "Tensor | list[Tensor]"
+                             ) -> "Tensor | list[Tensor]":
     """Compute context vectors c_tilde_k (paper Eqs. 10-11).
 
     For each subspace ``k``, the other subspaces' vectors are combined with
@@ -53,27 +54,33 @@ def cross_subspace_attention(vectors: list[Tensor]) -> list[Tensor]:
     Parameters
     ----------
     vectors:
-        One ``(d,)`` tensor per subspace.
+        A ``(..., K, d)`` tensor (any number of leading batch axes), or a
+        list of K ``(d,)`` tensors.
 
     Returns
     -------
-    list of ``(d,)`` context tensors, one per subspace. With K = 1 there is
-    no "other" subspace; the context is a zero vector.
+    Context vectors in the input's form: a ``(..., K, d)`` tensor, or a
+    list of K ``(d,)`` tensors. With K = 1 there is no "other" subspace;
+    the context is a zero vector.
     """
-    k_total = len(vectors)
-    if k_total == 0:
-        raise ValueError("cross_subspace_attention requires at least one subspace vector")
-    contexts: list[Tensor] = []
-    for k, anchor in enumerate(vectors):
-        others = [vectors[j] for j in range(k_total) if j != k]
-        if not others:
-            contexts.append(Tensor(np.zeros_like(anchor.data)))
-            continue
-        stacked = stack(others, axis=0)  # (K-1, d)
-        scores = stacked @ anchor  # (K-1,)
-        weights = softmax(scores, axis=-1)
-        contexts.append(weights @ stacked)
-    return contexts
+    if isinstance(vectors, list):
+        if not vectors:
+            raise ValueError(
+                "cross_subspace_attention requires at least one subspace vector")
+        contexts = cross_subspace_attention(stack(vectors, axis=0))
+        return [contexts[k] for k in range(len(vectors))]
+    *batch, k_total, dim = vectors.shape
+    if k_total == 1:
+        return Tensor(np.zeros(vectors.shape))
+    # others[k] lists every j != k in order, so each softmax runs over
+    # exactly the K - 1 other subspaces.
+    others = np.array([[j for j in range(k_total) if j != k]
+                       for k in range(k_total)])
+    stacked = vectors[..., others, :]                       # (..., K, K-1, d)
+    scores = stacked @ vectors.reshape(*batch, k_total, dim, 1)
+    weights = softmax(scores.reshape(*batch, k_total, k_total - 1), axis=-1)
+    contexts = weights.reshape(*batch, k_total, 1, k_total - 1) @ stacked
+    return contexts.reshape(*batch, k_total, dim)
 
 
 def fuse_with_context(vectors: list[Tensor]) -> list[Tensor]:

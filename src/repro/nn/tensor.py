@@ -23,13 +23,42 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+import threading
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from repro.errors import ShapeError
 
 ArrayLike = "np.ndarray | float | int | Sequence[float] | Tensor"
+
+
+class _GradMode(threading.local):
+    """Per-thread switch read by every op; see :func:`no_grad`."""
+
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Run ops without recording the autograd graph (inference mode).
+
+    Inside the block every op result is a constant: it has no parents, no
+    backward closure and ``requires_grad=False``, so the intermediate
+    graph is never built. Values are the same as with recording on. The
+    switch is thread-local and restored on exit, also after an exception
+    or when blocks nest.
+    """
+    previous = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
+    try:
+        yield
+    finally:
+        _GRAD_MODE.enabled = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -188,7 +217,7 @@ class Tensor:
         backward_fn: Callable[["Tensor"], Callable[[], None]],
     ) -> "Tensor":
         """Build an op result, wiring the backward closure only if needed."""
-        requires = any(p.requires_grad for p in parents)
+        requires = _GRAD_MODE.enabled and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires, parents=parents if requires else ())
         if requires:
             out._backward_fn = backward_fn(out)
@@ -570,9 +599,3 @@ def as_tensor(value: ArrayLike, requires_grad: bool = False) -> Tensor:
 def parameter(data: ArrayLike, name: str | None = None) -> Tensor:
     """Create a trainable leaf tensor."""
     return Tensor(data, requires_grad=True, name=name)
-
-
-def no_grad_params(params: Iterable[Tensor]) -> None:
-    """Zero the gradient buffers of *params* in place."""
-    for param in params:
-        param.zero_grad()

@@ -68,6 +68,7 @@ from repro.errors import (ArtifactError, GraphError, InjectedFault,
                           NotFittedError, ReproError, RetryExhaustedError,
                           WALError)
 from repro.graph.builder import attach_paper_to_network
+from repro.nn import no_grad
 from repro.resilience import faults
 from repro.resilience.retry import Backoff, retry
 # exact_top_k is unused here; bench/tests/test_tracing.py expects it bound.
@@ -803,6 +804,7 @@ class ServingIndex:
                     obs.event("serve.ann.recluster",
                               pool_size=self._influence_count)
 
+    @no_grad()
     def _influence_rows(self, paper_ids: Sequence[str]) -> np.ndarray:
         model = self._recommender.model
         blocks = [model.influence_vectors(

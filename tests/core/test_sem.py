@@ -7,6 +7,7 @@ from repro.analysis import spearman_correlation
 from repro.core.sem import SEMConfig, SubspaceEmbeddingMethod
 from repro.data import load_scopus
 from repro.errors import NotFittedError
+from repro.resilience import faults
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +46,29 @@ class TestFit:
         with pytest.raises(NotFittedError):
             sem.embed_many([])
 
+    def test_refit_matches_fresh_fit(self, corpus_cs):
+        """A second fit re-encodes sentences with its own encoder."""
+        config = SEMConfig(n_triplets=20, epochs=1, seed=0)
+        refit = SubspaceEmbeddingMethod(config).fit(corpus_cs[:12])
+        refit.embed_many(corpus_cs[:5])
+        refit.fit(corpus_cs)
+        fresh = SubspaceEmbeddingMethod(config).fit(corpus_cs)
+        assert np.array_equal(refit.embed_many(corpus_cs),
+                              fresh.embed_many(corpus_cs))
+
+    def test_fault_site_fires_once_per_computed_paper(self, fitted_sem,
+                                                      corpus_cs, monkeypatch):
+        sites = []
+        monkeypatch.setattr(faults, "maybe_fail", sites.append)
+        fitted_sem._embedding_cache.clear()
+        papers = corpus_cs[:4]
+        batch = fitted_sem.embed_many(papers + papers[:2])
+        assert sites == ["sem.embed"] * 4
+        assert np.array_equal(batch[4:], batch[:2])
+        fitted_sem.embed_many(papers)
+        fitted_sem.embed(papers[0])
+        assert len(sites) == 4
+
     def test_too_few_papers(self, corpus_cs):
         with pytest.raises(ValueError):
             SubspaceEmbeddingMethod().fit(corpus_cs[:2])
@@ -77,6 +101,11 @@ class TestAnalysis:
         by_id = {p.id: s for p, s in zip(papers, scores)}
         ranked_scores = [by_id[pid] for pid in ranking]
         assert ranked_scores == sorted(ranked_scores, reverse=True)
+
+    def test_empty_paper_list(self, fitted_sem):
+        dim = fitted_sem.embedding_dim
+        assert fitted_sem.embed_many([]).shape == (0, 3, dim)
+        assert fitted_sem.subspace_matrix([], 1).shape == (0, dim)
 
     def test_invalid_subspace(self, fitted_sem, corpus_cs):
         with pytest.raises(ValueError):

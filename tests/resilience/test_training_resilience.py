@@ -104,7 +104,7 @@ def twin_setup():
                                                       **kwargs),
         weights=lambda trainer: trainer.network,
         n_batches=math.ceil(len(triplets) / 8),
-        loss_site=(twin_mod, "tensor_stack"))
+        loss_site=(twin_mod, "pair_distance"))
 
 
 @pytest.fixture(params=["nprec", "twin"])
