@@ -21,7 +21,7 @@ centre's and neighbours' base embeddings (Eq. 16).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -60,7 +60,7 @@ class ContentRows:
         self.width = int(width)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[np.ndarray | None],
+    def from_rows(cls, rows: Iterable[np.ndarray | None],
                   width: int) -> "ContentRows":
         """The store of dense *rows* (``None`` is an all-zero row)."""
         store = cls(np.zeros(0), np.zeros(0, dtype=np.int32),
@@ -76,8 +76,9 @@ class ContentRows:
     def nbytes(self) -> int:
         return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
 
-    def append(self, rows: Sequence[np.ndarray | None]) -> None:
-        """Append dense *rows* (``None`` is an all-zero row): one O(nnz) copy."""
+    def append(self, rows: Iterable[np.ndarray | None]) -> None:
+        """Append dense *rows* (``None`` is an all-zero row): one O(nnz) copy
+        into new arrays, so readers of the old ones see a consistent store."""
         columns, values = [], []
         for row in rows:
             if row is None:
@@ -92,6 +93,13 @@ class ContentRows:
         self.data = np.concatenate([self.data, *values])
         self.indices = np.concatenate([self.indices, *columns])
         self.indptr = np.concatenate([self.indptr, self.indptr[-1] + counts])
+
+    def dot(self, vector: np.ndarray) -> np.ndarray:
+        """Every row's inner product with the dense *vector* (sparse)."""
+        counts = np.diff(self.indptr)
+        rows = np.repeat(np.arange(len(counts)), counts)
+        return np.bincount(rows, weights=self.data * vector[self.indices],
+                           minlength=len(counts))
 
     def __getitem__(self, index: int | np.ndarray) -> np.ndarray:
         rows = np.asarray(index, dtype=np.int64)

@@ -29,6 +29,9 @@ from repro.errors import NotFittedError
 from repro.graph.builder import build_academic_network
 from repro.utils.rng import as_generator
 
+#: TF-IDF vocabulary cap of the content block (serving's fallback shares it).
+CONTENT_FEATURES = 3000
+
 
 @dataclass(frozen=True)
 class NPRecConfig:
@@ -109,7 +112,8 @@ class NPRecRecommender(Recommender):
                 content_vectors: dict[str, np.ndarray] | None = None
                 self.content_tfidf_ = None
                 if cfg.use_content_similarity and cfg.use_text:
-                    tfidf = TfIdfIndex(max_features=3000).fit(train_papers)
+                    tfidf = TfIdfIndex(max_features=CONTENT_FEATURES).fit(
+                        train_papers)
                     content_vectors = {p.id: tfidf.transform(p) for p in everyone}
                     # Kept for serving: incremental ingestion must embed
                     # new papers with the *fit-time* vocabulary.

@@ -14,7 +14,8 @@ Commands
     reloaded ranking is bit-identical, ingest one never-seen paper, and
     assert it surfaces in the user's top-10 — all without retraining.
 ``health``
-    Load the artifact (with retries), run the
+    Load the artifact (with retries) over the evaluation pool ``query``
+    serves, run the
     :meth:`~repro.serve.index.ServingIndex.health` checks (artifact
     checksums, embedding finiteness, fallback probe + self-heal, cache
     stats, registered SLOs), print the JSON report on stdout (one
@@ -236,6 +237,16 @@ def cmd_smoke(args: argparse.Namespace) -> int:
     return 0
 
 
+def _health_pool(directory: str) -> list:
+    """The pool ``query`` serves, when the manifest records its task."""
+    try:
+        extra = json.loads((Path(directory) / "manifest.json")
+                           .read_text(encoding="utf-8")).get("extra", {})
+    except (OSError, ValueError):
+        return []  # the load below degrades and reports it
+    return _reload_task(directory).new_papers if "scale" in extra else []
+
+
 def cmd_health(args: argparse.Namespace) -> int:
     from repro import obs
 
@@ -247,8 +258,8 @@ def cmd_health(args: argparse.Namespace) -> int:
     obs.configure(enabled=True)
     scheduler = None
     try:
-        index = ServingIndex.from_artifact(args.dir,
-                                           retry_attempts=args.retries)
+        index = ServingIndex.from_artifact(args.dir, papers=_health_pool(
+            args.dir), retry_attempts=args.retries)
         if args.wal:
             # Attach (and replay) the ingestion WAL so the report
             # carries the "wal" check and the compaction-lag SLO judges

@@ -42,7 +42,11 @@ triggers a full deterministic re-cluster, counted as
 Degradation is graceful and observable: an unloadable artifact
 (:meth:`ServingIndex.from_artifact`) or a query touching entities the
 model has never seen falls back to TF-IDF content ranking, counting
-``serve.degraded`` with a ``reason`` label.
+``serve.degraded`` with a ``reason`` label. The fallback scores a sparse
+dot product over the pool's rows in the index's one TF-IDF vocabulary
+(the content block's; the pool's when no model loads), kept in a
+:class:`~repro.core.nprec.model.ContentRows` CSR store that is built on
+first use and then grows by one row per ingest.
 """
 
 from __future__ import annotations
@@ -61,7 +65,8 @@ from repro import obs
 from repro.obs.slo import (default_serving_slos, evaluate_registered,
                            register_slo, wal_lag_slo)
 from repro.baselines.content import TfIdfIndex
-from repro.core.nprec.recommend import NPRecRecommender
+from repro.core.nprec.model import ContentRows
+from repro.core.nprec.recommend import CONTENT_FEATURES, NPRecRecommender
 from repro.data.io import paper_from_dict
 from repro.data.schema import Paper
 from repro.errors import (ArtifactError, GraphError, InjectedFault,
@@ -206,8 +211,10 @@ class ServingIndex:
         self._cache: "OrderedDict[tuple, tuple[str, ...]]" = OrderedDict()
         self.cache_hits = 0
         self.cache_misses = 0
-        self._fallback_tfidf: TfIdfIndex | None = None
-        self._fallback_matrix: np.ndarray | None = None
+        #: The vocabulary when fully degraded (see _content_tfidf).
+        self._pool_tfidf: TfIdfIndex | None = None
+        #: The pool's TF-IDF rows, built on first fallback use.
+        self._fallback_rows: ContentRows | None = None
         #: Artifact directory this index was loaded from, when known —
         #: lets :meth:`health` re-verify checksums in place.
         self._artifact_dir: Path | None = None
@@ -379,6 +386,9 @@ class ServingIndex:
         def _load():
             return load_pipeline(directory), load_author_affiliations(directory)
 
+        options = dict(block_size=block_size, cache_size=cache_size,
+                       index=index, nprobe=nprobe, n_lists=n_lists,
+                       ann_seed=ann_seed)
         try:
             recommender, affiliations = _load()
         except RetryExhaustedError as exc:
@@ -386,22 +396,14 @@ class ServingIndex:
             obs.event("serve.degraded", reason="artifact_load_failed")
             obs.count("serve.artifact.load_failures")
             with obs.trace("serve.degraded_startup", error=str(exc)):
-                degraded = cls(None, papers, block_size=block_size,
-                               cache_size=cache_size, index=index,
-                               nprobe=nprobe, n_lists=n_lists,
-                               ann_seed=ann_seed)
-            degraded._artifact_dir = Path(directory)
-            degraded._degraded_reason = "artifact_load_failed"
-            degraded._last_load_error = exc
-            if wal is not None:
-                degraded.attach_wal(wal, lag_bound=wal_lag_bound)
-            return degraded
-        built = cls(recommender, papers, author_affiliations=affiliations,
-                    block_size=block_size, cache_size=cache_size,
-                    index=index, nprobe=nprobe, n_lists=n_lists,
-                    ann_seed=ann_seed)
+                built = cls(None, papers, **options)
+            built._degraded_reason = "artifact_load_failed"
+            built._last_load_error = exc
+        else:
+            built = cls(recommender, papers,
+                        author_affiliations=affiliations, **options)
         built._artifact_dir = Path(directory)
-        if index == "ivf":
+        if index == "ivf" and not built.degraded:
             try:
                 ivf, meta = load_ann_index(directory)
             except (ArtifactError, OSError):
@@ -444,38 +446,22 @@ class ServingIndex:
 
         Returns the paper's position in the pool.
         """
-        if self.degraded:
-            with obs.request("serve.add_paper", paper=paper.id) as span:
-                with self._serve_lock:
-                    if paper.id in self._positions:
-                        raise ValueError(
-                            f"paper {paper.id!r} is already in the pool")
-                    self._wal_log(paper)
-                    self._append(paper, None)
-                    obs.count("serve.papers_ingested", mode="degraded")
-                    self._invalidate()
-                    position = self._positions[paper.id]
-            self._observe_latency("serve.ingest", span.duration,
-                                  trace_id=span.trace_id)
-            return position
-
         rec = self._recommender
-        model = rec.model
-        graph = model.graph
+        graph = None if rec is None else rec.model.graph
         with obs.request("serve.add_paper", paper=paper.id) as span:
             with self._serve_lock:
                 if paper.id in self._positions:
                     raise ValueError(
                         f"paper {paper.id!r} is already in the pool")
-                known = ("paper", paper.id) in graph
-            prepared = None
+                known = graph is None or ("paper", paper.id) in graph
+            text_vector = content_vector = None
             if not known:
                 # The fallible, pure, *expensive* half (SEM embedding,
                 # TF-IDF row) runs with _serve_lock released: concurrent
                 # queries and batch flushes keep flowing while this
                 # paper embeds, and a retry never observes a
                 # half-ingested paper. Commit re-checks under the lock.
-                prepared = self._prepare_ingest(paper)
+                text_vector, content_vector = self._prepare_ingest(paper)
             with self._serve_lock:
                 if paper.id in self._positions:
                     raise ValueError(
@@ -486,19 +472,19 @@ class ServingIndex:
                 # crash here (the serve.wal.append fault site) leaves
                 # no record, no mutation, and no acknowledgement.
                 self._wal_log(paper)
-                if ("paper", paper.id) in graph:
-                    # Known to the model (e.g. a fit-time paper joining the
-                    # pool late): no graph/model mutation needed.
+                row = None
+                if graph is not None:
+                    # A paper known to the model (e.g. a fit-time paper
+                    # joining the pool late) needs no graph/model mutation.
+                    if ("paper", paper.id) not in graph:
+                        index = attach_paper_to_network(graph, paper,
+                                                        self._affiliations)
+                        rec.model.attach_paper(index, text_vector=text_vector,
+                                               content_vector=content_vector)
                     row = self._influence_rows([paper.id])[0]
-                else:
-                    text_vector, content_vector = prepared
-                    index = attach_paper_to_network(graph, paper,
-                                                    self._affiliations)
-                    model.attach_paper(index, text_vector=text_vector,
-                                       content_vector=content_vector)
-                    row = self._influence_rows([paper.id])[0]
-                obs.count("serve.papers_ingested")
-                self._append(paper, row)
+                obs.count("serve.papers_ingested",
+                          **({"mode": "degraded"} if graph is None else {}))
+                self._append(paper, row, content_vector)
                 self._invalidate()
                 position = self._positions[paper.id]
         self._observe_latency("serve.ingest", span.duration,
@@ -539,10 +525,9 @@ class ServingIndex:
                retry_on=(InjectedFault,), name="serve.ingest")
         def _prepare():
             faults.maybe_fail("serve.ingest")
-            text_vector = None
+            text_vector = content_vector = None
             if model.use_text:
                 text_vector = rec.sem.fused_embeddings([paper])[0]
-            content_vector = None
             if model.content_matrix is not None:
                 content_vector = self._content_tfidf().transform(paper)
             return text_vector, content_vector
@@ -711,8 +696,8 @@ class ServingIndex:
             self._novelty_raw = donor._novelty_raw
             self._novelty_z = donor._novelty_z
             self._profiles = donor._profiles
-            self._fallback_tfidf = donor._fallback_tfidf
-            self._fallback_matrix = donor._fallback_matrix
+            self._pool_tfidf = donor._pool_tfidf
+            self._fallback_rows = donor._fallback_rows
             self._artifact_dir = donor._artifact_dir
             self._degraded_reason = donor._degraded_reason
             self._last_load_error = donor._last_load_error
@@ -732,7 +717,7 @@ class ServingIndex:
         if not papers:
             raise ValueError("user profile needs at least one paper")
         profile: np.ndarray | None = None
-        with self._serve_lock:
+        with self._serve_lock, no_grad():
             if not self.degraded:
                 try:
                     profile = self._recommender.model.interest_vectors(
@@ -751,7 +736,6 @@ class ServingIndex:
     def _invalidate(self) -> None:
         self._cache.clear()
         self._novelty_z = None
-        self._fallback_matrix = None
 
     def _drop_cached_user(self, user_key: str) -> None:
         for key in [k for k in self._cache if k[0] == user_key]:
@@ -771,7 +755,8 @@ class ServingIndex:
         obs.count("serve.cache", outcome="hit")
         return list(cached)
 
-    def _append(self, paper: Paper, influence_row: np.ndarray | None) -> None:
+    def _append(self, paper: Paper, influence_row: np.ndarray | None,
+                content_row: np.ndarray | None = None) -> None:
         self._pool_version += 1
         self._positions[paper.id] = len(self._papers)
         self._papers.append(paper)
@@ -803,6 +788,10 @@ class ServingIndex:
                     obs.count("serve.ann.recluster")
                     obs.event("serve.ann.recluster",
                               pool_size=self._influence_count)
+        if self._fallback_rows is not None:
+            if content_row is None:  # else _prepare_ingest computed it
+                content_row = self._content_tfidf().transform(paper)
+            self._fallback_rows.append([content_row])
 
     @no_grad()
     def _influence_rows(self, paper_ids: Sequence[str]) -> np.ndarray:
@@ -813,14 +802,20 @@ class ServingIndex:
         return np.vstack(blocks)
 
     def _content_tfidf(self) -> TfIdfIndex:
+        """The index's one TF-IDF vocabulary, fitted on first use: the
+        content block's (a pure function of the persisted train papers,
+        so a refit after load reproduces it) or, fully degraded, the pool's."""
         rec = self._recommender
-        if rec.content_tfidf_ is None:
-            # After load_pipeline the fit-time content vocabulary is not
-            # materialised; it is a pure function of the persisted train
-            # papers (in order), so refitting reproduces it exactly.
-            rec.content_tfidf_ = TfIdfIndex(max_features=3000).fit(
-                list(rec._train_by_id.values()))
-        return rec.content_tfidf_
+        tfidf = self._pool_tfidf if rec is None else rec.content_tfidf_
+        if tfidf is None:
+            corpus = (self._papers if rec is None
+                      else list(rec._train_by_id.values()))
+            tfidf = TfIdfIndex(max_features=CONTENT_FEATURES).fit(corpus)
+            if rec is None:
+                self._pool_tfidf = tfidf
+            else:
+                rec.content_tfidf_ = tfidf
+        return tfidf
 
     # ------------------------------------------------------------------
     # Retrieval
@@ -957,12 +952,10 @@ class ServingIndex:
         """
         results: list[BatchQueryResult | None] = [None] * len(requests)
         jobs: "OrderedDict[tuple, _BatchJob]" = OrderedDict()
-        fallback = None
-        matrix = novelty = None
-        cfg = None
-        with self._serve_lock:
+        fallback = matrix = novelty = cfg = None
+        rank_jobs: list[_BatchJob] = []
+        with self._serve_lock, no_grad():
             version = self._pool_version
-            empty = not self._papers
             # Appends only extend this list and _adopt rebinds _ids to a
             # new one, so the reference stays consistent with the matrix
             # and fallback snapshots taken below.
@@ -992,7 +985,8 @@ class ServingIndex:
                                                       profile, int(k))
                 job.positions.append(i)
             pending = list(jobs.values())
-            if pending and not empty:
+            # Over an empty pool every job keeps its empty answer.
+            if pending and self._papers:
                 if self.degraded:
                     for job in pending:
                         job.mode, job.reason = "fallback", "no_model"
@@ -1035,46 +1029,40 @@ class ServingIndex:
                                 job.interest, cfg.max_pool_mix, self.nprobe)
 
         # Phase 2 — lock released: pure-numpy scoring over snapshots.
-        if pending and empty:
-            for job in pending:
-                job.ids = []
-        elif pending:
-            for job in pending:
-                if job.mode != "fallback":
-                    continue
+        for job in pending:
+            if job.mode == "fallback":
                 n = len(job.positions)
                 obs.count("serve.degraded", n, reason=job.reason)
                 for _ in range(n):
                     obs.event("serve.degraded", reason=job.reason)
                 job.ids = self._fallback_rank(job.papers, job.k, fallback,
                                               pool_ids)
-            rank_jobs = [j for j in pending if j.mode == "rank"]
-            if rank_jobs and self.index_kind == "ivf":
-                for job in rank_jobs:
-                    positions, scores = rank_candidates(
-                        job.interest, matrix, job.candidates, job.k,
-                        mix=cfg.max_pool_mix, novelty=novelty,
-                        novelty_weight=cfg.influence_weight,
-                        block_size=self.block_size)
-                    job.ids = [pool_ids[int(p)] for p in positions]
-                    job.scores = scores
-                    n = len(job.positions)
-                    obs.count("serve.ann.lists_probed",
-                              job.stats.lists_probed * n)
-                    obs.count("serve.ann.candidates_scanned",
-                              job.stats.candidates_scanned * n)
-                    for _ in range(n):
-                        obs.observe("serve.ann.scan_fraction",
-                                    job.stats.scan_fraction)
-            elif rank_jobs:
-                ranked = batch_exact_top_k(
-                    [j.interest for j in rank_jobs], matrix,
-                    [j.k for j in rank_jobs], mix=cfg.max_pool_mix,
-                    novelty=novelty, novelty_weight=cfg.influence_weight,
+        if rank_jobs and self.index_kind == "ivf":
+            for job in rank_jobs:
+                positions, scores = rank_candidates(
+                    job.interest, matrix, job.candidates, job.k,
+                    mix=cfg.max_pool_mix, novelty=novelty,
+                    novelty_weight=cfg.influence_weight,
                     block_size=self.block_size)
-                for job, (positions, scores) in zip(rank_jobs, ranked):
-                    job.ids = [pool_ids[int(p)] for p in positions]
-                    job.scores = scores
+                job.ids = [pool_ids[int(p)] for p in positions]
+                job.scores = scores
+                n = len(job.positions)
+                obs.count("serve.ann.lists_probed",
+                          job.stats.lists_probed * n)
+                obs.count("serve.ann.candidates_scanned",
+                          job.stats.candidates_scanned * n)
+                for _ in range(n):
+                    obs.observe("serve.ann.scan_fraction",
+                                job.stats.scan_fraction)
+        elif rank_jobs:
+            ranked = batch_exact_top_k(
+                [j.interest for j in rank_jobs], matrix,
+                [j.k for j in rank_jobs], mix=cfg.max_pool_mix,
+                novelty=novelty, novelty_weight=cfg.influence_weight,
+                block_size=self.block_size)
+            for job, (positions, scores) in zip(rank_jobs, ranked):
+                job.ids = [pool_ids[int(p)] for p in positions]
+                job.scores = scores
 
         # Phase 3 — publish: cache only when the pool did not move.
         if pending:
@@ -1140,32 +1128,30 @@ class ServingIndex:
     # ------------------------------------------------------------------
     @staticmethod
     def _fallback_rank(user_papers: list[Paper], k: int,
-                       fallback: tuple[TfIdfIndex, np.ndarray],
+                       fallback: tuple[TfIdfIndex, ContentRows],
                        ids: list[str]) -> list[str]:
         """TF-IDF top-*k* of the pool against the user's papers.
 
         *fallback* is a :meth:`_fallback_locked` snapshot and *ids* the
         pool id list it was built over, so this runs without the lock.
+        Ties go to the lower pool position.
         """
-        tfidf, matrix = fallback
+        tfidf, rows = fallback
         profile = np.mean([tfidf.transform(p) for p in user_papers], axis=0)
-        order = np.argsort(-(matrix @ profile), kind="mergesort")[:k]
+        order = np.argsort(-rows.dot(profile), kind="mergesort")[:k]
         return [ids[int(i)] for i in order]
 
-    def _fallback_locked(self) -> tuple[TfIdfIndex, np.ndarray]:
-        if self._fallback_tfidf is None:
-            # Vocabulary from the historical slice when a model is
-            # around (matches the offline content baseline); from the
-            # pool itself when fully degraded.
-            if self._recommender is not None and self._recommender._train_by_id:
-                corpus = list(self._recommender._train_by_id.values())
-            else:
-                corpus = self._papers
-            self._fallback_tfidf = TfIdfIndex().fit(corpus)
-        if self._fallback_matrix is None:
-            self._fallback_matrix = self._fallback_tfidf.transform_many(
-                self._papers)
-        return self._fallback_tfidf, self._fallback_matrix
+    def _fallback_locked(self) -> tuple[TfIdfIndex, ContentRows]:
+        """``(vocabulary, pool rows)`` snapshot under ``_serve_lock``; the
+        store is built on first use. Appends rebind the live store's
+        arrays, so the snapshot over the current ones stays consistent."""
+        tfidf = self._content_tfidf()
+        if self._fallback_rows is None:
+            self._fallback_rows = ContentRows.from_rows(
+                (tfidf.transform(p) for p in self._papers), tfidf.dim)
+        live = self._fallback_rows
+        return tfidf, ContentRows(live.data, live.indices, live.indptr,
+                                  live.width)
 
     # ------------------------------------------------------------------
     # Health and self-healing
@@ -1182,9 +1168,9 @@ class ServingIndex:
           entirely finite; a non-finite matrix is recomputed from the
           model (self-heal) before being declared unhealthy;
         - **fallback** — with ``probe=True`` and a non-empty pool, the
-          TF-IDF degradation path is probed; a failed probe triggers
-          :meth:`self_heal` (rebuild the fallback index) and one
-          re-probe;
+          TF-IDF degradation path is probed (its pool rows must be
+          finite); a failed probe triggers :meth:`self_heal` (rebuild the
+          fallback rows) and one re-probe;
         - **SLOs** — every registered service-level objective (the
           serving defaults plus operator registrations, see
           :mod:`repro.obs.slo`) is evaluated against the live metrics;
@@ -1211,9 +1197,7 @@ class ServingIndex:
                   or bool(np.isfinite(self._influence).all()))
         healed_embeddings = False
         if not finite:
-            healed_embeddings = self._heal_influence()
-            finite = (self._influence is None
-                      or bool(np.isfinite(self._influence).all()))
+            finite = healed_embeddings = self._heal_influence()
         checks["embeddings"] = {
             "ok": finite,
             "healed": healed_embeddings,
@@ -1227,9 +1211,7 @@ class ServingIndex:
                 self.self_heal()
                 fallback["healed"] = True
                 fallback["ok"] = self._probe_fallback()
-            checks["fallback"] = fallback
-        else:
-            checks["fallback"] = fallback
+        checks["fallback"] = fallback
 
         # Attached micro-batching scheduler: a queue saturated to
         # capacity (admissions are being shed as queue_full) or an
@@ -1288,23 +1270,22 @@ class ServingIndex:
         return report
 
     def self_heal(self) -> None:
-        """Drop and lazily rebuild the TF-IDF degradation fallback.
+        """Drop the fallback's pool rows; the next use rebuilds them.
 
         Called by :meth:`health` when the fallback probe fails; also safe
         to call directly after mutating the pool out of band.
         """
         with self._serve_lock:
-            self._fallback_tfidf = None
-            self._fallback_matrix = None
+            self._fallback_rows = None
         obs.count("serve.self_heal", component="fallback")
 
     def _probe_fallback(self) -> bool:
         """True when the degradation path can produce finite scores."""
         try:
-            # Locked: the probe may rebuild the lazy index under traffic.
+            # Locked: the probe may build the lazy store under traffic.
             with self._serve_lock:
-                _, matrix = self._fallback_locked()
-            return bool(np.isfinite(matrix).all())
+                _, rows = self._fallback_locked()
+            return bool(np.isfinite(rows.data).all())
         except Exception:  # a health probe must never take the service down
             return False
 
@@ -1318,7 +1299,6 @@ class ServingIndex:
             return False
         with self._serve_lock:
             self._influence = healed
-            self._novelty_z = None
-            self._cache.clear()
+            self._invalidate()
         obs.count("serve.self_heal", component="influence")
         return bool(np.isfinite(self._influence).all())

@@ -335,19 +335,20 @@ class BatchScheduler:
 
     def _wait_for_batch(self) -> "list[Ticket] | None":
         with self._cv:
-            while True:
-                if self._stopping and not self._queue:
-                    return None
-                if self._queue:
-                    now = self._clock()
-                    age = now - self._queue[0].enqueued
-                    if (len(self._queue) >= self.max_batch
-                            or self._stopping or self._quiesced
-                            or age >= self.max_wait):
-                        return self._take_locked()
-                    self._cv.wait(timeout=max(self.max_wait - age, 1e-4))
-                else:
-                    self._cv.wait(timeout=0.05)
+            while self._queue or not self._stopping:
+                wait = self._due_in_locked() if self._queue else 0.05
+                if wait <= 0:
+                    return self._take_locked()
+                self._cv.wait(timeout=max(wait, 1e-4))
+            return None
+
+    def _due_in_locked(self) -> float:
+        """Seconds until the queue's batch is due (<= 0: flush now): when
+        full, stopping, quiesced, or its oldest request waited max_wait."""
+        if (len(self._queue) >= self.max_batch or self._stopping
+                or self._quiesced):
+            return 0.0
+        return self.max_wait - (self._clock() - self._queue[0].enqueued)
 
     def _take_locked(self) -> list[Ticket]:
         batch = []
@@ -372,12 +373,7 @@ class BatchScheduler:
         Returns 0 when nothing is due.
         """
         with self._cv:
-            if not self._queue:
-                return 0
-            age = self._clock() - self._queue[0].enqueued
-            if not (len(self._queue) >= self.max_batch
-                    or self._stopping or self._quiesced
-                    or age >= self.max_wait):
+            if not self._queue or self._due_in_locked() > 0:
                 return 0
             batch = self._take_locked()
         self._execute(batch)

@@ -108,6 +108,20 @@ class TestSchedulerFlags:
         assert "scheduler" not in report["checks"]
 
 
+class TestHealthPool:
+    def test_health_probes_the_evaluation_pool(self, warm_dir, capsys):
+        from repro.serve.__main__ import _reload_task
+        pool = _reload_task(str(warm_dir)).new_papers
+        code = main(["health", "--dir", str(warm_dir)])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        # The pool `query` and `serve` load, so the fallback probe runs.
+        assert report["pool_size"] == len(pool) > 0
+        assert report["checks"]["embeddings"]["rows"] == len(pool)
+        assert report["checks"]["fallback"] == {"ok": True, "healed": False,
+                                                "probed": True}
+
+
 class TestParsing:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
