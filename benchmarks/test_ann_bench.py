@@ -52,7 +52,6 @@ DIM = 64
 N_QUERIES = 24
 INTEREST_ROWS = 6          # interest vectors per simulated user
 MIX = 0.7                  # max/mean pooling mix (cfg.max_pool_mix shape)
-NOVELTY_WEIGHT = 0.25      # additive novelty term (cfg.influence_weight)
 BLOCK_SIZE = 2048
 NPROBES = (1, 2, 4, 8, 16, 32, 64)
 TIMING_REPEATS = 3
@@ -67,7 +66,7 @@ def _pool_sizes() -> list[int]:
 
 
 def _synthetic_pool(n: int, rng: np.random.Generator):
-    """Clustered rows + on-manifold queries + novelty, all seeded."""
+    """Clustered rows + on-manifold queries, all seeded."""
     n_centers = max(16, n // 100)
     centers = rng.normal(size=(n_centers, DIM))
     assign = rng.integers(0, n_centers, size=n)
@@ -75,8 +74,11 @@ def _synthetic_pool(n: int, rng: np.random.Generator):
     seeds = rng.choice(n, size=(N_QUERIES, INTEREST_ROWS), replace=False)
     queries = [rows[s] + 0.1 * rng.normal(size=(INTEREST_ROWS, DIM))
                for s in seeds]
-    novelty = rng.normal(size=n)
-    return rows, queries, novelty
+    # One pool-sized draw that no ranker reads (the rankers' novelty
+    # term was removed): it keeps the shared generator's stream, and so
+    # every later pool, identical to the committed baseline's.
+    rng.normal(size=n)
+    return rows, queries
 
 
 def _median_seconds(fn, repeats: int = TIMING_REPEATS) -> float:
@@ -110,22 +112,19 @@ def _run_sweep() -> dict:
     rng = np.random.default_rng(SEED)
     pool_reports = []
     for n in pools:
-        rows, queries, novelty = _synthetic_pool(n, rng)
+        rows, queries = _synthetic_pool(n, rng)
         n_lists = max(8, int(round(2.0 * math.sqrt(n))))
         cluster_start = time.perf_counter()
         ivf = IVFIndex(n_lists=n_lists, seed=SEED).fit(rows)
         cluster_seconds = time.perf_counter() - cluster_start
 
         exact_results = [
-            exact_top_k(q, rows, 50, mix=MIX, novelty=novelty,
-                        novelty_weight=NOVELTY_WEIGHT,
-                        block_size=BLOCK_SIZE)
+            exact_top_k(q, rows, 50, mix=MIX, block_size=BLOCK_SIZE)
             for q in queries
         ]
         exact_p50 = float(np.median([
             _median_seconds(lambda q=q: exact_top_k(
-                q, rows, 50, mix=MIX, novelty=novelty,
-                novelty_weight=NOVELTY_WEIGHT, block_size=BLOCK_SIZE))
+                q, rows, 50, mix=MIX, block_size=BLOCK_SIZE))
             for q in queries[:8]
         ]))
         labels = {"pool": str(n)}
@@ -133,8 +132,6 @@ def _run_sweep() -> dict:
 
         # Full probe must reproduce the oracle, order included.
         full, stats = ivf.search(queries[0], rows, 50, mix=MIX,
-                                 novelty=novelty,
-                                 novelty_weight=NOVELTY_WEIGHT,
                                  nprobe=ivf.num_lists,
                                  block_size=BLOCK_SIZE)
         assert stats.candidates_scanned == n
@@ -146,16 +143,14 @@ def _run_sweep() -> dict:
         for nprobe in [p for p in NPROBES if p <= ivf.num_lists]:
             recalls_10, recalls_50, fractions = [], [], []
             for q, oracle in zip(queries, exact_results):
-                got, st = ivf.search(q, rows, 50, mix=MIX, novelty=novelty,
-                                     novelty_weight=NOVELTY_WEIGHT,
-                                     nprobe=nprobe, block_size=BLOCK_SIZE)
+                got, st = ivf.search(q, rows, 50, mix=MIX, nprobe=nprobe,
+                                     block_size=BLOCK_SIZE)
                 recalls_10.append(_recall(got, oracle, 10))
                 recalls_50.append(_recall(got, oracle, 50))
                 fractions.append(st.scan_fraction)
             ivf_p50 = float(np.median([
                 _median_seconds(lambda q=q: ivf.search(
-                    q, rows, 50, mix=MIX, novelty=novelty,
-                    novelty_weight=NOVELTY_WEIGHT, nprobe=nprobe,
+                    q, rows, 50, mix=MIX, nprobe=nprobe,
                     block_size=BLOCK_SIZE))
                 for q in queries[:8]
             ]))
@@ -209,7 +204,7 @@ def _run_sweep() -> dict:
     meta = {
         "benchmark": "ann", "seed": SEED, "dim": DIM,
         "queries": N_QUERIES, "interest_rows": INTEREST_ROWS,
-        "mix": MIX, "novelty_weight": NOVELTY_WEIGHT,
+        "mix": MIX,
         "pools": pools, "nprobes": list(NPROBES),
     }
     return {

@@ -60,7 +60,6 @@ class NPRecConfig:
     batch_size: int = 64
     sem_train_cap: int = 260
     expand_profile_with_citations: bool = False
-    influence_weight: float = 0.0
     max_pool_mix: float = 0.5
     profile_text_weight: float = 1.0
     seed: int = 0
@@ -78,7 +77,6 @@ class NPRecRecommender(Recommender):
         self.history_: NPRecTrainHistory | None = None
         self.content_tfidf_: TfIdfIndex | None = None
         self._train_by_id: dict[str, Paper] = {}
-        self._novelty: dict[str, float] = {}
         self._profile_text: JTIERecommender | None = None
 
     def fit(self, corpus: Corpus, train_papers: Sequence[Paper],
@@ -158,21 +156,6 @@ class NPRecRecommender(Recommender):
                     self._profile_text = JTIERecommender(
                         seed=int(rng.integers(2**31)))
                     self._profile_text.fit(corpus, train_papers, new_papers)
-
-            # 6. Potential influence of the new papers: their SEM subspace
-            #    difference (LOF outlier score) — the Sec. III finding that
-            #    difference predicts citations, applied as the influence side
-            #    of the Sec. IV-B relevance/influence balance.
-            self._novelty = {}
-            if new_papers and cfg.influence_weight > 0 and len(new_papers) >= 3:
-                with obs.trace("nprec.fit.novelty"):
-                    totals = np.zeros(len(new_papers))
-                    for k in range(cfg.sem.num_subspaces):
-                        totals += self.sem.outlier_scores(
-                            new_papers, k, seed=int(rng.integers(2**31)))
-                    totals /= cfg.sem.num_subspaces
-                    self._novelty = {p.id: float(s)
-                                     for p, s in zip(new_papers, totals)}
         return self
 
     def rank(self, user_papers: Sequence[Paper],
@@ -233,15 +216,7 @@ class NPRecRecommender(Recommender):
             total = len(profile)
             correlation = (correlation * (len(user_papers) / total)
                            + extra_scores.sum(axis=0) / total)
-        # Potential influence: the candidates' SEM novelty scores,
-        # standardised over this candidate set so the fixed weight is
-        # scale-free relative to the correlation term.
-        potential = np.array([self._novelty.get(c.id, 0.0) for c in candidates])
-        spread = potential.std()
-        if spread > 1e-12:
-            potential = (potential - potential.mean()) / spread
-        scores = correlation + (self.config.influence_weight
-                                * max(correlation.std(), 1e-12) * potential)
+        scores = correlation
         if self._profile_text is not None:
             # Blend the trained profile-text metric: rank positions from
             # the module are converted to scores so scales stay comparable.

@@ -224,7 +224,6 @@ def generate_corpus(config: SyntheticCorpusConfig) -> Corpus:
                                  size=config.n_papers))
     papers: list[Paper] = []
     paper_topic: dict[str, str] = {}
-    paper_novelty: dict[str, dict[str, float]] = {}
     in_degree = np.zeros(config.n_papers)
     paper_field_idx: list[str] = []
     attractiveness = np.zeros(config.n_papers)
@@ -403,7 +402,6 @@ def generate_corpus(config: SyntheticCorpusConfig) -> Corpus:
             novelty=dict(novelty),
         ))
         paper_topic[pid] = leaf
-        paper_novelty[pid] = novelty
         paper_field_idx.append(discipline)
         attractiveness[i] = attract
 

@@ -18,23 +18,18 @@ SLOs with no data (metric never recorded, denominator still zero)
 evaluate as ``ok`` with ``no_data=True`` — an idle service is not a
 breached one.
 
-Breaches route through :class:`AlertSink` implementations
-(console/JSONL/callback); :class:`SLOMonitor` dispatches one alert per
-breached evaluation. A process-wide SLO registry (:func:`register_slo`)
-lets the serving layer publish its objectives once and have
-``ServingIndex.health()`` / ``python -m repro.serve health`` evaluate
-them without plumbing objects through every call site.
+A process-wide SLO registry (:func:`register_slo`) lets the serving
+layer publish its objectives once and have ``ServingIndex.health()`` /
+``python -m repro.serve health`` evaluate them without plumbing objects
+through every call site.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import sys
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.obs import config
 from repro.obs.metrics import Gauge, MetricsRegistry
@@ -196,48 +191,6 @@ class GaugeBoundSLO:
 SLO = LatencySLO | ErrorRateSLO | GaugeBoundSLO
 
 
-class AlertSink(Protocol):
-    """Destination for SLO breach notifications."""
-
-    def emit(self, status: SLOStatus) -> None:
-        """Deliver one breached :class:`SLOStatus`."""
-        ...
-
-
-class ConsoleAlertSink:
-    """Writes one ``SLO BREACH`` line per alert (stderr by default)."""
-
-    def __init__(self, stream=None) -> None:
-        self._stream = stream
-
-    def emit(self, status: SLOStatus) -> None:
-        stream = self._stream if self._stream is not None else sys.stderr
-        print(f"SLO BREACH [{status.slo}] {status.detail}", file=stream)
-
-
-class JsonlAlertSink:
-    """Appends one JSON object per alert to a file."""
-
-    def __init__(self, path: "str | pathlib.Path") -> None:
-        self.path = pathlib.Path(path)
-
-    def emit(self, status: SLOStatus) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        event = {"type": "slo_alert", "time": time.time(), **status.snapshot()}
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(event, sort_keys=True) + "\n")
-
-
-class CallbackAlertSink:
-    """Hands each alert to an arbitrary callable (tests, pagers, ...)."""
-
-    def __init__(self, callback: Callable[[SLOStatus], None]) -> None:
-        self._callback = callback
-
-    def emit(self, status: SLOStatus) -> None:
-        self._callback(status)
-
-
 @dataclass
 class _Sample:
     time: float
@@ -246,25 +199,23 @@ class _Sample:
 
 
 class SLOMonitor:
-    """Rolling-window evaluation plus alert dispatch for a set of SLOs.
+    """Rolling-window evaluation of a set of SLOs.
 
     Each :meth:`check` call samples the registry once; error-rate SLOs
     are judged on the delta between the oldest in-window sample and now
     (true burn rate over the window), latency SLOs on the current sketch
-    state. Breached statuses are fanned out to every sink. The clock is
-    injectable so windowed behaviour is deterministically testable.
+    state. The clock is injectable so windowed behaviour is
+    deterministically testable.
     """
 
     def __init__(self, slos: "list[SLO] | None" = None,
-                 sinks: "list[AlertSink] | None" = None,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.slos: list[SLO] = list(slos) if slos is not None else []
-        self.sinks: list[AlertSink] = list(sinks or [])
         self._clock = clock
         self._history: dict[str, deque[_Sample]] = {}
 
     def check(self, registry: MetricsRegistry | None = None) -> list[SLOStatus]:
-        """Evaluate every SLO once; dispatch alerts; return all statuses."""
+        """Evaluate every SLO once; return all statuses."""
         now = self._clock()
         statuses: list[SLOStatus] = []
         for slo in self.slos:
@@ -280,9 +231,6 @@ class SLOMonitor:
             else:
                 status = slo.evaluate(registry)
             statuses.append(status)
-            if not status.ok:
-                for sink in self.sinks:
-                    sink.emit(status)
         return statuses
 
 

@@ -54,7 +54,6 @@ from repro.serve.ann import (
     ProbeStats,
     batch_exact_top_k,
     exact_top_k,
-    exact_top_k_scored,
     pooled_scores,
     rank_candidates,
 )
@@ -80,7 +79,7 @@ __all__ = [
     "save_pipeline", "load_pipeline", "load_author_affiliations",
     "save_ann_index", "load_ann_index", "has_ann_index", "pool_fingerprint",
     "save_pool", "load_pool",
-    "IVFIndex", "ProbeStats", "exact_top_k", "exact_top_k_scored",
+    "IVFIndex", "ProbeStats", "exact_top_k",
     "batch_exact_top_k", "rank_candidates", "pooled_scores",
     "ServingIndex", "BatchQueryResult",
     "BatchScheduler", "SheddingGovernor", "Ticket",

@@ -24,10 +24,11 @@ Commands
     neither is one breaching a latency or error-budget objective.
 ``compact``
     Replay the ingestion write-ahead log into the artifact: load the
-    artifact with the WAL attached (recovering torn tails, reapplying
-    every durable record), re-save the pipeline plus a
-    ``pool/pool.json`` snapshot, and truncate the log — after which a
-    restart replays nothing and ``serve.wal.lag`` is back to zero.
+    artifact over the evaluation pool with the WAL attached (recovering
+    torn tails, reapplying every durable record), re-save the pipeline
+    plus a ``pool/pool.json`` snapshot, and truncate the log — after
+    which a restart replays nothing and ``serve.wal.lag`` is back to
+    zero.
 ``swap``
     Zero-downtime adoption of a retrained artifact: build the live
     index (registering the evaluation users), then
@@ -44,6 +45,11 @@ Commands
     ``/exemplars``) until SIGTERM/SIGINT or ``--duration`` elapses;
     shutdown drains the scheduler through its quiesce barrier and can
     emit a final postmortem bundle.
+
+``query``, ``compact``, ``swap``, ``health`` and ``serve`` rebuild the
+evaluation task from the manifest's ``extra`` metadata (written by
+``warmup`` and ``serve``). Against an artifact without it the first
+three exit 2, and ``health`` and ``serve`` use an empty pool.
 """
 
 from __future__ import annotations
@@ -59,8 +65,8 @@ from repro.core.nprec import NPRecConfig, NPRecRecommender
 from repro.core.sem import SEMConfig
 from repro.data import load_acm
 from repro.experiments.protocol import RecommendationTask, split_task_by_year
-from repro.serve.artifacts import (load_pipeline, save_ann_index,
-                                   save_pipeline)
+from repro.serve.artifacts import (load_pipeline, manifest_extra,
+                                   save_ann_index, save_pipeline)
 from repro.serve.index import ServingIndex
 
 
@@ -120,7 +126,7 @@ def _add_index_args(parser: argparse.ArgumentParser) -> None:
 def _fit_and_save(args: argparse.Namespace, out=None):
     """Fit NPRec on the task *args* describe and save it to ``args.dir``.
 
-    The manifest records the task parameters so :func:`_reload_task`
+    The manifest records the task parameters so :func:`_manifest_task`
     can rebuild the evaluation task. Progress goes to *out* (default
     stdout). Returns ``(task, artifact path)``.
     """
@@ -154,19 +160,30 @@ def cmd_warmup(args: argparse.Namespace) -> int:
     return 0
 
 
-def _reload_task(directory: str) -> RecommendationTask:
-    """Rebuild the evaluation task a warmup artifact was fitted on."""
-    manifest = json.loads(
-        (Path(directory) / "manifest.json").read_text(encoding="utf-8"))
-    extra = manifest.get("extra", {})
-    return _build_task(float(extra.get("scale", 1.0)),
-                       int(extra.get("seed", 0)),
+def _manifest_task(directory: str) -> RecommendationTask | None:
+    """The evaluation task the artifact's manifest records, or None."""
+    extra = manifest_extra(directory)
+    if "scale" not in extra:
+        return None
+    return _build_task(float(extra["scale"]), int(extra.get("seed", 0)),
                        int(extra.get("split_year", 2014)),
                        int(extra.get("users", 12)))
 
 
+def _require_task(command: str, directory: str) -> RecommendationTask | None:
+    """:func:`_manifest_task`, reporting on stderr when there is none."""
+    task = _manifest_task(directory)
+    if task is None:
+        print(f"cannot {command}: the manifest at {directory} records no "
+              "evaluation task (save it with warmup or serve)",
+              file=sys.stderr)
+    return task
+
+
 def cmd_query(args: argparse.Namespace) -> int:
-    task = _reload_task(args.dir)
+    task = _require_task("query", args.dir)
+    if task is None:
+        return 2
     index = ServingIndex.from_artifact(args.dir, papers=task.new_papers,
                                        **_index_kwargs(args))
     if index.degraded:
@@ -237,16 +254,6 @@ def cmd_smoke(args: argparse.Namespace) -> int:
     return 0
 
 
-def _health_pool(directory: str) -> list:
-    """The pool ``query`` serves, when the manifest records its task."""
-    try:
-        extra = json.loads((Path(directory) / "manifest.json")
-                           .read_text(encoding="utf-8")).get("extra", {})
-    except (OSError, ValueError):
-        return []  # the load below degrades and reports it
-    return _reload_task(directory).new_papers if "scale" in extra else []
-
-
 def cmd_health(args: argparse.Namespace) -> int:
     from repro import obs
 
@@ -258,8 +265,12 @@ def cmd_health(args: argparse.Namespace) -> int:
     obs.configure(enabled=True)
     scheduler = None
     try:
-        index = ServingIndex.from_artifact(args.dir, papers=_health_pool(
-            args.dir), retry_attempts=args.retries)
+        # The pool `query` serves; empty when the manifest records no
+        # task (an unreadable one degrades the load and is reported).
+        task = _manifest_task(args.dir)
+        index = ServingIndex.from_artifact(
+            args.dir, papers=task.new_papers if task else (),
+            retry_attempts=args.retries)
         if args.wal:
             # Attach (and replay) the ingestion WAL so the report
             # carries the "wal" check and the compaction-lag SLO judges
@@ -311,15 +322,19 @@ def cmd_compact(args: argparse.Namespace) -> int:
     from repro import obs
     from repro.serve.wal import WriteAheadLog
 
+    task = _require_task("compact", args.dir)
+    if task is None:
+        return 2
     was_enabled = obs.is_enabled()
     obs.configure(enabled=True)
     try:
         wal_path = args.wal or _default_wal(args.dir)
-        # Attaching replays every durable record (recovering any torn
-        # tail first), so the in-memory pool is exactly what a crashed
-        # server would come back with — that is what gets baked in.
+        # The evaluation pool first, then every durable record replayed
+        # (recovering any torn tail first): the in-memory pool is exactly
+        # what a crashed server would come back with, in its order —
+        # that is what gets baked in.
         index = ServingIndex.from_artifact(
-            args.dir, wal=WriteAheadLog(wal_path),
+            args.dir, papers=task.new_papers, wal=WriteAheadLog(wal_path),
             retry_attempts=args.retries, **_index_kwargs(args))
         if index.degraded:
             print(f"cannot compact: artifact at {args.dir} is unusable "
@@ -341,10 +356,12 @@ def cmd_swap(args: argparse.Namespace) -> int:
     from repro.serve.swap import HotSwapper
     from repro.serve.wal import WriteAheadLog
 
+    task = _require_task("swap", args.dir)
+    if task is None:
+        return 2
     was_enabled = obs.is_enabled()
     obs.configure(enabled=True)
     try:
-        task = _reload_task(args.dir)
         wal = WriteAheadLog(args.wal) if args.wal else None
         index = ServingIndex.from_artifact(args.dir, papers=task.new_papers,
                                            wal=wal,
@@ -375,17 +392,20 @@ def cmd_swap(args: argparse.Namespace) -> int:
 
 
 def _load_or_fit_index(args: argparse.Namespace):
-    """Fit-or-load the artifact for ``serve``: (task, index)."""
+    """Fit-or-load the artifact for ``serve``: (task or None, index)."""
     directory = Path(args.dir)
     if (directory / "manifest.json").exists():
         print(f"loading artifact from {directory} ...", file=sys.stderr)
-        task = _reload_task(str(directory))
+        task = _manifest_task(str(directory))
+        if task is None:
+            print("WARNING: the manifest records no evaluation task; "
+                  "serving an empty pool", file=sys.stderr)
     else:
         print(f"no artifact at {directory}; fitting one "
               f"(scale={args.scale}, seed={args.seed}) ...", file=sys.stderr)
         task, _ = _fit_and_save(args, out=sys.stderr)
     index = ServingIndex.from_artifact(str(directory),
-                                       papers=task.new_papers,
+                                       papers=task.new_papers if task else (),
                                        cache_size=args.cache_size,
                                        **_index_kwargs(args))
     return task, index
@@ -410,7 +430,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if index.degraded:
         print("WARNING: index is degraded; serving the TF-IDF fallback only",
               file=sys.stderr)
-    for user in task.users:
+    for user in task.users if task else ():
         index.register_user(user.author_id, list(user.train_papers))
     wal_path = args.wal or _default_wal(args.dir)
     index.attach_wal(WriteAheadLog(wal_path), lag_bound=args.wal_lag_bound)

@@ -7,12 +7,12 @@ equivalent of a FAISS ``IndexIVFFlat``: a deterministic seeded k-means
 coarse quantizer partitions the influence matrix into ``n_lists``
 inverted lists, a query probes only the ``nprobe`` lists whose
 centroids score best under the *same* max/mean-pooled interest scoring
-the exact ranker uses, and the probed candidates are exact-scored
-(pooled correlation plus the additive novelty term) with the exact
-path's tie-breaking. Probing all lists (``nprobe == n_lists``)
-reproduces the exact ranking order-for-order — the exact path stays
-the correctness oracle, and ``benchmarks/test_ann_bench.py`` measures
-recall@K against it so speedups cannot silently trade away quality.
+the exact ranker uses, and the probed candidates are exact-scored with
+the exact path's tie-breaking. Probing all lists (``nprobe ==
+n_lists``) reproduces the exact ranking order-for-order — the exact
+path stays the correctness oracle, and ``benchmarks/test_ann_bench.py``
+measures recall@K against it so speedups cannot silently trade away
+quality.
 
 Serving ranks through two functions here:
 :func:`batch_exact_top_k` for the exact strategy and
@@ -21,12 +21,12 @@ under the serving lock, scored outside it). Both rest on
 :func:`pooled_scores` — the ``mix * max + (1 - mix) * mean``
 correlation pooling over the user's interest vectors, also used for
 coarse centroid ranking — so every path agrees bit for bit on common
-input. :func:`exact_top_k` / :func:`exact_top_k_scored` (one query)
-and :meth:`IVFIndex.search` (gather and score in one call) are the
-reference rankers that tests and the recall benchmark compare serving
-against. The exact rankers share a blockwise bounded heap with an
-``argpartition`` prescreen, so only the ≤k plausible candidates per
-block touch the Python heap.
+input. :func:`exact_top_k` (one query) and :meth:`IVFIndex.search`
+(gather and score in one call) are the reference rankers that tests and
+the recall benchmark compare serving against. Both exact rankers run
+one blockwise loop (:func:`_blockwise_top_k`): a bounded heap per query
+with an ``argpartition`` prescreen, so only the ≤k plausible candidates
+per block touch the Python heap.
 
 This module is deliberately free of model/obs dependencies: it ranks
 raw matrices, so the benchmark can sweep 50k-row synthetic pools
@@ -57,9 +57,8 @@ def pooled_scores(interest: np.ndarray, rows: np.ndarray,
 
 def _chunked_scores(interest: np.ndarray, matrix: np.ndarray,
                     positions: np.ndarray, mix: float,
-                    novelty: np.ndarray | None, novelty_weight: float,
                     block_size: int) -> np.ndarray:
-    """Pooled scores (+ novelty) for *positions*, in ``block_size`` chunks.
+    """Pooled scores for *positions*, in ``block_size`` chunks.
 
     Chunking mirrors the exact path's contiguous blocks: when
     *positions* is every row in order, each chunk gathers the same
@@ -69,10 +68,8 @@ def _chunked_scores(interest: np.ndarray, matrix: np.ndarray,
     scores = np.empty(positions.shape[0], dtype=np.float64)
     for start in range(0, positions.shape[0], block_size):
         chunk = positions[start:start + block_size]
-        part = pooled_scores(interest, matrix[chunk], mix)
-        if novelty is not None:
-            part = part + novelty_weight * novelty[chunk]
-        scores[start:start + chunk.shape[0]] = part
+        scores[start:start + chunk.shape[0]] = pooled_scores(
+            interest, matrix[chunk], mix)
     return scores
 
 
@@ -108,83 +105,54 @@ def _drain_heap(heap: list[tuple[float, int]]) -> tuple[np.ndarray, np.ndarray]:
     return positions, scores
 
 
-def exact_top_k_scored(interest: np.ndarray, matrix: np.ndarray, k: int, *,
-                       mix: float, novelty: np.ndarray | None = None,
-                       novelty_weight: float = 0.0,
-                       block_size: int = 512) -> tuple[np.ndarray, np.ndarray]:
-    """(positions, scores) of the top-*k* rows of *matrix*, best first.
+def _blockwise_top_k(interests: "list[np.ndarray]", matrix: np.ndarray,
+                     ks: "list[int]", mix: float, block_size: int
+                     ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(positions, scores) of each query's top-k rows, best first.
 
-    Blockwise bounded-heap ranking: memory stays
-    ``O(block_size * dim + k)`` regardless of pool size. Ties between
-    equal scores resolve toward the lower row position, matching the
-    stable mergesort ordering of the offline ranker.
+    The one exact ranker. Each pool block is sliced once and scored
+    against every query with its own ``pooled_scores`` call, so a
+    query's result does not depend on its batch — bit for bit, which
+    the batched serving path's equivalence guarantee rests on. Memory
+    stays ``O(block_size * dim + k)`` per query regardless of pool
+    size. Ties between equal scores resolve toward the lower row
+    position, matching the stable mergesort ordering of the offline
+    ranker.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    n = matrix.shape[0]
-    heap: list[tuple[float, int]] = []
-    for start in range(0, n, block_size):
+    for k in ks:
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+    heaps: list[list[tuple[float, int]]] = [[] for _ in interests]
+    for start in range(0, matrix.shape[0], block_size):
         block = matrix[start:start + block_size]
-        scores = pooled_scores(interest, block, mix)
-        if novelty is not None:
-            scores = scores + novelty_weight * \
-                novelty[start:start + block.shape[0]]
-        _feed_heap(heap, scores, start, k)
-    return _drain_heap(heap)
+        for heap, interest, k in zip(heaps, interests, ks):
+            _feed_heap(heap, pooled_scores(interest, block, mix), start, k)
+    return [_drain_heap(heap) for heap in heaps]
 
 
 def exact_top_k(interest: np.ndarray, matrix: np.ndarray, k: int, *,
-                mix: float, novelty: np.ndarray | None = None,
-                novelty_weight: float = 0.0,
-                block_size: int = 512) -> np.ndarray:
+                mix: float, block_size: int = 512) -> np.ndarray:
     """Positions of the top-*k* rows of *matrix*, best first (the oracle)."""
-    return exact_top_k_scored(interest, matrix, k, mix=mix, novelty=novelty,
-                              novelty_weight=novelty_weight,
-                              block_size=block_size)[0]
+    return _blockwise_top_k([interest], matrix, [k], mix, block_size)[0][0]
 
 
 def batch_exact_top_k(interests: "list[np.ndarray]", matrix: np.ndarray,
-                      ks: "list[int]", *, mix: float,
-                      novelty: np.ndarray | None = None,
-                      novelty_weight: float = 0.0,
-                      block_size: int = 512
+                      ks: "list[int]", *, mix: float, block_size: int = 512
                       ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Top-k for several queries in one blockwise pass over *matrix*.
+    """(positions, scores) for several queries in one pass over *matrix*.
 
-    Each pool block is sliced once and scored against every query's
-    interest matrix with the *same* per-query ``pooled_scores`` call
-    shapes as :func:`exact_top_k_scored`, so every query's (positions,
-    scores) result is bit-identical to ranking it alone — the batched
-    serving path's equivalence guarantee rests on this. The batching
-    win is the amortised block slicing, novelty gather, and Python
+    Every query's result is bit-identical to ranking it as a batch of
+    one; the batching win is the amortised block slicing and Python
     dispatch, not a changed reduction order.
     """
     if len(interests) != len(ks):
         raise ValueError(f"{len(interests)} interest matrices but "
                          f"{len(ks)} k values")
-    for k in ks:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-    if not interests:
-        return []
-    n = matrix.shape[0]
-    heaps: list[list[tuple[float, int]]] = [[] for _ in interests]
-    for start in range(0, n, block_size):
-        block = matrix[start:start + block_size]
-        block_novelty = (novelty_weight * novelty[start:start + block.shape[0]]
-                         if novelty is not None else None)
-        for q, interest in enumerate(interests):
-            scores = pooled_scores(interest, block, mix)
-            if block_novelty is not None:
-                scores = scores + block_novelty
-            _feed_heap(heaps[q], scores, start, ks[q])
-    return [_drain_heap(heap) for heap in heaps]
+    return _blockwise_top_k(interests, matrix, ks, mix, block_size)
 
 
 def rank_candidates(interest: np.ndarray, matrix: np.ndarray,
                     candidates: np.ndarray, k: int, *, mix: float,
-                    novelty: np.ndarray | None = None,
-                    novelty_weight: float = 0.0,
                     block_size: int = 512) -> tuple[np.ndarray, np.ndarray]:
     """(positions, scores) of the top-*k* rows among *candidates*.
 
@@ -198,8 +166,7 @@ def rank_candidates(interest: np.ndarray, matrix: np.ndarray,
         raise ValueError(f"k must be >= 1, got {k}")
     if candidates.shape[0] == 0:
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-    scores = _chunked_scores(interest, matrix, candidates, mix,
-                             novelty, novelty_weight, block_size)
+    scores = _chunked_scores(interest, matrix, candidates, mix, block_size)
     order = np.lexsort((candidates, -scores))[:k]
     return candidates[order], scores[order]
 
@@ -411,15 +378,14 @@ class IVFIndex:
         return candidates, stats
 
     def search(self, interest: np.ndarray, matrix: np.ndarray, k: int, *,
-               mix: float, novelty: np.ndarray | None = None,
-               novelty_weight: float = 0.0, nprobe: int = 8,
+               mix: float, nprobe: int = 8,
                block_size: int = 512) -> tuple[np.ndarray, ProbeStats]:
         """Approximate top-*k* positions, best first, plus work stats.
 
         Probes ``nprobe`` lists, gathers their members (ascending
         position), and exact-scores only those candidates with the
-        shared pooled scoring plus the additive novelty term —
-        identical score arithmetic and tie-breaking to
+        shared pooled scoring — identical score arithmetic and
+        tie-breaking to
         :func:`exact_top_k`, so ``nprobe == num_lists`` returns the
         exact ranking. Fewer than *k* candidates returns them all.
         """
@@ -430,9 +396,8 @@ class IVFIndex:
             return candidates, stats
         # Descending score, ties toward the lower pool position — the
         # exact path's (score, -position) heap order.
-        positions, _ = rank_candidates(
-            interest, matrix, candidates, k, mix=mix, novelty=novelty,
-            novelty_weight=novelty_weight, block_size=block_size)
+        positions, _ = rank_candidates(interest, matrix, candidates, k,
+                                       mix=mix, block_size=block_size)
         return positions, stats
 
     # ------------------------------------------------------------------

@@ -6,7 +6,6 @@ An artifact is a directory::
     config.json              NPRecConfig + SEMConfig + model architecture
     graph.json               heterogeneous network (indices + adjacency order)
     papers.json              training papers + author affiliations
-    serve.json               novelty (GMM/LOF potential-influence) scores
     sem/encoder.json|.npz    frozen sentence-encoder statistics + rotation
     sem/network.npz          subspace fusion network (nn.serialization)
     sem/rules.npz            expert-rule fusion weights + normalisation
@@ -29,10 +28,11 @@ receptive fields, and the bit-generator state of the field sampler — so
 a reloaded recommender reproduces ``rank()`` bit for bit, including for
 papers whose receptive fields were never sampled before the save.
 
-``manifest.json`` carries a SHA-256 per file and a schema version;
-:func:`load_pipeline` refuses loudly (``ArtifactError`` /
-``SchemaVersionError``) rather than deserialising a corrupt or
-foreign-versioned directory.
+``manifest.json`` carries a SHA-256 per file and a schema version (4
+since the never-enabled novelty-score payload was dropped; see
+``SCHEMA_VERSION``); :func:`load_pipeline` refuses loudly
+(``ArtifactError`` / ``SchemaVersionError``) rather than deserialising
+a corrupt or foreign-versioned directory.
 """
 
 from __future__ import annotations
@@ -71,7 +71,9 @@ from repro.text.sequence_labeler import SequenceLabeler
 #: carry its pool fingerprint — v1 artifacts must be re-saved (they
 #: were only ever produced by ephemeral warmup runs, never shipped).
 #: v3: the content block is stored as CSR arrays, so v2 artifacts must be re-saved.
-SCHEMA_VERSION = 3
+#: v4: the never-enabled novelty-score payload and its config weight are
+#: gone, so v3 artifacts must be re-saved.
+SCHEMA_VERSION = 4
 
 MANIFEST_NAME = "manifest.json"
 
@@ -187,10 +189,6 @@ def save_pipeline(recommender: NPRecRecommender, directory: str | os.PathLike,
             "train_papers": [paper_to_dict(p)
                              for p in rec._train_by_id.values()],
             "author_affiliations": affiliations,
-        })
-        _write_json(root / "serve.json", {
-            "novelty": {pid: float(score)
-                        for pid, score in rec._novelty.items()},
         })
         _save_sem(rec.sem, root / "sem")
         _save_model(rec.model, root / "model")
@@ -380,6 +378,19 @@ def load_pipeline(directory: str | os.PathLike) -> NPRecRecommender:
     return _load()
 
 
+def manifest_extra(directory: str | os.PathLike) -> dict:
+    """The manifest's free-form ``extra`` metadata.
+
+    ``{}`` when the manifest is missing or unreadable; loading the
+    artifact (:func:`load_pipeline`) is what reports that.
+    """
+    try:
+        return dict(_read_json(Path(directory) / MANIFEST_NAME)
+                    .get("extra", {}))
+    except (OSError, ValueError):
+        return {}
+
+
 def load_author_affiliations(directory: str | os.PathLike) -> dict[str, str]:
     """The ``author id -> affiliation`` map stored in an artifact."""
     payload = _read_json(Path(directory) / "papers.json")
@@ -547,8 +558,6 @@ def _rebuild(root: Path, manifest: dict) -> NPRecRecommender:
     graph = HeterogeneousGraph.from_payload(_read_json(root / "graph.json"))
     rec.model = _load_model(graph, config_payload["model"], root / "model")
     rec._train_by_id = {p.id: p for p in train_papers}
-    rec._novelty = {pid: float(score) for pid, score in
-                    _read_json(root / "serve.json")["novelty"].items()}
     if config_payload.get("has_profile_text"):
         rec._profile_text = _load_profile_text(root / "profile_text",
                                                train_papers)

@@ -10,11 +10,9 @@ condition).
 
 Scoring matches :meth:`NPRecRecommender._rank`'s correlation term —
 ``mix * max + (1 - mix) * mean`` over the user's interest vectors — with
-two documented serving simplifications: the potential-influence term
-z-scores novelty over the whole pool once (not per candidate set, and
-without the per-query correlation-spread multiplier), and the
-profile-text blend is omitted (it requires a full re-rank per query,
-which contradicts blockwise retrieval).
+one documented serving simplification: the profile-text blend is
+omitted (it requires a full re-rank per query, which contradicts
+blockwise retrieval).
 
 There is one rank path: :meth:`ServingIndex.batch_top_k`. Serial
 :meth:`ServingIndex.top_k` is a batch of one, and the micro-batching
@@ -204,8 +202,6 @@ class ServingIndex:
         self._n_lists = n_lists
         self._ann_seed = ann_seed
         self._ann: IVFIndex | None = None
-        self._novelty_raw: list[float] = []
-        self._novelty_z: np.ndarray | None = None
         #: user id -> (profile papers, precomputed interest matrix or None)
         self._profiles: dict[str, tuple[list[Paper], np.ndarray | None]] = {}
         self._cache: "OrderedDict[tuple, tuple[str, ...]]" = OrderedDict()
@@ -485,7 +481,7 @@ class ServingIndex:
                 obs.count("serve.papers_ingested",
                           **({"mode": "degraded"} if graph is None else {}))
                 self._append(paper, row, content_vector)
-                self._invalidate()
+                self._cache.clear()
                 position = self._positions[paper.id]
         self._observe_latency("serve.ingest", span.duration,
                               trace_id=span.trace_id)
@@ -636,14 +632,16 @@ class ServingIndex:
         still recovers (worst case: the old artifact plus a full log).
         A restarted :meth:`from_artifact` merges ``pool/pool.json`` with
         its ``papers`` argument, so compacted ingests survive without
-        any WAL records.
+        any WAL records. The re-saved manifest keeps the loaded one's
+        ``extra`` task metadata, which the CLI rebuilds its pool from.
 
         *directory* defaults to the artifact directory the index was
         loaded from. Returns a summary dict (records compacted, pool
         size, directory).
         """
         from repro.serve.artifacts import (MANIFEST_NAME, _refresh_manifest,
-                                           save_pipeline, save_pool)
+                                           manifest_extra, save_pipeline,
+                                           save_pool)
         with self._serve_lock:
             if self._wal is None:
                 raise WALError("compact() needs an attached write-ahead log "
@@ -659,6 +657,8 @@ class ServingIndex:
                 save_pool(target, self._papers)
                 if not self.degraded:
                     save_pipeline(self._recommender, target,
+                                  extra_metadata=manifest_extra(
+                                      self._artifact_dir or target),
                                   author_affiliations=self._affiliations)
                 elif (target / MANIFEST_NAME).exists():
                     _refresh_manifest(target)
@@ -693,8 +693,6 @@ class ServingIndex:
             self._ann = donor._ann
             self._n_lists = donor._n_lists
             self._ann_seed = donor._ann_seed
-            self._novelty_raw = donor._novelty_raw
-            self._novelty_z = donor._novelty_z
             self._profiles = donor._profiles
             self._pool_tfidf = donor._pool_tfidf
             self._fallback_rows = donor._fallback_rows
@@ -733,10 +731,6 @@ class ServingIndex:
         with self._serve_lock:
             self._cache.clear()
 
-    def _invalidate(self) -> None:
-        self._cache.clear()
-        self._novelty_z = None
-
     def _drop_cached_user(self, user_key: str) -> None:
         for key in [k for k in self._cache if k[0] == user_key]:
             del self._cache[key]
@@ -761,10 +755,6 @@ class ServingIndex:
         self._positions[paper.id] = len(self._papers)
         self._papers.append(paper)
         self._ids.append(paper.id)
-        novelty = 0.0
-        if self._recommender is not None:
-            novelty = self._recommender._novelty.get(paper.id, 0.0)
-        self._novelty_raw.append(float(novelty))
         if influence_row is not None:
             row = np.asarray(influence_row).reshape(-1)
             buffer = self._influence_buffer
@@ -952,7 +942,7 @@ class ServingIndex:
         """
         results: list[BatchQueryResult | None] = [None] * len(requests)
         jobs: "OrderedDict[tuple, _BatchJob]" = OrderedDict()
-        fallback = matrix = novelty = cfg = None
+        fallback = matrix = cfg = None
         rank_jobs: list[_BatchJob] = []
         with self._serve_lock, no_grad():
             version = self._pool_version
@@ -1020,8 +1010,6 @@ class ServingIndex:
                     # buffer), so the view is a consistent snapshot
                     # outside the lock.
                     matrix = self._influence
-                    novelty = (self._novelty_scores()
-                               if cfg.influence_weight > 0 else None)
                     if self.index_kind == "ivf":
                         ann = self._ensure_ann()
                         for job in rank_jobs:
@@ -1041,9 +1029,7 @@ class ServingIndex:
             for job in rank_jobs:
                 positions, scores = rank_candidates(
                     job.interest, matrix, job.candidates, job.k,
-                    mix=cfg.max_pool_mix, novelty=novelty,
-                    novelty_weight=cfg.influence_weight,
-                    block_size=self.block_size)
+                    mix=cfg.max_pool_mix, block_size=self.block_size)
                 job.ids = [pool_ids[int(p)] for p in positions]
                 job.scores = scores
                 n = len(job.positions)
@@ -1058,7 +1044,6 @@ class ServingIndex:
             ranked = batch_exact_top_k(
                 [j.interest for j in rank_jobs], matrix,
                 [j.k for j in rank_jobs], mix=cfg.max_pool_mix,
-                novelty=novelty, novelty_weight=cfg.influence_weight,
                 block_size=self.block_size)
             for job, (positions, scores) in zip(rank_jobs, ranked):
                 job.ids = [pool_ids[int(p)] for p in positions]
@@ -1114,14 +1099,6 @@ class ServingIndex:
             self.nprobe = nprobe
             self._cache.clear()
             self._pool_version += 1
-
-    def _novelty_scores(self) -> np.ndarray:
-        if self._novelty_z is None:
-            raw = np.asarray(self._novelty_raw)
-            spread = raw.std()
-            self._novelty_z = ((raw - raw.mean()) / spread
-                               if spread > 1e-12 else np.zeros_like(raw))
-        return self._novelty_z
 
     # ------------------------------------------------------------------
     # Degraded path
@@ -1299,6 +1276,6 @@ class ServingIndex:
             return False
         with self._serve_lock:
             self._influence = healed
-            self._invalidate()
+            self._cache.clear()
         obs.count("serve.self_heal", component="influence")
         return bool(np.isfinite(self._influence).all())

@@ -1,15 +1,10 @@
-"""SLO evaluation, rolling-window burn rates, alert sinks, registry."""
-
-import json
+"""SLO evaluation, rolling-window burn rates, registry."""
 
 import pytest
 
 from repro import obs
 from repro.obs.slo import (
-    CallbackAlertSink,
-    ConsoleAlertSink,
     ErrorRateSLO,
-    JsonlAlertSink,
     LatencySLO,
     SLOMonitor,
     SLOStatus,
@@ -122,21 +117,20 @@ class TestSLOMonitor:
         assert status.ok
         assert ErrorRateSLO.evaluate(slo).ok is False  # lifetime view
 
-    def test_alerts_dispatch_only_on_breach(self, obs_enabled):
+    def test_check_flags_only_breaches(self, obs_enabled):
         clock = FakeClock()
-        seen = []
         slo = ErrorRateSLO("s", numerator="errs", denominator="reqs",
                            budget=0.05, window=60.0)
-        monitor = SLOMonitor([slo], sinks=[CallbackAlertSink(seen.append)],
-                             clock=clock)
+        monitor = SLOMonitor([slo], clock=clock)
         obs.count("reqs", 100)
-        monitor.check()
-        assert seen == []
+        (first,) = monitor.check()
+        assert isinstance(first, SLOStatus) and first.ok
         obs.count("errs", 50)
         obs.count("reqs", 50)
         clock.advance(1)
-        monitor.check()
-        assert len(seen) == 1 and isinstance(seen[0], SLOStatus)
+        (second,) = monitor.check()
+        assert second.slo == "s" and not second.ok
+        assert second.burn_rate == pytest.approx((50 / 50) / 0.05)
 
     def test_latency_slos_use_current_sketch(self, obs_enabled):
         monitor = SLOMonitor([LatencySLO("s", metric="m.latency",
@@ -144,28 +138,6 @@ class TestSLOMonitor:
                              clock=FakeClock())
         obs.observe_quantile("m.latency", 5.0)
         assert not monitor.check()[0].ok
-
-
-class TestAlertSinks:
-    def _breach(self):
-        return SLOStatus("s", "latency", ok=False, observed=1.0, target=0.1,
-                         detail="p99 = 1s vs target 0.1s")
-
-    def test_console_sink(self, capsys):
-        import sys
-        ConsoleAlertSink(stream=sys.stderr).emit(self._breach())
-        assert "SLO BREACH [s]" in capsys.readouterr().err
-
-    def test_jsonl_sink(self, tmp_path):
-        path = tmp_path / "alerts" / "slo.jsonl"
-        sink = JsonlAlertSink(path)
-        sink.emit(self._breach())
-        sink.emit(self._breach())
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 2
-        event = json.loads(lines[0])
-        assert event["type"] == "slo_alert"
-        assert event["slo"] == "s" and event["ok"] is False
 
 
 class TestRegistry:

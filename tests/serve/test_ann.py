@@ -9,7 +9,7 @@ import pytest
 from repro import obs
 from repro.errors import ArtifactError, NotFittedError
 from repro.serve import (IVFIndex, ServingIndex, batch_exact_top_k,
-                         exact_top_k, exact_top_k_scored, has_ann_index,
+                         exact_top_k, has_ann_index,
                          load_ann_index, pool_fingerprint, rank_candidates,
                          save_ann_index)
 
@@ -23,26 +23,21 @@ def _clustered(n, dim=16, centers=12, seed=0):
         + 0.25 * rng.normal(size=(n, dim))
     interest = rows[rng.choice(n, size=4, replace=False)] \
         + 0.1 * rng.normal(size=(4, dim))
-    novelty = rng.normal(size=n)
-    return rows, interest, novelty
+    return rows, interest
 
 
-def _reference_order(interest, rows, novelty, k):
+def _reference_order(interest, rows, k):
     pairwise = interest @ rows.T
     scores = MIX * pairwise.max(axis=0) + (1 - MIX) * pairwise.mean(axis=0)
-    if novelty is not None:
-        scores = scores + 0.3 * novelty
     return np.argsort(-scores, kind="mergesort")[:k]
 
 
 class TestExactTopK:
     def test_matches_bruteforce_argsort(self):
-        rows, interest, novelty = _clustered(257)
+        rows, interest = _clustered(257)
         for k in (1, 10, 50):
-            got = exact_top_k(interest, rows, k, mix=MIX, novelty=novelty,
-                              novelty_weight=0.3, block_size=13)
-            assert np.array_equal(got, _reference_order(interest, rows,
-                                                        novelty, k))
+            got = exact_top_k(interest, rows, k, mix=MIX, block_size=13)
+            assert np.array_equal(got, _reference_order(interest, rows, k))
 
     def test_tie_heavy_pool_prefers_lower_position(self):
         # Many identical rows: the argpartition prescreen must keep
@@ -54,17 +49,16 @@ class TestExactTopK:
         interest = rng.normal(size=(3, 8))
         for block in (7, 64, 512):
             got = exact_top_k(interest, rows, 90, mix=MIX, block_size=block)
-            assert np.array_equal(got, _reference_order(interest, rows,
-                                                        None, 90))
+            assert np.array_equal(got, _reference_order(interest, rows, 90))
 
     def test_k_covers_pool(self):
-        rows, interest, _ = _clustered(30)
+        rows, interest = _clustered(30)
         got = exact_top_k(interest, rows, 100, mix=MIX, block_size=8)
         assert got.shape[0] == 30
         assert np.array_equal(np.sort(got), np.arange(30))
 
     def test_invalid_k(self):
-        rows, interest, _ = _clustered(10)
+        rows, interest = _clustered(10)
         with pytest.raises(ValueError, match="k must be"):
             exact_top_k(interest, rows, 0, mix=MIX)
 
@@ -74,23 +68,25 @@ class TestBatchExactTopK:
         # The batched ranker must not just agree on order: positions AND
         # float score bits must match the lone-query path, for every
         # query in the batch, at awkward block boundaries.
-        rows, _, novelty = _clustered(257)
+        rows, _ = _clustered(257)
         rng = np.random.default_rng(7)
         interests = [rng.normal(size=(m, rows.shape[1]))
                      for m in (1, 3, 4, 2, 5)]
         ks = [1, 10, 50, 257, 300]
         batched = batch_exact_top_k(interests, rows, ks, mix=MIX,
-                                    novelty=novelty, novelty_weight=0.3,
                                     block_size=13)
         for interest, k, (positions, scores) in zip(interests, ks, batched):
-            solo_pos, solo_scores = exact_top_k_scored(
-                interest, rows, k, mix=MIX, novelty=novelty,
-                novelty_weight=0.3, block_size=13)
+            ((solo_pos, solo_scores),) = batch_exact_top_k(
+                [interest], rows, [k], mix=MIX, block_size=13)
             assert np.array_equal(positions, solo_pos)
             assert np.array_equal(scores, solo_scores)  # exact bits
+            assert np.array_equal(solo_pos, exact_top_k(
+                interest, rows, k, mix=MIX, block_size=13))
+            assert np.array_equal(solo_pos,
+                                  _reference_order(interest, rows, k))
 
     def test_block_size_never_changes_the_answer(self):
-        rows, _, _ = _clustered(100)
+        rows, _ = _clustered(100)
         rng = np.random.default_rng(11)
         interests = [rng.normal(size=(2, rows.shape[1])) for _ in range(3)]
         reference = batch_exact_top_k(interests, rows, [20, 20, 20],
@@ -102,7 +98,7 @@ class TestBatchExactTopK:
                 assert np.array_equal(ref_pos, pos)
 
     def test_empty_batch_and_length_mismatch(self):
-        rows, _, _ = _clustered(10)
+        rows, _ = _clustered(10)
         assert batch_exact_top_k([], rows, [], mix=MIX) == []
         with pytest.raises(ValueError, match="interest matrices but"):
             batch_exact_top_k([rows[:2]], rows, [3, 4], mix=MIX)
@@ -112,7 +108,7 @@ class TestRankCandidates:
     def test_matches_search_composition(self):
         # search() == gather() + rank_candidates() — the decomposition
         # batch_top_k relies on to score IVF probes outside the lock.
-        rows, interest, _ = _clustered(300)
+        rows, interest = _clustered(300)
         index = IVFIndex(n_lists=8, seed=0).fit(rows)
         for nprobe in (2, 5):
             direct, _ = index.search(interest, rows, 12, nprobe=nprobe,
@@ -138,14 +134,14 @@ class TestRankCandidates:
 
 class TestKMeans:
     def test_fit_is_deterministic(self):
-        rows, _, _ = _clustered(300)
+        rows, _ = _clustered(300)
         a = IVFIndex(n_lists=12, seed=5).fit(rows)
         b = IVFIndex(n_lists=12, seed=5).fit(rows)
         assert np.array_equal(a.centroids, b.centroids)
         assert np.array_equal(a.assignments, b.assignments)
 
     def test_assignments_partition_the_pool(self):
-        rows, _, _ = _clustered(211)
+        rows, _ = _clustered(211)
         ivf = IVFIndex(n_lists=9).fit(rows)
         sizes = ivf.list_sizes()
         assert sizes.sum() == 211
@@ -155,7 +151,7 @@ class TestKMeans:
         assert np.array_equal(members, np.arange(211))
 
     def test_n_lists_capped_at_rows(self):
-        rows, _, _ = _clustered(5)
+        rows, _ = _clustered(5)
         ivf = IVFIndex(n_lists=64).fit(rows)
         assert ivf.num_lists == 5
 
@@ -170,27 +166,23 @@ class TestKMeans:
 
 class TestSearch:
     def test_full_probe_equals_exact_ranking(self):
-        rows, interest, novelty = _clustered(400)
+        rows, interest = _clustered(400)
         ivf = IVFIndex(n_lists=16).fit(rows)
         for block in (11, 512):
-            exact = exact_top_k(interest, rows, 25, mix=MIX, novelty=novelty,
-                                novelty_weight=0.3, block_size=block)
+            exact = exact_top_k(interest, rows, 25, mix=MIX, block_size=block)
             got, stats = ivf.search(interest, rows, 25, mix=MIX,
-                                    novelty=novelty, novelty_weight=0.3,
                                     nprobe=ivf.num_lists, block_size=block)
             assert stats.candidates_scanned == 400
             assert stats.scan_fraction == 1.0
             assert np.array_equal(got, exact)
 
     def test_recall_is_monotone_in_nprobe(self):
-        rows, interest, novelty = _clustered(600)
+        rows, interest = _clustered(600)
         ivf = IVFIndex(n_lists=24).fit(rows)
-        exact = set(exact_top_k(interest, rows, 10, mix=MIX, novelty=novelty,
-                                novelty_weight=0.3).tolist())
+        exact = set(exact_top_k(interest, rows, 10, mix=MIX).tolist())
         previous = -1.0
         for nprobe in (1, 2, 4, 8, 16, 24):
             got, stats = ivf.search(interest, rows, 10, mix=MIX,
-                                    novelty=novelty, novelty_weight=0.3,
                                     nprobe=nprobe)
             recall = len(set(got.tolist()) & exact) / 10
             assert recall >= previous  # superset candidates, monotone recall
@@ -199,7 +191,7 @@ class TestSearch:
         assert previous == 1.0  # all lists probed == exact top-k
 
     def test_nprobe_is_clamped(self):
-        rows, interest, _ = _clustered(100)
+        rows, interest = _clustered(100)
         ivf = IVFIndex(n_lists=8).fit(rows)
         low, _ = ivf.search(interest, rows, 5, mix=MIX, nprobe=0)
         high, stats = ivf.search(interest, rows, 5, mix=MIX, nprobe=10_000)
@@ -207,7 +199,7 @@ class TestSearch:
         assert stats.candidates_scanned == 100  # clamped to every list
 
     def test_search_before_fit(self):
-        rows, interest, _ = _clustered(20)
+        rows, interest = _clustered(20)
         with pytest.raises(ValueError, match="before fit"):
             IVFIndex(n_lists=4).search(interest, rows, 5, mix=MIX)
         with pytest.raises(ValueError, match="before fit"):
@@ -216,7 +208,7 @@ class TestSearch:
 
 class TestIncrementalGrowth:
     def test_add_assigns_appended_positions(self):
-        rows, _, _ = _clustered(120)
+        rows, _ = _clustered(120)
         ivf = IVFIndex(n_lists=8).fit(rows[:100])
         for i in range(100, 120):
             ivf.add(rows[i])
@@ -226,7 +218,7 @@ class TestIncrementalGrowth:
         assert np.array_equal(members, np.arange(120))
 
     def test_lopsided_growth_trips_recluster(self):
-        rows, _, _ = _clustered(200, centers=8, seed=2)
+        rows, _ = _clustered(200, centers=8, seed=2)
         ivf = IVFIndex(n_lists=8, recluster_factor=2.0).fit(rows)
         target = ivf.centroids[0]  # pile clones onto one list
         fired = False
@@ -239,20 +231,18 @@ class TestIncrementalGrowth:
 
 class TestPersistence:
     def test_array_round_trip(self):
-        rows, interest, novelty = _clustered(150)
+        rows, interest = _clustered(150)
         ivf = IVFIndex(n_lists=10, seed=3, max_iter=9,
                        recluster_factor=3.0).fit(rows)
         clone = IVFIndex.from_arrays(ivf.to_arrays(), ivf.meta())
         assert clone.seed == 3 and clone.recluster_factor == 3.0
         assert np.array_equal(clone.assignments, ivf.assignments)
-        a, _ = ivf.search(interest, rows, 12, mix=MIX, novelty=novelty,
-                          novelty_weight=0.3, nprobe=4)
-        b, _ = clone.search(interest, rows, 12, mix=MIX, novelty=novelty,
-                            novelty_weight=0.3, nprobe=4)
+        a, _ = ivf.search(interest, rows, 12, mix=MIX, nprobe=4)
+        b, _ = clone.search(interest, rows, 12, mix=MIX, nprobe=4)
         assert np.array_equal(a, b)
 
     def test_from_arrays_validates_assignments(self):
-        rows, _, _ = _clustered(50)
+        rows, _ = _clustered(50)
         ivf = IVFIndex(n_lists=5).fit(rows)
         arrays = ivf.to_arrays()
         arrays["assignments"] = arrays["assignments"].copy()

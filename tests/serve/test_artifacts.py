@@ -64,7 +64,6 @@ class TestRoundTrip:
             original.model.graph.to_payload()
         assert reloaded.model.block_gates == original.model.block_gates
         assert reloaded.config == original.config
-        assert reloaded._novelty == original._novelty
         assert sorted(reloaded._train_by_id) == sorted(original._train_by_id)
 
     def test_sem_components_restored(self, artifact, fitted_recommender):
@@ -119,6 +118,17 @@ class TestFailureModes:
         with pytest.raises(SchemaVersionError, match="schema version"):
             load_pipeline(directory)
 
+    def test_v3_artifact_is_refused(self, artifact, tmp_path):
+        # v4 dropped the novelty payload and its config field: a v3
+        # directory must be re-saved, never half-read.
+        assert SCHEMA_VERSION == 4
+        directory = _copy(artifact[0], tmp_path)
+        manifest = json.loads((directory / "manifest.json").read_text())
+        manifest["schema_version"] = 3
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SchemaVersionError, match="schema version 3"):
+            load_pipeline(directory)
+
     def test_schema_error_is_artifact_error(self):
         # Callers catching the broad class also see version mismatches.
         assert issubclass(SchemaVersionError, ArtifactError)
@@ -134,8 +144,8 @@ class TestFailureModes:
 
     def test_missing_payload_file(self, artifact, tmp_path):
         directory = _copy(artifact[0], tmp_path)
-        (directory / "serve.json").unlink()
-        with pytest.raises(ArtifactError, match="serve.json"):
+        (directory / "papers.json").unlink()
+        with pytest.raises(ArtifactError, match="papers.json"):
             load_pipeline(directory)
 
     def test_wrong_kind_rejected(self, artifact, tmp_path):

@@ -1,10 +1,13 @@
 """CLI tests: warmup -> query against a real artifact, plus arg handling."""
 
+import dataclasses
 import json
+import shutil
 
 import pytest
 
-from repro.serve.__main__ import main
+from repro.serve import ServingIndex, WriteAheadLog, load_pool
+from repro.serve.__main__ import _default_wal, _manifest_task, main
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +46,7 @@ class TestQuery:
         import shutil
         broken = tmp_path / "broken"
         shutil.copytree(warm_dir, broken)
-        (broken / "serve.json").write_text("tampered")
+        (broken / "papers.json").write_text("tampered")
         code = main(["query", "--dir", str(broken), "-k", "3"])
         captured = capsys.readouterr()
         assert code == 0
@@ -110,8 +113,7 @@ class TestSchedulerFlags:
 
 class TestHealthPool:
     def test_health_probes_the_evaluation_pool(self, warm_dir, capsys):
-        from repro.serve.__main__ import _reload_task
-        pool = _reload_task(str(warm_dir)).new_papers
+        pool = _manifest_task(str(warm_dir)).new_papers
         code = main(["health", "--dir", str(warm_dir)])
         report = json.loads(capsys.readouterr().out)
         assert code == 0
@@ -120,6 +122,42 @@ class TestHealthPool:
         assert report["checks"]["embeddings"]["rows"] == len(pool)
         assert report["checks"]["fallback"] == {"ok": True, "healed": False,
                                                 "probed": True}
+
+
+class TestCompact:
+    def test_compact_keeps_the_pool_and_its_order(self, warm_dir, tmp_path,
+                                                  capsys):
+        directory = tmp_path / "artifact"
+        shutil.copytree(warm_dir, directory)  # compact rewrites it
+        task = _manifest_task(str(directory))
+        live = ServingIndex.from_artifact(
+            directory, papers=task.new_papers,
+            wal=WriteAheadLog(_default_wal(str(directory))))
+        for i, template in enumerate(task.new_papers[:2]):
+            live.add_paper(dataclasses.replace(
+                template, id=f"cli-compact-{i}", references=(),
+                citation_count=0))
+        live.wal.close()
+        capsys.readouterr()
+
+        assert main(["compact", "--dir", str(directory)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["records_compacted"] == 2
+        assert summary["pool_size"] == live.num_papers
+        assert [p.id for p in load_pool(directory)] == live.paper_ids
+        # The re-saved manifest still names the task, and a restart
+        # comes back with the never-crashed pool order.
+        assert _manifest_task(str(directory)) is not None
+        restarted = ServingIndex.from_artifact(directory,
+                                               papers=task.new_papers)
+        assert restarted.paper_ids == live.paper_ids
+
+    @pytest.mark.parametrize("argv", [
+        ["query"], ["compact"], ["swap", "--candidate", "elsewhere"]])
+    def test_artifact_without_task_exits_2(self, artifact, argv, capsys):
+        code = main(argv + ["--dir", str(artifact[0])])
+        assert code == 2
+        assert "records no evaluation task" in capsys.readouterr().err
 
 
 class TestParsing:

@@ -7,7 +7,7 @@ ids **and** scores, across the exact and IVF strategies, with cache
 hits, cache misses, and degraded-user requests mixed into the same
 batches. Serial :meth:`ServingIndex.top_k` is itself a batch of one, so
 the oracle checks its ids against the reference rankers
-(:func:`exact_top_k_scored`, :func:`rank_candidates`). The stress tests
+(:func:`batch_exact_top_k` as a batch of one, :func:`rank_candidates`). The stress tests
 then race ``add_paper`` and ``set_nprobe`` against batched queries and
 replay every response against a fresh replica index driven to the same
 pool version, proving no request was dropped, torn, or answered from a
@@ -35,7 +35,7 @@ import repro.serve.index as index_module
 from repro.errors import GraphError
 from repro.resilience import faults
 from repro.serve import BatchScheduler, ServingIndex
-from repro.serve.ann import exact_top_k_scored, rank_candidates
+from repro.serve.ann import batch_exact_top_k, rank_candidates
 from repro.serve.scheduler import SheddingGovernor
 
 
@@ -79,18 +79,15 @@ def _oracle(index, user, k):
         except GraphError:
             return ids, None
     cfg = index._recommender.config
-    novelty = (index._novelty_scores() if cfg.influence_weight > 0 else None)
     if index.index_kind == "ivf":
         ann = index._ensure_ann()
         candidates, _ = ann.gather(interest, cfg.max_pool_mix, index.nprobe)
         positions, scores = rank_candidates(
             interest, index._influence, candidates, k, mix=cfg.max_pool_mix,
-            novelty=novelty, novelty_weight=cfg.influence_weight,
             block_size=index.block_size)
     else:
-        positions, scores = exact_top_k_scored(
-            interest, index._influence, k, mix=cfg.max_pool_mix,
-            novelty=novelty, novelty_weight=cfg.influence_weight,
+        ((positions, scores),) = batch_exact_top_k(
+            [interest], index._influence, [k], mix=cfg.max_pool_mix,
             block_size=index.block_size)
     assert ids == [index.paper_ids[int(p)] for p in positions]
     return ids, scores

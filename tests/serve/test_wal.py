@@ -242,6 +242,25 @@ class TestCrashRecovery:
         # The artifact it re-saved still verifies clean.
         assert restarted.health(probe=False)["checks"]["artifact"]["ok"]
 
+    @pytest.mark.parametrize("elsewhere", [False, True])
+    def test_compact_keeps_the_manifest_extra(self, artifact, serve_task,
+                                              tmp_path, elsewhere):
+        source, _ = artifact
+        directory = tmp_path / "pipeline"
+        shutil.copytree(source, directory)
+        manifest_path = directory / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["extra"] = {"corpus": "acm", "scale": 0.3, "seed": 0}
+        manifest_path.write_text(json.dumps(manifest))
+        live = ServingIndex.from_artifact(
+            directory, papers=list(serve_task.new_papers),
+            wal=WriteAheadLog(tmp_path / "ingest.wal"))
+        live.add_paper(_fresh_papers(serve_task, 1, "extra")[0])
+        target = tmp_path / "compacted" if elsewhere else directory
+        live.compact(target if elsewhere else None)
+        resaved = json.loads((target / "manifest.json").read_text())
+        assert resaved["extra"] == manifest["extra"]
+
     def test_replay_is_idempotent_for_known_papers(self, serve_task,
                                                    tmp_path, obs_enabled):
         # Degraded (TF-IDF only) index: replay idempotence is a pool-
