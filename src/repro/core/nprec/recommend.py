@@ -168,13 +168,10 @@ class NPRecRecommender(Recommender):
         if not candidates:
             return []
         with obs.trace("nprec.recommend.rank", user_papers=len(user_papers),
-                       candidates=len(candidates)) as span:
+                       candidates=len(candidates)):
             obs.count("nprec.recommend.queries")
             obs.observe("nprec.recommend.candidate_set_size", len(candidates))
-            ranked = self._rank(user_papers, candidates)
-        obs.observe("nprec.recommend.rank.duration_seconds", span.duration)
-        obs.observe_quantile("nprec.recommend.rank.latency", span.duration)
-        return ranked
+            return self._rank(user_papers, candidates)
 
     def _rank(self, user_papers: Sequence[Paper],
               candidates: Sequence[Paper]) -> list[str]:

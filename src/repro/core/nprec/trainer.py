@@ -109,6 +109,4 @@ class NPRecTrainer:
             span.set("accuracy", accuracy)
         obs.observe("nprec.train.epoch_loss", mean_loss)
         obs.observe("nprec.train.epoch_accuracy", accuracy)
-        obs.observe("nprec.train.epoch_duration_seconds", span.duration)
-        obs.observe_quantile("nprec.train.epoch.latency", span.duration)
         return mean_loss, accuracy

@@ -196,8 +196,6 @@ class TwinNetworkTrainer:
             span.set("rule_agreement", agreement)
         obs.observe("sem.twin.epoch_hinge_loss", mean_loss)
         obs.observe("sem.twin.epoch_rule_agreement", agreement)
-        obs.observe("sem.twin.epoch_duration_seconds", span.duration)
-        obs.observe_quantile("sem.twin.epoch.latency", span.duration)
         return mean_loss, violations / len(triplets)
 
     def violation_rate(self, triplets: Sequence[Triplet],

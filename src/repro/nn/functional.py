@@ -50,21 +50,6 @@ def euclidean_distance(a: Tensor, b: Tensor, eps: float = 1e-12) -> Tensor:
     return ((diff * diff).sum(axis=-1) + eps) ** 0.5
 
 
-def tanh(x: Tensor) -> Tensor:
-    """Functional alias for :meth:`Tensor.tanh`."""
-    return x.tanh()
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    """Functional alias for :meth:`Tensor.sigmoid`."""
-    return x.sigmoid()
-
-
-def relu(x: Tensor) -> Tensor:
-    """Functional alias for :meth:`Tensor.relu`."""
-    return x.relu()
-
-
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool = True) -> Tensor:
     """Inverted dropout: zero a fraction *rate* of entries and rescale."""
     if not training or rate <= 0.0:

@@ -15,13 +15,6 @@ def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator | int | None
     return rng.uniform(-bound, bound, size=shape)
 
 
-def he_normal(shape: tuple[int, ...], rng: np.random.Generator | int | None = None) -> np.ndarray:
-    """He/Kaiming normal init: N(0, sqrt(2 / fan_in)) — suited to ReLU."""
-    rng = as_generator(rng)
-    fan_in, _ = _fans(shape)
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-
-
 def normal(shape: tuple[int, ...], std: float = 0.02, rng: np.random.Generator | int | None = None) -> np.ndarray:
     """Plain Gaussian init with configurable standard deviation."""
     return as_generator(rng).normal(0.0, std, size=shape)

@@ -198,13 +198,6 @@ class ReLU(Module):
         return x.relu()
 
 
-class Sigmoid(Module):
-    """Elementwise sigmoid as a layer."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
 class MLP(Module):
     """Multi-layer perceptron with tanh hidden activations (paper Eqs. 7-8).
 
@@ -213,15 +206,15 @@ class MLP(Module):
     sizes:
         Layer widths, e.g. ``[768, 128, 64]`` builds two affine layers.
     activation:
-        ``"tanh"`` (paper default), ``"relu"``, or ``"sigmoid"``.
+        ``"tanh"`` (paper default) or ``"relu"``.
     final_activation:
         Whether to apply the nonlinearity after the last layer too.
     """
 
-    _ACTIVATIONS = {"tanh": Tanh, "relu": ReLU, "sigmoid": Sigmoid}
+    _ACTIVATIONS = {"tanh": Tanh, "relu": ReLU}
 
     def __init__(self, sizes: Sequence[int], activation: str = "tanh",
-                 final_activation: bool = True, dropout_rate: float = 0.0,
+                 final_activation: bool = True,
                  rng: np.random.Generator | int | None = None) -> None:
         sizes = list(sizes)
         if len(sizes) < 2:
@@ -235,8 +228,6 @@ class MLP(Module):
             last = i == len(sizes) - 2
             if not last or final_activation:
                 steps.append(self._ACTIVATIONS[activation]())
-            if dropout_rate > 0 and not last:
-                steps.append(Dropout(dropout_rate, rng=generator))
         self.net = Sequential(*steps)
         self.sizes = sizes
 

@@ -1,4 +1,8 @@
-"""Loss functions: hinge/margin ranking (paper Eq. 14), BCE, CE, MSE."""
+"""Loss functions: BCE (paper Eq. 23), cross-entropy, L2 and MSE.
+
+The Eq. 14 hinge is written inline in
+:class:`~repro.core.twin.TwinNetworkTrainer`.
+"""
 
 from __future__ import annotations
 
@@ -6,31 +10,6 @@ import numpy as np
 
 from repro.nn.functional import log_softmax
 from repro.nn.tensor import Tensor, as_tensor
-
-
-def margin_ranking_loss(pos_distance: Tensor, neg_distance: Tensor,
-                        margin: float = 1.0) -> Tensor:
-    """Hinge contrastive loss from paper Eq. 14 (without the L2 term).
-
-    For a triplet (p, q, q') annotated so the *positive* pair (p, q) should
-    have the **larger** difference, the loss penalises orderings where the
-    model's D(p, q) does not exceed D(p, q') by at least *margin*:
-
-    ``mean(max(0, D(p, q') - D(p, q) + margin))``
-
-    Parameters
-    ----------
-    pos_distance:
-        Model distance of pairs annotated as *more different* — should end
-        up larger.
-    neg_distance:
-        Model distance of pairs annotated as *less different*.
-    margin:
-        The epsilon slack in Eq. 14.
-    """
-    if margin < 0:
-        raise ValueError(f"margin must be non-negative, got {margin}")
-    return (neg_distance - pos_distance + margin).clip_min(0.0).mean()
 
 
 def l2_regularization(params: list[Tensor], weight: float) -> Tensor:

@@ -23,7 +23,11 @@ Instrumenting code::
         span.set("hits", hits)
     obs.count("my.dropped", n_dropped, reason="threshold")
     obs.gauge("my.queue_depth", depth)
-    obs.observe("my.latency_seconds", seconds)
+    obs.observe("my.batch_size", len(items))
+
+A span is the one record of a stage's duration: run snapshots carry its
+``span.<name>:calls|total|mean`` aggregates, so durations need no
+histogram of their own.
 
 The metric/span name vocabulary used by the library itself is documented
 in ``docs/API.md`` (section "repro.obs").
@@ -331,10 +335,10 @@ def observe_quantile(name: str, value: float, *,
 
     The P² sketch behind each child keeps p50/p90/p99 estimates in O(1)
     memory (see :mod:`repro.obs.quantiles`); no-op when observability is
-    off. Latency call sites record into both a bucket histogram (for
-    Prometheus-style aggregation) and a quantile family (for exact-ish
-    tail percentiles in run snapshots and SLO checks). ``trace_id`` pins
-    the exemplar to a specific request (see :func:`observe`).
+    off. Spans own durations; a sketch is only for a latency whose tail
+    an SLO judges (``serve.query.latency`` and ``serve.ingest.latency``,
+    :func:`repro.obs.slo.default_serving_slos`). ``trace_id`` pins the
+    exemplar to a specific request (see :func:`observe`).
     """
     state = _config._STATE
     if state.enabled:

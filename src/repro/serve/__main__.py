@@ -55,6 +55,7 @@ three exit 2, and ``health`` and ``serve`` use an empty pool.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -180,6 +181,39 @@ def _require_task(command: str, directory: str) -> RecommendationTask | None:
     return task
 
 
+@contextlib.contextmanager
+def _obs_enabled():
+    """Record with obs on for one command, then restore the prior state.
+
+    A one-shot command's own work (the load, the fallback probe, a WAL
+    replay) then feeds the latency SLOs, and callers that embed the CLI
+    see no lasting change to their obs configuration.
+    """
+    from repro import obs
+
+    was_enabled = obs.is_enabled()
+    obs.configure(enabled=True)
+    try:
+        yield
+    finally:
+        obs.configure(enabled=was_enabled)
+
+
+def _load_usable(command: str, args: argparse.Namespace,
+                 task: RecommendationTask, wal,
+                 what: str = "artifact") -> ServingIndex | None:
+    """Load ``args.dir`` over the task's pool with the ``--retries`` and
+    index flags; None, reported on stderr, when the load degrades."""
+    index = ServingIndex.from_artifact(args.dir, papers=task.new_papers,
+                                       wal=wal, retry_attempts=args.retries,
+                                       **_index_kwargs(args))
+    if index.degraded:
+        print(f"cannot {command}: {what} at {args.dir} is unusable "
+              f"({index._degraded_reason})", file=sys.stderr)
+        return None
+    return index
+
+
 def cmd_query(args: argparse.Namespace) -> int:
     task = _require_task("query", args.dir)
     if task is None:
@@ -255,16 +289,7 @@ def cmd_smoke(args: argparse.Namespace) -> int:
 
 
 def cmd_health(args: argparse.Namespace) -> int:
-    from repro import obs
-
-    # Capture the health probe itself so latency SLOs have data even in
-    # a one-shot CLI run (the load + fallback probe both record); the
-    # prior obs state is restored so the CLI helper stays side-effect
-    # free for embedding callers.
-    was_enabled = obs.is_enabled()
-    obs.configure(enabled=True)
-    scheduler = None
-    try:
+    with _obs_enabled(), contextlib.ExitStack() as stack:
         # The pool `query` serves; empty when the manifest records no
         # task (an unreadable one degrades the load and is reported).
         task = _manifest_task(args.dir)
@@ -287,11 +312,8 @@ def cmd_health(args: argparse.Namespace) -> int:
             scheduler = BatchScheduler(index, max_batch=args.max_batch,
                                        max_wait_ms=args.max_wait_ms,
                                        queue_depth=args.queue_depth)
+            stack.callback(scheduler.close)
         report = index.health()
-    finally:
-        if scheduler is not None:
-            scheduler.close()
-        obs.configure(enabled=was_enabled)
     # stdout stays pure JSON (machine-readable); the per-SLO summary
     # lines go to stderr alongside any UNHEALTHY banner.
     print(json.dumps(report, indent=2, sort_keys=True))
@@ -319,30 +341,21 @@ def _default_wal(directory: str) -> str:
 
 
 def cmd_compact(args: argparse.Namespace) -> int:
-    from repro import obs
     from repro.serve.wal import WriteAheadLog
 
     task = _require_task("compact", args.dir)
     if task is None:
         return 2
-    was_enabled = obs.is_enabled()
-    obs.configure(enabled=True)
-    try:
-        wal_path = args.wal or _default_wal(args.dir)
+    wal_path = args.wal or _default_wal(args.dir)
+    with _obs_enabled():
         # The evaluation pool first, then every durable record replayed
         # (recovering any torn tail first): the in-memory pool is exactly
         # what a crashed server would come back with, in its order —
         # that is what gets baked in.
-        index = ServingIndex.from_artifact(
-            args.dir, papers=task.new_papers, wal=WriteAheadLog(wal_path),
-            retry_attempts=args.retries, **_index_kwargs(args))
-        if index.degraded:
-            print(f"cannot compact: artifact at {args.dir} is unusable "
-                  f"({index._degraded_reason})", file=sys.stderr)
+        index = _load_usable("compact", args, task, WriteAheadLog(wal_path))
+        if index is None:
             return 2
         summary = index.compact()
-    finally:
-        obs.configure(enabled=was_enabled)
     summary["wal"] = wal_path
     print(json.dumps(summary, indent=2, sort_keys=True))
     print(f"compacted {summary['records_compacted']} WAL records into "
@@ -352,24 +365,16 @@ def cmd_compact(args: argparse.Namespace) -> int:
 
 
 def cmd_swap(args: argparse.Namespace) -> int:
-    from repro import obs
     from repro.serve.swap import HotSwapper
     from repro.serve.wal import WriteAheadLog
 
     task = _require_task("swap", args.dir)
     if task is None:
         return 2
-    was_enabled = obs.is_enabled()
-    obs.configure(enabled=True)
-    try:
+    with _obs_enabled():
         wal = WriteAheadLog(args.wal) if args.wal else None
-        index = ServingIndex.from_artifact(args.dir, papers=task.new_papers,
-                                           wal=wal,
-                                           retry_attempts=args.retries,
-                                           **_index_kwargs(args))
-        if index.degraded:
-            print(f"cannot swap: live artifact at {args.dir} is unusable "
-                  f"({index._degraded_reason})", file=sys.stderr)
+        index = _load_usable("swap", args, task, wal, what="live artifact")
+        if index is None:
             return 2
         # The evaluation users double as the canary golden set — both
         # indexes answer the same queries and must mostly agree.
@@ -379,8 +384,6 @@ def cmd_swap(args: argparse.Namespace) -> int:
                              min_overlap=args.min_overlap,
                              retry_attempts=args.retries)
         report = swapper.swap(args.candidate)
-    finally:
-        obs.configure(enabled=was_enabled)
     print(json.dumps(report.snapshot(), indent=2, sort_keys=True))
     if report.swapped:
         print(f"swapped to {args.candidate} "

@@ -483,28 +483,12 @@ class ServingIndex:
                 self._append(paper, row, content_vector)
                 self._cache.clear()
                 position = self._positions[paper.id]
-        self._observe_latency("serve.ingest", span.duration,
-                              trace_id=span.trace_id)
+        # The P² sketch behind the serve.ingest.p99 SLO. span.duration is
+        # only set once the request context exits (unbinding the ambient
+        # trace ID), so the exemplar's ID is passed explicitly.
+        obs.observe_quantile("serve.ingest.latency", span.duration,
+                             trace_id=span.trace_id)
         return position
-
-    @staticmethod
-    def _observe_latency(name: str, seconds: float,
-                         trace_id: str | None = None, **labels: str) -> None:
-        """Record one latency sample into histogram + quantile families.
-
-        ``<name>.duration_seconds`` keeps the fixed Prometheus buckets;
-        ``<name>.latency`` feeds the P² sketch whose p50/p90/p99 back the
-        serving SLOs (:func:`repro.obs.slo.default_serving_slos`) and the
-        run-snapshot regression gate. Labels (e.g. ``cache=hit|miss``)
-        apply to both twins. ``trace_id`` is the request the sample
-        belongs to — ``span.duration`` is only set once the request
-        context exits (unbinding the ambient ID), so the exemplar ID
-        must be passed explicitly. Both are no-ops when obs is off.
-        """
-        obs.observe(f"{name}.duration_seconds", seconds,
-                    trace_id=trace_id, **labels)
-        obs.observe_quantile(f"{name}.latency", seconds,
-                             trace_id=trace_id, **labels)
 
     def _prepare_ingest(self, paper: Paper) -> tuple:
         """The fallible, side-effect-free half of ingestion, retried.
@@ -628,12 +612,18 @@ class ServingIndex:
         ``pool/pool.json`` (:func:`repro.serve.artifacts.save_pool`),
         re-saves the pipeline — whose graph/model/field-sampler state
         already contains every WAL-covered ingest — and only *then*
-        truncates the log, so a crash at any point during compaction
-        still recovers (worst case: the old artifact plus a full log).
-        A restarted :meth:`from_artifact` merges ``pool/pool.json`` with
-        its ``papers`` argument, so compacted ingests survive without
-        any WAL records. The re-saved manifest keeps the loaded one's
-        ``extra`` task metadata, which the CLI rebuilds its pool from.
+        truncates the log, so the log is never emptied before the new
+        artifact is complete. Compaction is **not** crash-atomic:
+        :func:`~repro.serve.artifacts.save_pipeline` rewrites each payload
+        file in place and the manifest last, so a crash between those
+        writes leaves new payloads under the old checksums. The next
+        :meth:`from_artifact` then fails verification and serves the
+        degraded TF-IDF fallback; the model is lost although the log is
+        intact. A restarted :meth:`from_artifact` merges
+        ``pool/pool.json`` with its ``papers`` argument, so compacted
+        ingests survive without any WAL records. The re-saved manifest
+        keeps the loaded one's ``extra`` task metadata, which the CLI
+        rebuilds its pool from.
 
         *directory* defaults to the artifact directory the index was
         loaded from. Returns a summary dict (records compacted, pool
@@ -849,8 +839,8 @@ class ServingIndex:
             span.set("cache", result.cache)
         # Split by cache outcome: hit-path latency is microseconds and
         # would otherwise mask the miss-path tail in the merged p99.
-        self._observe_latency("serve.query", span.duration,
-                              trace_id=span.trace_id, cache=result.cache)
+        obs.observe_quantile("serve.query.latency", span.duration,
+                             trace_id=span.trace_id, cache=result.cache)
         return result.ids
 
     def cached_top_k(self, user: "str | Sequence[Paper]",
@@ -877,8 +867,9 @@ class ServingIndex:
                 return None
             obs.count("serve.queries")
             version = self._pool_version
-        self._observe_latency("serve.query", time.perf_counter() - start,
-                              trace_id=obs.current_trace_id(), cache="hit")
+        obs.observe_quantile("serve.query.latency",
+                             time.perf_counter() - start,
+                             trace_id=obs.current_trace_id(), cache="hit")
         return BatchQueryResult(ids=ids, scores=None, pool_version=version,
                                 cache="hit")
 
@@ -905,8 +896,8 @@ class ServingIndex:
                                            self._ids)
                        if self._papers else [])
             span.set("cache", "shed")
-        self._observe_latency("serve.query", span.duration,
-                              trace_id=span.trace_id, cache="shed")
+        obs.observe_quantile("serve.query.latency", span.duration,
+                             trace_id=span.trace_id, cache="shed")
         return BatchQueryResult(ids=ids, scores=None, pool_version=version,
                                 cache="shed", degraded_reason="shed")
 

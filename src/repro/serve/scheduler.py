@@ -400,8 +400,8 @@ class BatchScheduler:
                 latency = done - ticket.enqueued
                 if res.error is None:
                     self.governor.record(latency)
-                    ServingIndex._observe_latency(
-                        "serve.query", latency,
+                    obs.observe_quantile(
+                        "serve.query.latency", latency,
                         trace_id=ticket.trace_id, cache=res.cache)
                 ticket._resolve(res)
         finally:

@@ -16,7 +16,6 @@ from repro.nn import (
     cross_subspace_attention,
     fuse_with_context,
     l2_regularization,
-    margin_ranking_loss,
     mse_loss,
     parameter,
     softmax,
@@ -83,20 +82,6 @@ class TestOptim:
 
 
 class TestLosses:
-    def test_margin_ranking_zero_when_satisfied(self):
-        pos = Tensor([5.0, 5.0])
-        neg = Tensor([1.0, 1.0])
-        assert margin_ranking_loss(pos, neg, margin=1.0).item() == 0.0
-
-    def test_margin_ranking_penalises_violations(self):
-        pos = Tensor([0.0])
-        neg = Tensor([0.0])
-        assert margin_ranking_loss(pos, neg, margin=1.0).item() == pytest.approx(1.0)
-
-    def test_margin_negative_raises(self):
-        with pytest.raises(ValueError):
-            margin_ranking_loss(Tensor([1.0]), Tensor([0.0]), margin=-1.0)
-
     def test_bce_matches_reference(self):
         logits = Tensor([0.0, 2.0, -2.0])
         targets = np.array([1.0, 1.0, 0.0])

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.obs import runs
 from repro.core.nprec import NPRecModel, NPRecTrainer, build_training_pairs
 from repro.core.nprec.sampling import defuzzed_negatives
 from repro.core.rules import ExpertRuleSet
@@ -71,12 +72,11 @@ class TestTrainerTelemetry:
         reg = obs.get_registry()
         assert reg.get("nprec.train.epoch_loss").count == epochs
         assert reg.get("nprec.train.epoch_accuracy").count == epochs
-        assert reg.get("nprec.train.epoch_duration_seconds").count == epochs
         assert reg.get("nprec.train.grad_steps").value >= epochs
-        # The streaming-quantile twin of the epoch-duration histogram.
-        latency = reg.get("nprec.train.epoch.latency")
-        assert latency.count == epochs
-        assert latency.estimate(0.99) > 0
+        # The epoch spans are the one record of an epoch's duration.
+        flat = runs.flatten(runs.capture_run())
+        assert flat["span.nprec.train.epoch:calls"] == epochs
+        assert flat["span.nprec.train.epoch:total"] > 0
 
     def test_profiling_captures_training_allocations(self, obs_profiling,
                                                      acm_small, train_papers,
@@ -146,9 +146,26 @@ class TestTwinTelemetry:
         # Agreement is the complement of the reported violation rate.
         assert agreement.sum == pytest.approx(
             sum(1.0 - v for v in history.violation_rates))
-        assert reg.get("sem.twin.epoch.latency").count == epochs
-        names = [s.name for s in obs.get_tracer().spans]
-        assert names.count("sem.twin.train.epoch") == epochs
+        flat = runs.flatten(runs.capture_run())
+        assert flat["span.sem.twin.train.epoch:calls"] == epochs
+
+
+class TestFitTelemetry:
+    def test_fit_durations_are_spans_only(self, obs_enabled, acm_small):
+        from repro.core.nprec import NPRecConfig, NPRecRecommender
+        from repro.core.sem import SEMConfig
+
+        train, new = acm_small.split_by_year(2014)
+        epochs = 2
+        NPRecRecommender(NPRecConfig(
+            seed=0, epochs=epochs, max_positives=30,
+            sem=SEMConfig(n_triplets=10, epochs=1))).fit(acm_small, train, new)
+        flat = runs.flatten(runs.capture_run())
+        assert flat["span.nprec.train.epoch:calls"] == epochs
+        assert flat["span.sem.twin.train.epoch:calls"] > 0
+        durations = [key for key in flat if not key.startswith("span.")
+                     and ("duration_seconds" in key or ".latency" in key)]
+        assert durations == []
 
 
 class TestRankTelemetry:
@@ -160,21 +177,20 @@ class TestRankTelemetry:
         rec._train_by_id = {p.id: p for p in train_papers}
         return rec
 
-    def test_rank_records_span_histogram_and_quantile(self, obs_enabled,
-                                                      acm_small, train_papers):
+    def test_rank_records_one_span(self, obs_enabled, acm_small,
+                                   train_papers):
         rec = self._recommender(acm_small, train_papers)
         ranked = rec.rank(train_papers[:2], train_papers[2:8])
         assert len(ranked) == 6
         (span,) = [s for s in obs.get_tracer().spans
                    if s.name == "nprec.recommend.rank"]
-        reg = obs.get_registry()
-        duration = reg.get("nprec.recommend.rank.duration_seconds")
-        assert duration.count == 1
-        assert duration.sum == pytest.approx(span.duration)
-        latency = reg.get("nprec.recommend.rank.latency")
-        assert latency.count == 1
-        assert latency.estimate(0.5) == pytest.approx(span.duration)
-        assert reg.get("nprec.recommend.queries").value == 1
+        flat = runs.flatten(runs.capture_run())
+        assert flat["span.nprec.recommend.rank:calls"] == 1
+        assert flat["span.nprec.recommend.rank:total"] == \
+            pytest.approx(span.duration)
+        assert not [key for key in flat
+                    if key.startswith("nprec.recommend.rank.")]
+        assert obs.get_registry().get("nprec.recommend.queries").value == 1
 
     def test_disabled_rank_records_nothing(self, obs_disabled, acm_small,
                                            train_papers):

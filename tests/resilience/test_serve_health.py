@@ -1,5 +1,6 @@
 """Serving resilience: retry-before-degrade, health checks, CLI exit codes."""
 
+import dataclasses
 import json
 
 import pytest
@@ -13,6 +14,7 @@ from repro.resilience import faults
 from repro.serve import save_pipeline
 from repro.serve.__main__ import main as serve_main
 from repro.serve.index import ServingIndex
+from repro.serve.scheduler import BatchScheduler
 
 
 @pytest.fixture(scope="module")
@@ -128,15 +130,34 @@ class TestSLOHealth:
         user = task.users[0]
         for _ in range(3):
             index.top_k(list(user.train_papers), k=5)
-        # Latency twins are split by cache outcome: the first query is a
-        # miss, the repeats hit the LRU cache.
+        # Latency sketches are split by cache outcome: the first query is
+        # a miss, the repeats hit the LRU cache.
         registry = obs.get_registry()
         miss = registry.get("serve.query.latency", cache="miss")
         hit = registry.get("serve.query.latency", cache="hit")
         assert miss is not None and miss.count == 1
         assert hit is not None and hit.count == 2
-        histogram = registry.get("serve.query.duration_seconds", cache="hit")
-        assert histogram is not None and histogram.count == 2
+        index.add_paper(dataclasses.replace(task.new_papers[0], id="late-1",
+                                            references=(), citation_count=0))
+        assert registry.get("serve.ingest.latency").count == 1
+        # The sketches are the one record of a served latency.
+        names = {metric.name for metric in registry.collect()}
+        assert not [name for name in names if "duration_seconds" in name]
+
+    def test_scheduled_miss_records_one_sketch_sample(self, artifact,
+                                                      obs_enabled):
+        directory, task = artifact
+        index = ServingIndex.from_artifact(directory, papers=task.new_papers)
+        user = task.users[0]
+        index.register_user(user.author_id, list(user.train_papers))
+        scheduler = BatchScheduler(index, max_batch=4, max_wait_ms=1.0)
+        try:
+            scheduler.query(user.author_id, 5)
+        finally:
+            scheduler.close()
+        registry = obs.get_registry()
+        assert registry.get("serve.query.latency", cache="miss").count == 1
+        assert registry.family("serve.query.duration_seconds") == []
 
     def test_latency_breach_makes_index_unhealthy(self, artifact, obs_enabled):
         directory, task = artifact
