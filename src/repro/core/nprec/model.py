@@ -49,7 +49,12 @@ class ContentRows:
     and a TF-IDF row is sparse, so the dense block would be almost all
     zeros. Indexing with an int or an integer index array gathers the
     selected rows as a dense float64 array, equal to the same rows of the
-    dense matrix.
+    dense matrix; :meth:`take` gathers them as a store.
+
+    Appends grow the store in place with capacity doubling: new entries
+    are written past the filled prefix of spare buffers and the three
+    arrays are rebound to the longer prefixes, so a reader holding the
+    old arrays (see :meth:`snapshot`) keeps a consistent store.
     """
 
     def __init__(self, data: np.ndarray, indices: np.ndarray,
@@ -58,11 +63,26 @@ class ContentRows:
         self.indices = indices
         self.indptr = indptr
         self.width = int(width)
+        #: Spare-capacity buffers behind the three arrays, once grown.
+        self._spare: dict[str, np.ndarray] = {}
 
     @classmethod
     def from_rows(cls, rows: Iterable[np.ndarray | None],
                   width: int) -> "ContentRows":
-        """The store of dense *rows* (``None`` is an all-zero row)."""
+        """The store of dense *rows* (``None`` is an all-zero row); a 2-D
+        array of rows is converted in one vectorised pass."""
+        if isinstance(rows, np.ndarray):
+            if rows.ndim != 2 or rows.shape[1] != width:
+                raise ValueError(f"content rows of shape {rows.shape}, "
+                                 f"expected (n, {width})")
+            # flatnonzero of a boolean mask is much faster than nonzero
+            # of the float rows; both give row-major order.
+            row_of, columns = np.divmod(np.flatnonzero(rows != 0), width)
+            indptr = np.zeros(rows.shape[0] + 1, dtype=np.int64)
+            np.cumsum(np.bincount(row_of, minlength=rows.shape[0]),
+                      out=indptr[1:])
+            return cls(rows[row_of, columns], columns.astype(np.int32),
+                       indptr, width)
         store = cls(np.zeros(0), np.zeros(0, dtype=np.int32),
                     np.zeros(1, dtype=np.int64), width)
         store.append(rows)
@@ -77,9 +97,8 @@ class ContentRows:
         return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
 
     def append(self, rows: Iterable[np.ndarray | None]) -> None:
-        """Append dense *rows* (``None`` is an all-zero row): one O(nnz) copy
-        into new arrays, so readers of the old ones see a consistent store."""
-        columns, values = [], []
+        """Append dense *rows* (``None`` is an all-zero row)."""
+        columns, values = [np.zeros(0, dtype=np.int32)], [np.zeros(0)]
         for row in rows:
             if row is None:
                 row = np.zeros(0)
@@ -89,10 +108,43 @@ class ContentRows:
             nonzero = np.flatnonzero(row)
             columns.append(nonzero.astype(np.int32))
             values.append(row[nonzero])
-        counts = np.cumsum([len(c) for c in columns], dtype=np.int64)
-        self.data = np.concatenate([self.data, *values])
-        self.indices = np.concatenate([self.indices, *columns])
-        self.indptr = np.concatenate([self.indptr, self.indptr[-1] + counts])
+        self._extend(np.concatenate(values), np.concatenate(columns),
+                     np.cumsum([len(c) for c in columns[1:]], dtype=np.int64))
+
+    def extend(self, other: "ContentRows") -> None:
+        """Append the rows of *other*, a store of the same width."""
+        if other.width != self.width:
+            raise ValueError(f"content rows of width {other.width}, "
+                             f"expected {self.width}")
+        lo, hi = other.indptr[0], other.indptr[-1]
+        self._extend(other.data[lo:hi], other.indices[lo:hi],
+                     other.indptr[1:] - lo)
+
+    def _extend(self, values: np.ndarray, columns: np.ndarray,
+                ends: np.ndarray) -> None:
+        """Append rows given as their non-zeros and cumulative row ends."""
+        ends = self.indptr[-1] + ends
+        self.data = self._grow("data", values)
+        self.indices = self._grow("indices", columns)
+        self.indptr = self._grow("indptr", ends)
+
+    def _grow(self, name: str, tail: np.ndarray) -> np.ndarray:
+        """The array *name* followed by *tail*, written past its filled
+        prefix in this store's spare buffer (doubled when full)."""
+        prefix = getattr(self, name)
+        n, m = prefix.shape[0], tail.shape[0]
+        buffer = self._spare.get(name)
+        if buffer is None or prefix.base is not buffer \
+                or buffer.shape[0] < n + m:
+            buffer = np.empty(max(2 * n, n + m), dtype=prefix.dtype)
+            buffer[:n] = prefix
+            self._spare[name] = buffer
+        buffer[n:n + m] = tail
+        return buffer[:n + m]
+
+    def snapshot(self) -> "ContentRows":
+        """A store over the current arrays; later appends do not show in it."""
+        return ContentRows(self.data, self.indices, self.indptr, self.width)
 
     def dot(self, vector: np.ndarray) -> np.ndarray:
         """Every row's inner product with the dense *vector* (sparse)."""
@@ -101,9 +153,8 @@ class ContentRows:
         return np.bincount(rows, weights=self.data * vector[self.indices],
                            minlength=len(counts))
 
-    def __getitem__(self, index: int | np.ndarray) -> np.ndarray:
-        rows = np.asarray(index, dtype=np.int64)
-        flat = rows.reshape(-1)
+    def _gather(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(positions in data/indices, per-row counts) of rows *flat*."""
         if flat.size and (flat.min() < 0 or flat.max() >= self.shape[0]):
             raise IndexError(f"content row index out of range "
                              f"for {self.shape[0]} rows")
@@ -113,6 +164,30 @@ class ContentRows:
         # run starts at its indptr entry.
         offsets = np.cumsum(counts) - counts
         positions = np.repeat(starts - offsets, counts) + np.arange(counts.sum())
+        return positions, counts
+
+    def take(self, index: slice | np.ndarray) -> "ContentRows":
+        """The rows at *index* (a unit-step slice or an integer array) as a
+        new store; a slice shares this store's data and indices."""
+        if isinstance(index, slice):
+            start, stop, step = index.indices(self.shape[0])
+            if step != 1:
+                raise ValueError("take() needs a unit-step slice")
+            stop = max(start, stop)
+            lo, hi = self.indptr[start], self.indptr[stop]
+            return ContentRows(self.data[lo:hi], self.indices[lo:hi],
+                               self.indptr[start:stop + 1] - lo, self.width)
+        positions, counts = self._gather(
+            np.asarray(index, dtype=np.int64).reshape(-1))
+        indptr = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        return ContentRows(self.data[positions], self.indices[positions],
+                           indptr, self.width)
+
+    def __getitem__(self, index: int | np.ndarray) -> np.ndarray:
+        rows = np.asarray(index, dtype=np.int64)
+        flat = rows.reshape(-1)
+        positions, counts = self._gather(flat)
         out = np.zeros((flat.size, self.width))
         out[np.repeat(np.arange(flat.size), counts),
             self.indices[positions]] = self.data[positions]
@@ -472,6 +547,15 @@ class NPRecModel(Module):
         gathers dense rows; ``shape`` and ``nbytes`` are those of the store.
         """
         return self._content_matrix
+
+    @property
+    def content_columns(self) -> slice | None:
+        """Columns of the raw content block in interest/influence rows, or
+        None. It sits between the learned blocks before it and the trained
+        content projection after it (see :meth:`_paper_vectors`)."""
+        if self._content_matrix is None:
+            return None
+        return slice(self._head_dim, self._head_dim + self._content_matrix.width)
 
     # ------------------------------------------------------------------
     # Cold-start induction

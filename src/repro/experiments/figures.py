@@ -18,7 +18,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import os
 import pathlib
 
 import numpy as np

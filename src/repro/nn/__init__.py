@@ -13,10 +13,7 @@ from repro.nn.attention import (
     fuse_with_context,
 )
 from repro.nn.functional import (
-    cosine_similarity,
-    dot_rows,
     dropout,
-    euclidean_distance,
     l2_normalize,
     log_softmax,
     softmax,
@@ -46,8 +43,7 @@ __all__ = [
     "Module", "Linear", "MLP", "Embedding", "Sequential", "Dropout",
     "Tanh", "ReLU",
     "GlobalAttentionPooling", "cross_subspace_attention", "fuse_with_context",
-    "softmax", "log_softmax", "l2_normalize", "cosine_similarity",
-    "dot_rows", "euclidean_distance", "dropout",
+    "softmax", "log_softmax", "l2_normalize", "dropout",
     "l2_regularization", "cross_entropy",
     "binary_cross_entropy_with_logits", "mse_loss",
     "Optimizer", "SGD", "Adam", "StepLR", "clip_grad_norm",

@@ -34,22 +34,6 @@ def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
     return x / norm**0.5
 
 
-def cosine_similarity(a: Tensor, b: Tensor, axis: int = -1) -> Tensor:
-    """Cosine similarity between corresponding rows of *a* and *b*."""
-    return (l2_normalize(a, axis=axis) * l2_normalize(b, axis=axis)).sum(axis=axis)
-
-
-def dot_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Row-wise dot product of two ``(n, d)`` tensors, yielding ``(n,)``."""
-    return (a * b).sum(axis=-1)
-
-
-def euclidean_distance(a: Tensor, b: Tensor, eps: float = 1e-12) -> Tensor:
-    """Row-wise Euclidean distance of two ``(n, d)`` tensors."""
-    diff = a - b
-    return ((diff * diff).sum(axis=-1) + eps) ** 0.5
-
-
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool = True) -> Tensor:
     """Inverted dropout: zero a fraction *rate* of entries and rescale."""
     if not training or rate <= 0.0:

@@ -1,18 +1,26 @@
-"""Approximate top-K retrieval: a pure-numpy IVF (inverted-file) index.
+"""Top-K retrieval over split row stores, and a pure-numpy IVF index.
 
-Serving's exact path scores every influence row on every query —
-O(n·d) per request, which caps pool size long before the paper's
+Serving's exact path scores every pool row on every query — O(n·d)
+per request, which caps pool size long before the paper's
 1.3M–3.06M-paper corpora. :class:`IVFIndex` is the dependency-free
 equivalent of a FAISS ``IndexIVFFlat``: a deterministic seeded k-means
-coarse quantizer partitions the influence matrix into ``n_lists``
-inverted lists, a query probes only the ``nprobe`` lists whose
-centroids score best under the *same* max/mean-pooled interest scoring
-the exact ranker uses, and the probed candidates are exact-scored with
-the exact path's tie-breaking. Probing all lists (``nprobe ==
-n_lists``) reproduces the exact ranking order-for-order — the exact
-path stays the correctness oracle, and ``benchmarks/test_ann_bench.py``
-measures recall@K against it so speedups cannot silently trade away
-quality.
+coarse quantizer partitions the pool into ``n_lists`` inverted lists, a
+query probes only the ``nprobe`` lists whose centroids score best under
+the *same* max/mean-pooled interest scoring the exact ranker uses, and
+the probed candidates are exact-scored with the exact path's
+tie-breaking. Probing all lists (``nprobe == n_lists``) reproduces the
+exact ranking order-for-order — the exact path stays the correctness
+oracle, and ``benchmarks/test_ann_bench.py`` measures recall@K against
+it so speedups cannot silently trade away quality.
+
+Rows are scored as :class:`SplitRows` or plain ndarrays. A model row
+concatenates four 32-wide learned blocks with a gated lexical content
+block thousands of columns wide whose rows hold a few dozen non-zeros;
+a :class:`SplitRows` keeps the learned blocks as a dense *head* and the
+content block as a CSR :class:`~repro.core.nprec.model.ContentRows`
+store, so scoring reads the non-zeros instead of streaming the zeros.
+A plain ndarray is the head-only case (a model without a content block,
+or the benchmark's synthetic pools).
 
 Serving ranks through two functions here:
 :func:`batch_exact_top_k` for the exact strategy and
@@ -28,34 +36,135 @@ one blockwise loop (:func:`_blockwise_top_k`): a bounded heap per query
 with an ``argpartition`` prescreen, so only the ≤k plausible candidates
 per block touch the Python heap.
 
-This module is deliberately free of model/obs dependencies: it ranks
-raw matrices, so the benchmark can sweep 50k-row synthetic pools
-without fitting a pipeline. :class:`~repro.serve.index.ServingIndex`
-owns the wiring (strategy selection, obs counters, artifact
-persistence via :func:`repro.serve.artifacts.save_ann_index`).
+This module depends on no model or obs code beyond the
+:class:`~repro.core.nprec.model.ContentRows` type: it ranks raw row
+stores, so the benchmark can sweep 50k-row synthetic pools without
+fitting a pipeline. :class:`~repro.serve.index.ServingIndex` owns the
+wiring (strategy selection, obs counters, artifact persistence via
+:func:`repro.serve.artifacts.save_ann_index`).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
+from scipy import sparse
+
+from repro.core.nprec.model import ContentRows
 
 
-def pooled_scores(interest: np.ndarray, rows: np.ndarray,
-                  mix: float) -> np.ndarray:
+class SplitRows:
+    """Row vectors held as a dense head and a CSR content block.
+
+    Row ``i`` is ``head[i, :at]``, then ``content[i]``, then
+    ``head[i, at:]``. Indexing with a unit-step slice or an integer array
+    gathers rows into a new :class:`SplitRows`; ``shape`` is that of the
+    full rows and ``nbytes`` counts the bytes the two parts hold.
+    """
+
+    __slots__ = ("head", "content", "at")
+
+    def __init__(self, head: np.ndarray, content: ContentRows,
+                 at: int) -> None:
+        if head.shape[0] != content.shape[0]:
+            raise ValueError(f"{head.shape[0]} head rows but "
+                             f"{content.shape[0]} content rows")
+        self.head = head
+        self.content = content
+        self.at = int(at)
+
+    @classmethod
+    def from_dense(cls, rows: np.ndarray, columns: slice) -> "SplitRows":
+        """Split the full *rows*; *columns* holds their content block."""
+        return cls(np.delete(rows, columns, axis=1),
+                   ContentRows.from_rows(rows[:, columns],
+                                         columns.stop - columns.start),
+                   columns.start)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.head.shape[0], self.head.shape[1] + self.content.width)
+
+    @property
+    def nbytes(self) -> int:
+        return self.head.nbytes + self.content.nbytes
+
+    def __len__(self) -> int:
+        return self.head.shape[0]
+
+    def __getitem__(self, index: slice | np.ndarray) -> "SplitRows":
+        return SplitRows(self.head[index], self.content.take(index), self.at)
+
+    def dense(self) -> np.ndarray:
+        """The full rows as one dense array."""
+        content = self.content[np.arange(len(self))]
+        return np.concatenate([self.head[:, :self.at], content,
+                               self.head[:, self.at:]], axis=1)
+
+
+#: What the rankers score: split rows, or plain (full or head-only) rows.
+Rows = Union[SplitRows, np.ndarray]
+
+
+def _dense(rows: Rows) -> np.ndarray:
+    """*rows* as a dense float64 array."""
+    if isinstance(rows, SplitRows):
+        return rows.dense()
+    return np.asarray(rows, dtype=np.float64)
+
+
+def _parts(rows: Rows, layout: SplitRows) -> tuple[np.ndarray, np.ndarray]:
+    """(head, transposed dense content) of *rows* in *layout*'s columns."""
+    if isinstance(rows, SplitRows):
+        content = rows.content
+        content_t = np.zeros((content.width, len(rows)))
+        content_t[content.indices, np.repeat(np.arange(len(rows)),
+                                             np.diff(content.indptr))] = \
+            content.data
+        return rows.head, content_t
+    columns = slice(layout.at, layout.at + layout.content.width)
+    return np.delete(rows, columns, axis=1), rows[:, columns].T
+
+
+def _pairwise(left: Rows, right: Rows) -> np.ndarray:
+    """``left @ right.T`` with a content block scored from its CSR side.
+
+    Opposite a :class:`SplitRows`, a plain ndarray is a block of full
+    rows; two plain ndarrays multiply as they are. The CSR product
+    ``csr @ dense`` computes each sparse row's outputs on their own, so a
+    row's score bits do not depend on which block or candidate chunk
+    holds it.
+    """
+    if isinstance(right, SplitRows):
+        head, content_t = _parts(left, right)
+        content = right.content
+        pairwise = head @ right.head.T
+        pairwise += (sparse.csr_matrix(
+            (content.data, content.indices, content.indptr),
+            shape=content.shape) @ content_t).T
+        return pairwise
+    if isinstance(left, SplitRows):
+        return _pairwise(right, left).T
+    return left @ right.T
+
+
+def pooled_scores(interest: Rows, rows: Rows, mix: float) -> np.ndarray:
     """Max/mean-pooled correlation of *rows* against the interest matrix.
 
-    Matches :meth:`NPRecRecommender._rank`'s correlation term exactly:
+    Matches :meth:`NPRecRecommender._rank`'s correlation term:
     ``mix * max_u(u · row) + (1 - mix) * mean_u(u · row)`` over the
-    user's interest vectors *u*. One score per row of *rows*.
+    user's interest vectors *u*. One score per row of *rows*. Either
+    side may be a :class:`SplitRows`; the content block is then scored
+    sparsely (see :func:`_pairwise`).
     """
-    pairwise = interest @ rows.T
+    pairwise = _pairwise(interest, rows)
     return mix * pairwise.max(axis=0) + (1.0 - mix) * pairwise.mean(axis=0)
 
 
-def _chunked_scores(interest: np.ndarray, matrix: np.ndarray,
+def _chunked_scores(interest: Rows, matrix: Rows,
                     positions: np.ndarray, mix: float,
                     block_size: int) -> np.ndarray:
     """Pooled scores for *positions*, in ``block_size`` chunks.
@@ -105,7 +214,7 @@ def _drain_heap(heap: list[tuple[float, int]]) -> tuple[np.ndarray, np.ndarray]:
     return positions, scores
 
 
-def _blockwise_top_k(interests: "list[np.ndarray]", matrix: np.ndarray,
+def _blockwise_top_k(interests: "list[Rows]", matrix: Rows,
                      ks: "list[int]", mix: float, block_size: int
                      ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(positions, scores) of each query's top-k rows, best first.
@@ -130,13 +239,13 @@ def _blockwise_top_k(interests: "list[np.ndarray]", matrix: np.ndarray,
     return [_drain_heap(heap) for heap in heaps]
 
 
-def exact_top_k(interest: np.ndarray, matrix: np.ndarray, k: int, *,
+def exact_top_k(interest: Rows, matrix: Rows, k: int, *,
                 mix: float, block_size: int = 512) -> np.ndarray:
     """Positions of the top-*k* rows of *matrix*, best first (the oracle)."""
     return _blockwise_top_k([interest], matrix, [k], mix, block_size)[0][0]
 
 
-def batch_exact_top_k(interests: "list[np.ndarray]", matrix: np.ndarray,
+def batch_exact_top_k(interests: "list[Rows]", matrix: Rows,
                       ks: "list[int]", *, mix: float, block_size: int = 512
                       ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(positions, scores) for several queries in one pass over *matrix*.
@@ -151,7 +260,7 @@ def batch_exact_top_k(interests: "list[np.ndarray]", matrix: np.ndarray,
     return _blockwise_top_k(interests, matrix, ks, mix, block_size)
 
 
-def rank_candidates(interest: np.ndarray, matrix: np.ndarray,
+def rank_candidates(interest: Rows, matrix: Rows,
                     candidates: np.ndarray, k: int, *, mix: float,
                     block_size: int = 512) -> tuple[np.ndarray, np.ndarray]:
     """(positions, scores) of the top-*k* rows among *candidates*.
@@ -257,10 +366,15 @@ class IVFIndex:
     # ------------------------------------------------------------------
     # Clustering
     # ------------------------------------------------------------------
-    def fit(self, matrix: np.ndarray) -> "IVFIndex":
-        """(Re)cluster *matrix* from scratch; deterministic for a seed."""
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] == 0:
+    def fit(self, matrix: Rows) -> "IVFIndex":
+        """(Re)cluster *matrix* from scratch; deterministic for a seed.
+
+        Centroids are dense full-width rows (the persisted format), each
+        the mean of its members' dense rows.
+        """
+        if not isinstance(matrix, SplitRows):
+            matrix = np.asarray(matrix, dtype=np.float64)
+        if len(matrix.shape) != 2 or matrix.shape[0] == 0:
             raise ValueError("fit needs a non-empty 2-D matrix, got shape "
                              f"{matrix.shape}")
         n = matrix.shape[0]
@@ -270,11 +384,12 @@ class IVFIndex:
         # therefore everything downstream) is independent of the order
         # rng.choice happens to emit.
         init = np.sort(rng.choice(n, size=n_lists, replace=False))
-        centroids = matrix[init].copy()
+        centroids = _dense(matrix[init])
         assign = self._assign_rows(matrix, centroids)
         for _ in range(self.max_iter):
             for j in range(n_lists):
-                centroids[j] = matrix[assign == j].mean(axis=0)
+                centroids[j] = _dense(
+                    matrix[np.flatnonzero(assign == j)]).mean(axis=0)
             new_assign = self._assign_rows(matrix, centroids)
             if np.array_equal(new_assign, assign):
                 break
@@ -287,7 +402,7 @@ class IVFIndex:
         return self
 
     @staticmethod
-    def _assign_rows(matrix: np.ndarray,
+    def _assign_rows(matrix: Rows,
                      centroids: np.ndarray) -> np.ndarray:
         """Nearest-centroid (squared euclidean) assignment, no empties.
 
@@ -298,8 +413,8 @@ class IVFIndex:
         """
         # ||x - c||^2 ranks like ||c||^2 - 2 x·c ; the ||x||^2 term is
         # constant per row and dropped.
-        dists = (centroids * centroids).sum(axis=1) - 2.0 * (matrix
-                                                             @ centroids.T)
+        dists = (centroids * centroids).sum(axis=1) - 2.0 * _pairwise(
+            matrix, centroids)
         assign = np.argmin(dists, axis=1)
         counts = np.bincount(assign, minlength=centroids.shape[0])
         for empty in np.flatnonzero(counts == 0):
@@ -315,7 +430,7 @@ class IVFIndex:
     # ------------------------------------------------------------------
     # Incremental growth
     # ------------------------------------------------------------------
-    def add(self, row: np.ndarray) -> bool:
+    def add(self, row: Rows) -> bool:
         """Assign one appended row to its nearest centroid.
 
         The row is assumed to be position ``num_rows`` of the caller's
@@ -326,7 +441,7 @@ class IVFIndex:
         """
         if not self.fitted:
             raise ValueError("add() before fit(): cluster the pool first")
-        row = np.asarray(row, dtype=np.float64).reshape(-1)
+        row = _dense(row).reshape(-1)
         assert self.centroids is not None
         dists = ((self.centroids - row) ** 2).sum(axis=1)
         nearest = int(np.argmin(dists))
@@ -339,7 +454,7 @@ class IVFIndex:
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
-    def probe(self, interest: np.ndarray, mix: float,
+    def probe(self, interest: Rows, mix: float,
               nprobe: int) -> np.ndarray:
         """Ids of the *nprobe* lists whose centroids score best.
 
@@ -354,7 +469,7 @@ class IVFIndex:
         order = np.lexsort((np.arange(scores.shape[0]), -scores))
         return order[:nprobe]
 
-    def gather(self, interest: np.ndarray, mix: float,
+    def gather(self, interest: Rows, mix: float,
                nprobe: int) -> tuple[np.ndarray, ProbeStats]:
         """Candidate positions (sorted ascending) of the probed lists.
 
@@ -377,7 +492,7 @@ class IVFIndex:
             [np.asarray(m, dtype=np.int64) for m in members if m]))
         return candidates, stats
 
-    def search(self, interest: np.ndarray, matrix: np.ndarray, k: int, *,
+    def search(self, interest: Rows, matrix: Rows, k: int, *,
                mix: float, nprobe: int = 8,
                block_size: int = 512) -> tuple[np.ndarray, ProbeStats]:
         """Approximate top-*k* positions, best first, plus work stats.

@@ -2,11 +2,19 @@
 
 :class:`ServingIndex` is the query-side half of :mod:`repro.serve`. It
 holds a *candidate pool* of papers with their influence representations
-precomputed as one matrix, plus precomputed interest profiles for
-registered users, and answers top-K queries with a bounded heap over
-fixed-size matmul blocks — memory stays ``O(block_size * dim + K)`` per
-query regardless of pool size (the ROADMAP's production-scale serving
-condition).
+precomputed, plus precomputed interest profiles for registered users,
+and answers top-K queries with a bounded heap over fixed-size blocks —
+memory stays ``O(block_size * dim + K)`` per query regardless of pool
+size (the ROADMAP's production-scale serving condition).
+
+Pool rows and profiles are :class:`~repro.serve.ann.SplitRows`: the
+model's learned blocks as a dense head and its gated lexical content
+block as a CSR :class:`~repro.core.nprec.model.ContentRows` store (a
+model without a content block gives plain head-only arrays). The pool's
+head lives in a capacity-doubling buffer and its content store grows
+the same way, so an ingest appends one row to each. Every path scores
+through :func:`repro.serve.ann.pooled_scores`, which reads the content
+block's non-zeros instead of its zeros.
 
 Scoring matches :meth:`NPRecRecommender._rank`'s correlation term —
 ``mix * max + (1 - mix) * mean`` over the user's interest vectors — with
@@ -75,14 +83,15 @@ from repro.nn import no_grad
 from repro.resilience import faults
 from repro.resilience.retry import Backoff, retry
 # exact_top_k is unused here; bench/tests/test_tracing.py expects it bound.
-from repro.serve.ann import (IVFIndex, batch_exact_top_k,  # noqa: F401
-                             exact_top_k, rank_candidates)
+from repro.serve.ann import (IVFIndex, Rows, SplitRows,  # noqa: F401
+                             batch_exact_top_k, exact_top_k,
+                             rank_candidates)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.scheduler import BatchScheduler
     from repro.serve.wal import WALRecord, WriteAheadLog
 
-#: Initial influence-buffer capacity (rows); doubles on overflow, so
+#: Initial head-buffer capacity (rows); doubles on overflow, so
 #: ingesting n papers copies O(n) floats total instead of O(n^2).
 _INITIAL_CAPACITY = 8
 
@@ -192,18 +201,20 @@ class ServingIndex:
         self._papers: list[Paper] = []
         self._ids: list[str] = []
         self._positions: dict[str, int] = {}
-        # Influence rows live in a capacity-doubling buffer; the public
-        # `_influence` property views the filled prefix. Appends are
-        # amortized O(d) instead of the O(n*d) per-paper vstack copy.
-        self._influence_buffer: np.ndarray | None = None
-        self._influence_count = 0
+        # Influence rows live in a capacity-doubling head buffer plus a
+        # ContentRows store (which grows the same way) when the model has
+        # a content block; `_influence` views their filled prefixes.
+        # Appends are amortized O(d) instead of an O(n*d) copy per paper.
+        self._head_buffer: np.ndarray | None = None
+        self._pool_content: ContentRows | None = None
+        self._pool_count = 0
         self.index_kind = index
         self.nprobe = nprobe
         self._n_lists = n_lists
         self._ann_seed = ann_seed
         self._ann: IVFIndex | None = None
-        #: user id -> (profile papers, precomputed interest matrix or None)
-        self._profiles: dict[str, tuple[list[Paper], np.ndarray | None]] = {}
+        #: user id -> (profile papers, precomputed interest rows or None)
+        self._profiles: dict[str, tuple[list[Paper], Rows | None]] = {}
         self._cache: "OrderedDict[tuple, tuple[str, ...]]" = OrderedDict()
         self.cache_hits = 0
         self.cache_misses = 0
@@ -248,10 +259,11 @@ class ServingIndex:
         else:
             graph = recommender.model.graph
             known = [p for p in papers if ("paper", p.id) in graph]
-            if known:
-                rows = self._influence_rows([p.id for p in known])
-                for paper, row in zip(known, rows):
-                    self._append(paper, row)
+            for start in range(0, len(known), block_size):
+                block = known[start:start + block_size]
+                rows = self._influence_rows([p.id for p in block])
+                for i, paper in enumerate(block):
+                    self._append(paper, rows[i:i + 1])
             for paper in papers:
                 if ("paper", paper.id) not in graph:
                     self.add_paper(paper)
@@ -294,25 +306,16 @@ class ServingIndex:
             self._scheduler = None
 
     @property
-    def _influence(self) -> np.ndarray | None:
-        """Filled prefix of the influence buffer (None when empty)."""
-        if self._influence_buffer is None or self._influence_count == 0:
+    def _influence(self) -> Rows | None:
+        """The pool rows' filled prefix (None when empty): a snapshot that
+        later appends do not change."""
+        if self._pool_count == 0:
             return None
-        return self._influence_buffer[:self._influence_count]
-
-    @_influence.setter
-    def _influence(self, value: np.ndarray | None) -> None:
-        # Wholesale replacement (health self-heal): the buffer is
-        # rebuilt exactly-sized and any clustered structure over the
-        # old values is dropped for a lazy refit.
-        if value is None:
-            self._influence_buffer = None
-            self._influence_count = 0
-        else:
-            self._influence_buffer = np.ascontiguousarray(value)
-            self._influence_count = int(value.shape[0])
-        self._ann = None
-        self._pool_version += 1
+        head = self._head_buffer[:self._pool_count]
+        if self._pool_content is None:
+            return head
+        return SplitRows(head, self._pool_content.snapshot(),
+                         self._recommender.model.content_columns.start)
 
     @property
     def ann(self) -> IVFIndex | None:
@@ -477,7 +480,7 @@ class ServingIndex:
                                                         self._affiliations)
                         rec.model.attach_paper(index, text_vector=text_vector,
                                                content_vector=content_vector)
-                    row = self._influence_rows([paper.id])[0]
+                    row = self._influence_rows([paper.id])
                 obs.count("serve.papers_ingested",
                           **({"mode": "degraded"} if graph is None else {}))
                 self._append(paper, row, content_vector)
@@ -668,7 +671,7 @@ class ServingIndex:
         out a new object. Serving-surface configuration (block size,
         cache capacity, retrieval strategy, attached scheduler, WAL)
         stays this index's own; everything the donor computed — model,
-        pool, influence matrix, quantizer, profiles, fallback — moves
+        pool, influence rows, quantizer, profiles, fallback — moves
         over. The cache is dropped and the pool version bumped past
         both indexes so any in-flight batch publishes nothing stale.
         """
@@ -678,8 +681,9 @@ class ServingIndex:
             self._papers = donor._papers
             self._ids = donor._ids
             self._positions = donor._positions
-            self._influence_buffer = donor._influence_buffer
-            self._influence_count = donor._influence_count
+            self._head_buffer = donor._head_buffer
+            self._pool_content = donor._pool_content
+            self._pool_count = donor._pool_count
             self._ann = donor._ann
             self._n_lists = donor._n_lists
             self._ann_seed = donor._ann_seed
@@ -704,12 +708,13 @@ class ServingIndex:
         papers = list(user_papers)
         if not papers:
             raise ValueError("user profile needs at least one paper")
-        profile: np.ndarray | None = None
+        profile: Rows | None = None
         with self._serve_lock, no_grad():
             if not self.degraded:
                 try:
-                    profile = self._recommender.model.interest_vectors(
-                        [p.id for p in papers]).data
+                    profile = self._split(
+                        self._recommender.model.interest_vectors(
+                            [p.id for p in papers]).data)
                 except GraphError:
                     obs.count("serve.degraded", reason="unknown_entity")
                     obs.event("serve.degraded", reason="unknown_entity")
@@ -739,26 +744,16 @@ class ServingIndex:
         obs.count("serve.cache", outcome="hit")
         return list(cached)
 
-    def _append(self, paper: Paper, influence_row: np.ndarray | None,
+    def _append(self, paper: Paper, row: Rows | None,
                 content_row: np.ndarray | None = None) -> None:
+        """Add *paper* to the pool; *row* is its influence row (one row of
+        :meth:`_influence_rows`), None in degraded mode."""
         self._pool_version += 1
         self._positions[paper.id] = len(self._papers)
         self._papers.append(paper)
         self._ids.append(paper.id)
-        if influence_row is not None:
-            row = np.asarray(influence_row).reshape(-1)
-            buffer = self._influence_buffer
-            if buffer is None:
-                buffer = np.empty((_INITIAL_CAPACITY, row.shape[0]),
-                                  dtype=row.dtype)
-            elif self._influence_count == buffer.shape[0]:
-                grown = np.empty((2 * buffer.shape[0], buffer.shape[1]),
-                                 dtype=buffer.dtype)
-                grown[:self._influence_count] = buffer
-                buffer = grown
-            buffer[self._influence_count] = row
-            self._influence_buffer = buffer
-            self._influence_count += 1
+        if row is not None:
+            self._push_rows(row)
             if self._ann is not None:
                 if self._ann.add(row):
                     # Imbalance trigger: one inverted list outgrew the
@@ -767,19 +762,46 @@ class ServingIndex:
                     self._ann.fit(self._influence)
                     obs.count("serve.ann.recluster")
                     obs.event("serve.ann.recluster",
-                              pool_size=self._influence_count)
+                              pool_size=self._pool_count)
         if self._fallback_rows is not None:
             if content_row is None:  # else _prepare_ingest computed it
                 content_row = self._content_tfidf().transform(paper)
             self._fallback_rows.append([content_row])
 
+    def _push_rows(self, rows: Rows) -> None:
+        """Append *rows* to the head buffer (doubled when full) and the
+        content store; rows below the old count are never written."""
+        head = rows.head if isinstance(rows, SplitRows) else rows
+        count = self._pool_count + head.shape[0]
+        buffer = self._head_buffer
+        if buffer is None or buffer.shape[0] < count:
+            capacity = _INITIAL_CAPACITY if buffer is None else buffer.shape[0]
+            while capacity < count:
+                capacity *= 2
+            grown = np.empty((capacity, head.shape[1]), dtype=head.dtype)
+            if buffer is not None:
+                grown[:self._pool_count] = buffer[:self._pool_count]
+            buffer = grown
+        buffer[self._pool_count:count] = head
+        if isinstance(rows, SplitRows):
+            if self._pool_content is None:
+                self._pool_content = ContentRows.from_rows(
+                    (), rows.content.width)
+            self._pool_content.extend(rows.content)
+        self._head_buffer = buffer
+        self._pool_count = count
+
+    def _split(self, rows: np.ndarray) -> Rows:
+        """Dense model rows as serving stores them: :class:`SplitRows`
+        when the model has a content block, else as they are."""
+        columns = self._recommender.model.content_columns
+        return rows if columns is None else SplitRows.from_dense(rows, columns)
+
     @no_grad()
-    def _influence_rows(self, paper_ids: Sequence[str]) -> np.ndarray:
-        model = self._recommender.model
-        blocks = [model.influence_vectors(
-            paper_ids[start:start + self.block_size]).data
-            for start in range(0, len(paper_ids), self.block_size)]
-        return np.vstack(blocks)
+    def _influence_rows(self, paper_ids: Sequence[str]) -> Rows:
+        """Influence rows of at most ``block_size`` papers, split."""
+        return self._split(
+            self._recommender.model.influence_vectors(paper_ids).data)
 
     def _content_tfidf(self) -> TfIdfIndex:
         """The index's one TF-IDF vocabulary, fitted on first use: the
@@ -979,10 +1001,11 @@ class ServingIndex:
                             interest = job.profile
                             if interest is None:
                                 try:
-                                    interest = (self._recommender.model
-                                                .interest_vectors(
-                                                    [p.id for p
-                                                     in job.papers]).data)
+                                    interest = self._split(
+                                        self._recommender.model
+                                        .interest_vectors(
+                                            [p.id for p in job.papers])
+                                        .data)
                                 except GraphError:
                                     job.mode = "fallback"
                                     job.reason = "unknown_entity"
@@ -995,11 +1018,11 @@ class ServingIndex:
                     fallback = self._fallback_locked()
                 rank_jobs = [j for j in pending if j.mode == "rank"]
                 if rank_jobs:
-                    # `_influence` views the filled buffer prefix; rows
-                    # below `version`'s count are immutable (appends
-                    # either write past the prefix or copy into a grown
-                    # buffer), so the view is a consistent snapshot
-                    # outside the lock.
+                    # `_influence` views the filled prefixes of the head
+                    # buffer and the content store; entries below them
+                    # are immutable (appends either write past the
+                    # prefixes or copy into grown buffers), so the view
+                    # is a consistent snapshot outside the lock.
                     matrix = self._influence
                     if self.index_kind == "ivf":
                         ann = self._ensure_ann()
@@ -1078,7 +1101,7 @@ class ServingIndex:
         with self._serve_lock:
             if self.degraded or self._influence is None:
                 raise NotFittedError(
-                    "cannot cluster: the index has no influence matrix "
+                    "cannot cluster: the index has no influence rows "
                     "(degraded or empty pool)")
             return self._ensure_ann()
 
@@ -1117,9 +1140,7 @@ class ServingIndex:
         if self._fallback_rows is None:
             self._fallback_rows = ContentRows.from_rows(
                 (tfidf.transform(p) for p in self._papers), tfidf.dim)
-        live = self._fallback_rows
-        return tfidf, ContentRows(live.data, live.indices, live.indptr,
-                                  live.width)
+        return tfidf, self._fallback_rows.snapshot()
 
     # ------------------------------------------------------------------
     # Health and self-healing
@@ -1132,9 +1153,10 @@ class ServingIndex:
         - **artifact** — when the index came from :meth:`from_artifact`,
           the manifest is re-verified in place (schema version plus
           per-file SHA-256);
-        - **embeddings** — the precomputed influence matrix must be
-          entirely finite; a non-finite matrix is recomputed from the
-          model (self-heal) before being declared unhealthy;
+        - **embeddings** — the precomputed influence rows (head and
+          content store) must be entirely finite; non-finite rows are
+          recomputed from the model (self-heal) before being declared
+          unhealthy;
         - **fallback** — with ``probe=True`` and a non-empty pool, the
           TF-IDF degradation path is probed (its pool rows must be
           finite); a failed probe triggers :meth:`self_heal` (rebuild the
@@ -1161,15 +1183,14 @@ class ServingIndex:
                 entry["error"] = str(exc)
             checks["artifact"] = entry
 
-        finite = (self._influence is None
-                  or bool(np.isfinite(self._influence).all()))
+        finite = _finite(self._influence)
         healed_embeddings = False
         if not finite:
             finite = healed_embeddings = self._heal_influence()
         checks["embeddings"] = {
             "ok": finite,
             "healed": healed_embeddings,
-            "rows": 0 if self._influence is None else int(self._influence.shape[0]),
+            "rows": self._pool_count,
         }
 
         fallback: dict = {"ok": True, "healed": False, "probed": False}
@@ -1258,15 +1279,36 @@ class ServingIndex:
             return False
 
     def _heal_influence(self) -> bool:
-        """Recompute the influence matrix from the model; True on success."""
+        """Recompute the influence rows from the model; True on success.
+
+        The stores are rebuilt and any clustered structure over the old
+        values is dropped for a lazy refit.
+        """
         if self.degraded or self._influence is None:
             return False
         try:
-            healed = self._influence_rows(self._ids)
+            blocks = [self._influence_rows(self._ids[start:start
+                                                     + self.block_size])
+                      for start in range(0, len(self._ids), self.block_size)]
         except Exception:
             return False
         with self._serve_lock:
-            self._influence = healed
+            self._head_buffer = self._pool_content = None
+            self._pool_count = 0
+            for rows in blocks:
+                self._push_rows(rows)
+            self._ann = None
+            self._pool_version += 1
             self._cache.clear()
         obs.count("serve.self_heal", component="influence")
-        return bool(np.isfinite(self._influence).all())
+        return _finite(self._influence)
+
+
+def _finite(rows: Rows | None) -> bool:
+    """True when every stored value of *rows* (if any) is finite."""
+    if rows is None:
+        return True
+    if isinstance(rows, SplitRows):
+        return bool(np.isfinite(rows.head).all()
+                    and np.isfinite(rows.content.data).all())
+    return bool(np.isfinite(rows).all())

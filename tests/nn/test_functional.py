@@ -1,14 +1,11 @@
-"""Tests for the functional ops (softmax, normalisation, distances)."""
+"""Tests for the functional ops (softmax, normalisation, dropout)."""
 
 import numpy as np
 import pytest
 
 from repro.nn import (
     Tensor,
-    cosine_similarity,
-    dot_rows,
     dropout,
-    euclidean_distance,
     l2_normalize,
     log_softmax,
     softmax,
@@ -50,37 +47,6 @@ class TestNormalisation:
         x = Tensor(np.zeros((2, 3)))
         out = l2_normalize(x)
         assert np.isfinite(out.data).all()
-
-    def test_cosine_similarity_bounds(self):
-        a = Tensor(np.random.default_rng(3).normal(size=(6, 4)))
-        b = Tensor(np.random.default_rng(4).normal(size=(6, 4)))
-        sims = cosine_similarity(a, b).data
-        assert np.all(sims <= 1.0 + 1e-9)
-        assert np.all(sims >= -1.0 - 1e-9)
-
-    def test_cosine_self_is_one(self):
-        a = Tensor(np.random.default_rng(5).normal(size=(4, 3)))
-        np.testing.assert_allclose(cosine_similarity(a, a).data, 1.0, rtol=1e-6)
-
-
-class TestDistances:
-    def test_dot_rows(self):
-        a = Tensor(np.array([[1.0, 2.0], [0.0, 1.0]]))
-        b = Tensor(np.array([[3.0, 4.0], [5.0, 6.0]]))
-        np.testing.assert_allclose(dot_rows(a, b).data, [11.0, 6.0])
-
-    def test_euclidean_matches_numpy(self):
-        rng = np.random.default_rng(6)
-        a, b = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
-        expected = np.linalg.norm(a - b, axis=1)
-        np.testing.assert_allclose(
-            euclidean_distance(Tensor(a), Tensor(b)).data, expected, rtol=1e-6)
-
-    def test_euclidean_gradient_at_zero_safe(self):
-        p = parameter(np.ones((2, 3)))
-        q = Tensor(np.ones((2, 3)))
-        euclidean_distance(p, q).sum().backward()
-        assert np.isfinite(p.grad).all()
 
 
 class TestDropoutFunctional:
