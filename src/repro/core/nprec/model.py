@@ -304,12 +304,12 @@ class NPRecModel(Module):
         # Global score bias: calibrates the positive rate under the
         # imbalanced pair labels of the de-fuzzing sampler.
         self.score_bias = parameter(np.zeros(1), name="score_bias")
-        # Candidate-side potential-influence head: a linear read-out of the
-        # influence representation, independent of the user. It learns
-        # "how citable is this paper at all" — the paper's requirement
-        # that recommendations balance relevance with potential influence
-        # (Sec. IV-B). Applied to the learned blocks (not the static
-        # lexical block).
+        # Candidate-side head: a linear read-out of the influence
+        # representation, independent of the user ("how citable is this
+        # paper at all"). It is a term of the Eq. 22 training logit in
+        # score_pairs only; neither the offline ranker (_rank) nor
+        # serving applies it. Applied to the learned blocks (not the
+        # static lexical block).
         n_parts = (2 if use_text else 0) + (1 if use_network else 0)
         self._head_dim = n_parts * dim
         self.influence_head = Linear(self._head_dim, 1,

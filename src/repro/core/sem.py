@@ -260,9 +260,11 @@ class SubspaceEmbeddingMethod:
 
     def fused_embeddings(self, papers: Sequence[Paper],
                          weights: Sequence[float] | None = None) -> np.ndarray:
-        """Attention-fused text vectors ``c_p = sum_k lambda_k c_p^k``.
+        """Fused text vectors ``c_p = sum_k lambda_k c_p^k``.
 
-        With ``weights=None`` the lambdas are uniform; NPRec learns them.
+        With ``weights=None`` the lambdas are uniform (``1/K``). NPRec
+        calls it that way, so its text is the uniform fusion; the Eq. 23
+        attention weights are not learned.
         """
         stacked = self.embed_many(papers)  # (n, K, d)
         if weights is None:

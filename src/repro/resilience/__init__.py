@@ -1,6 +1,6 @@
 """repro.resilience — fault injection, checkpoints, guards, and retry.
 
-The fault-tolerance layer of the pipeline. Four cooperating pieces:
+The fault-tolerance layer of the pipeline. Five cooperating pieces:
 
 - :mod:`repro.resilience.faults` — a deterministic fault-injection
   harness (``REPRO_FAULTS=site:prob:seed,...``) whose
@@ -8,9 +8,12 @@ The fault-tolerance layer of the pipeline. Four cooperating pieces:
   artifact verify/load, SEM embedding, trainer batch steps, and serving
   query/ingest sites, raising typed
   :class:`~repro.errors.InjectedFault` errors reproducibly;
-- :mod:`repro.resilience.checkpoint` — atomic (tmp+fsync+rename,
-  sha256-manifested) per-epoch training checkpoints with keep-last-N
-  retention and **bit-identical** resume;
+- :mod:`repro.resilience.staging` — the one crash-atomic snapshot
+  writer (stage, checksum, fsync, rename) and manifest verifier, shared
+  by serving artifacts and checkpoints;
+- :mod:`repro.resilience.checkpoint` — staged, sha256-manifested
+  per-epoch training checkpoints with keep-last-N retention and
+  **bit-identical** resume;
 - :mod:`repro.resilience.guards` — NaN/Inf and divergence detection
   raising :class:`~repro.errors.NumericalError`, plus the bounded
   rollback/LR-halving recovery policy trainers apply on a trip;

@@ -6,16 +6,15 @@ A checkpoint directory holds one subdirectory per snapshot::
         epoch-0001/
             state.npz       model weights + extra arrays, Adam moments, order
             meta.json       epoch, Adam t/lr, RNG state, history, extra, schema
-            manifest.json   sha256 per file (the serve.artifacts convention)
+            manifest.json   sha256 per file
         epoch-0002/
         ...
 
-Writes are crash-safe: every file is written inside a hidden temp
-directory, fsynced, and the whole directory is atomically renamed into
-place (`os.replace`), so a kill at any instant leaves either the previous
-complete set of checkpoints or the previous set plus one complete new
-snapshot — never a truncated one. Retention keeps the newest *keep_last*
-snapshots.
+Each snapshot is written by :func:`repro.resilience.staging.write_snapshot`
+(staged beside its slot, fsynced, renamed into place), so a kill at any
+instant leaves either the previous complete set of checkpoints or the
+previous set plus one complete new snapshot — never a truncated one.
+Retention keeps the newest *keep_last* snapshots.
 
 A :class:`TrainState` captures everything a trainer's epoch loop
 consumes — model ``state_dict`` and ``extra_state``, Adam
@@ -43,6 +42,7 @@ from repro import obs
 from repro.errors import ArtifactError, InjectedFault, NumericalError
 from repro.nn.layers import Module
 from repro.nn.optim import Adam
+from repro.resilience import staging
 from repro.resilience.guards import GuardPolicy, NumericGuard
 from repro.utils.rng import SeedLike, as_generator
 
@@ -51,30 +51,12 @@ from repro.utils.rng import SeedLike, as_generator
 #: bit-identically in a new process.
 CHECKPOINT_SCHEMA_VERSION = 2
 
-MANIFEST_NAME = "manifest.json"
-
+_KIND = "train-checkpoint"
 _MODEL_PREFIX = "model."
 _EXTRA_PREFIX = "extra."
 _ADAM_M_PREFIX = "adam.m."
 _ADAM_V_PREFIX = "adam.v."
 _ORDER_KEY = "order"
-
-
-def _sha256(path: Path) -> str:
-    import hashlib
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
-def _fsync_path(path: Path) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 @dataclass
@@ -152,6 +134,7 @@ class CheckpointManager:
         """Completed-epoch numbers with a snapshot on disk, ascending."""
         if not self.root.is_dir():
             return []
+        staging.recover_children(self.root)
         found = []
         for entry in self.root.iterdir():
             if entry.is_dir() and entry.name.startswith("epoch-"):
@@ -164,13 +147,6 @@ class CheckpointManager:
     # ------------------------------------------------------------------
     def save(self, state: TrainState) -> Path:
         """Atomically persist *state*; returns the snapshot directory."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        final = self._slot(state.epoch)
-        tmp = self.root / f".tmp-{final.name}"
-        if tmp.exists():
-            shutil.rmtree(tmp)
-        tmp.mkdir()
-
         arrays: dict[str, np.ndarray] = {
             f"{_MODEL_PREFIX}{name}": value
             for name, value in state.model_state.items()
@@ -182,8 +158,6 @@ class CheckpointManager:
         for name, value in state.extra[0].items():
             arrays[f"{_EXTRA_PREFIX}{name}"] = value
         arrays[_ORDER_KEY] = np.asarray(state.order, dtype=np.int64)
-        np.savez(tmp / "state.npz", **arrays)
-
         meta = {
             "schema_version": CHECKPOINT_SCHEMA_VERSION,
             "epoch": state.epoch,
@@ -194,32 +168,11 @@ class CheckpointManager:
             "history": state.history,
             "extra": state.extra[1],
         }
-        with open(tmp / "meta.json", "w", encoding="utf-8") as handle:
-            json.dump(meta, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        _fsync_path(tmp / "state.npz")
-
-        manifest = {
-            "schema_version": CHECKPOINT_SCHEMA_VERSION,
-            "kind": "train-checkpoint",
-            "files": {name: _sha256(tmp / name)
-                      for name in ("state.npz", "meta.json")},
-        }
-        with open(tmp / MANIFEST_NAME, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        _fsync_path(tmp)
-
-        # A pre-existing slot for the same epoch (e.g. a rerun) cannot be
-        # replaced in one rename; remove it first. A crash between the
-        # two steps leaves only the hidden tmp dir, which loaders skip —
-        # the previous epoch's snapshot remains the resume point.
-        if final.exists():
-            shutil.rmtree(final)
-        os.replace(tmp, final)
-        _fsync_path(self.root)
+        final = staging.write_snapshot(
+            self._slot(state.epoch),
+            {"state.npz": staging.npz_payload(arrays),
+             "meta.json": staging.json_payload(meta)},
+            {"schema_version": CHECKPOINT_SCHEMA_VERSION, "kind": _KIND})
         obs.count("resilience.checkpoint.saved")
         self._prune()
         return final
@@ -238,31 +191,7 @@ class CheckpointManager:
         written under another schema version, or fails its checksums.
         """
         slot = self._slot(epoch)
-        manifest_path = slot / MANIFEST_NAME
-        if not manifest_path.is_file():
-            raise ArtifactError(f"no checkpoint manifest at {slot}")
-        try:
-            with open(manifest_path, encoding="utf-8") as handle:
-                manifest = json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ArtifactError(f"corrupt checkpoint manifest {manifest_path}: "
-                                f"{exc}") from exc
-        if manifest.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
-            raise ArtifactError(
-                f"checkpoint {slot} has schema version "
-                f"{manifest.get('schema_version')!r}; this build reads "
-                f"{CHECKPOINT_SCHEMA_VERSION}")
-        bad = []
-        for name, checksum in manifest.get("files", {}).items():
-            path = slot / name
-            if not path.is_file():
-                bad.append(f"{name} (missing)")
-            elif _sha256(path) != checksum:
-                bad.append(f"{name} (checksum mismatch)")
-        if bad:
-            raise ArtifactError(
-                f"checkpoint {slot} failed integrity checks: {', '.join(bad)}")
-
+        staging.verify(slot, _KIND, CHECKPOINT_SCHEMA_VERSION)
         with open(slot / "meta.json", encoding="utf-8") as handle:
             meta = json.load(handle)
         with np.load(slot / "state.npz") as archive:

@@ -16,7 +16,8 @@ Guarantees:
   sampled receptive fields, and the field-sampler RNG state are all
   persisted);
 * artifacts fail loudly — checksum or schema-version mismatches raise
-  :class:`repro.errors.ArtifactError` / ``SchemaVersionError``;
+  :class:`repro.errors.ArtifactError` / ``SchemaVersionError`` — and
+  every save is one staged snapshot, so a crash leaves the old or new;
 * serving degrades gracefully — unknown users or unloadable artifacts
   fall back to the TF-IDF content ranker, with the downgrade recorded
   under the ``serve.degraded`` obs counter; artifact loads are retried
@@ -67,7 +68,6 @@ from repro.serve.artifacts import (
     pool_fingerprint,
     save_ann_index,
     save_pipeline,
-    save_pool,
 )
 from repro.serve.index import BatchQueryResult, ServingIndex
 from repro.serve.scheduler import BatchScheduler, SheddingGovernor, Ticket
@@ -78,7 +78,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "save_pipeline", "load_pipeline", "load_author_affiliations",
     "save_ann_index", "load_ann_index", "has_ann_index", "pool_fingerprint",
-    "save_pool", "load_pool",
+    "load_pool",
     "IVFIndex", "ProbeStats", "exact_top_k",
     "batch_exact_top_k", "rank_candidates", "pooled_scores",
     "ServingIndex", "BatchQueryResult",

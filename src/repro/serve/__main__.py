@@ -66,6 +66,7 @@ from repro.core.nprec import NPRecConfig, NPRecRecommender
 from repro.core.sem import SEMConfig
 from repro.data import load_acm
 from repro.experiments.protocol import RecommendationTask, split_task_by_year
+from repro.resilience import staging
 from repro.serve.artifacts import (load_pipeline, manifest_extra,
                                    save_ann_index, save_pipeline)
 from repro.serve.index import ServingIndex
@@ -397,7 +398,8 @@ def cmd_swap(args: argparse.Namespace) -> int:
 def _load_or_fit_index(args: argparse.Namespace):
     """Fit-or-load the artifact for ``serve``: (task or None, index)."""
     directory = Path(args.dir)
-    if (directory / "manifest.json").exists():
+    staging.recover(directory)  # a crash mid-swap leaves only the backup
+    if (directory / staging.MANIFEST_NAME).exists():
         print(f"loading artifact from {directory} ...", file=sys.stderr)
         task = _manifest_task(str(directory))
         if task is None:

@@ -20,7 +20,8 @@ An artifact is a directory::
     ann/ivf.npz|.json        IVF coarse quantizer over a serving pool
                              (only when saved via save_ann_index)
     pool/pool.json           serving-pool snapshot in insertion order
-                             (only after a WAL compaction; see save_pool)
+                             (only after a WAL compaction; see
+                             save_compacted)
 
 Everything that decides a ranking is persisted **exactly** — float64
 arrays through ``.npz``, graph adjacency in insertion order, the sampled
@@ -33,6 +34,9 @@ since the never-enabled novelty-score payload was dropped; see
 ``SCHEMA_VERSION``); :func:`load_pipeline` refuses loudly
 (``ArtifactError`` / ``SchemaVersionError``) rather than deserialising
 a corrupt or foreign-versioned directory.
+
+Every write is one staged snapshot (:mod:`repro.resilience.staging`),
+so a crash leaves the old artifact or the new one, never a mix.
 """
 
 from __future__ import annotations
@@ -55,12 +59,11 @@ from repro.core.sem import SEMConfig, SubspaceEmbeddingMethod
 from repro.core.subspace_model import SubspaceEmbeddingNetwork
 from repro.data.corpus import Corpus
 from repro.data.io import paper_from_dict, paper_to_dict
-from repro.errors import (ArtifactError, InjectedFault, NotFittedError,
-                          SchemaVersionError)
+from repro.errors import ArtifactError, InjectedFault, NotFittedError
 from repro.graph.hetero import HeterogeneousGraph
 from repro.nn.layers import Linear
-from repro.nn.serialization import load_module, save_module
-from repro.resilience import faults
+from repro.nn.serialization import load_module
+from repro.resilience import faults, staging
 from repro.resilience.retry import Backoff, retry
 from repro.text.sentence_encoder import SentenceEncoder
 from repro.text.sequence_labeler import SequenceLabeler
@@ -75,52 +78,13 @@ from repro.text.sequence_labeler import SequenceLabeler
 #: gone, so v3 artifacts must be re-saved.
 SCHEMA_VERSION = 4
 
-MANIFEST_NAME = "manifest.json"
-
-
-# ----------------------------------------------------------------------
-# Small helpers
-# ----------------------------------------------------------------------
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    """Write *payload* as JSON, atomically.
-
-    Same recipe as :func:`repro.data.io.save_corpus`: dump to a
-    same-directory temp file, flush + fsync, then ``os.replace`` over
-    the target. A crash mid-write never leaves a truncated JSON file —
-    in particular a manifest rewrite (:func:`_refresh_manifest`,
-    compaction) either fully lands or leaves the old manifest intact,
-    instead of a half-written one that fails verification with no
-    recovery path.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
+KIND = "nprec-pipeline"
+POOL_FILE = "pool/pool.json"
 
 
 def _read_json(path: Path) -> dict:
     with open(path, encoding="utf-8") as handle:
         return json.load(handle)
-
-
-def _save_npz(path: Path, arrays: dict[str, np.ndarray]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(path, **arrays)
 
 
 def _load_npz(path: Path) -> dict[str, np.ndarray]:
@@ -142,7 +106,11 @@ def save_pipeline(recommender: NPRecRecommender, directory: str | os.PathLike,
     recommender:
         A fitted recommender (``fit`` must have been called).
     directory:
-        Target directory; created if absent, files are overwritten.
+        Target directory; created if absent. An existing artifact there
+        is replaced as a whole, atomically
+        (:func:`repro.resilience.staging.write_snapshot`), except for its
+        pool snapshot (``pool/pool.json``), which is carried over: after
+        a compaction it is the only copy of the ingested papers.
     corpus:
         Optional source corpus — only used to harvest the
         ``author id -> affiliation`` map so incrementally ingested papers
@@ -152,8 +120,7 @@ def save_pipeline(recommender: NPRecRecommender, directory: str | os.PathLike,
         the CLI records corpus scale/seed here).
     author_affiliations:
         Pre-harvested ``author id -> affiliation`` map for callers with
-        no corpus at hand (WAL compaction re-saves a live index whose
-        corpus is long gone). *corpus*-harvested entries win on overlap.
+        no corpus at hand. *corpus*-harvested entries win on overlap.
 
     Returns
     -------
@@ -165,9 +132,79 @@ def save_pipeline(recommender: NPRecRecommender, directory: str | os.PathLike,
         If the recommender has not been fitted.
     ArtifactError
         If the pipeline contains components that cannot be persisted
-        (user-registered callable extra rules).
+        (user-registered callable extra rules), or if *directory* is
+        neither empty nor an artifact.
     """
-    rec = recommender
+    root = Path(directory)
+    payloads = _pipeline_payloads(recommender, corpus, author_affiliations)
+    try:  # carry the pool snapshot, the only copy of compacted ingests
+        pool = {POOL_FILE: staging.read_manifest(root)["files"][POOL_FILE]}
+    except (ArtifactError, KeyError):
+        pool = {}
+    manifest = {**_pipeline_manifest(recommender, extra_metadata),
+                "files": pool}
+    with obs.trace("serve.save_pipeline", directory=str(root)):
+        staging.write_snapshot(root, payloads, manifest, carry_from=root)
+        obs.count("serve.artifact.saved")
+    return root
+
+
+def save_compacted(directory: str | os.PathLike,
+                   recommender: NPRecRecommender | None, papers,
+                   source: str | os.PathLike,
+                   author_affiliations: dict[str, str], ivf=None) -> Path:
+    """Write a serving index's state as one artifact snapshot
+    (:meth:`repro.serve.index.ServingIndex.compact`).
+
+    It holds ``pool/pool.json`` (*papers* in insertion order, which
+    decides IVF positions and tie-breaking) and either the re-saved
+    *recommender* under *source*'s ``extra`` metadata plus the quantizer
+    *ivf*, or, for a degraded index, *source*'s files carried under
+    their old checksums, so payloads that failed verification still
+    fail it. A model-less index with no source manifest writes a
+    ``serving-pool`` snapshot, which :func:`load_pipeline` refuses.
+    """
+    root = Path(directory)
+    payloads = {POOL_FILE: staging.json_payload(
+        {"papers": [paper_to_dict(p) for p in papers]})}
+    carry_from = None
+    if recommender is not None:
+        payloads.update(_pipeline_payloads(recommender, None,
+                                           author_affiliations))
+        if ivf is not None:
+            payloads.update(_ann_payloads(ivf, [p.id for p in papers]))
+        manifest = _pipeline_manifest(recommender, manifest_extra(source))
+    else:
+        staging.recover(source)
+        if (Path(source) / staging.MANIFEST_NAME).is_file():
+            manifest, carry_from = staging.read_manifest(source), source
+        else:  # nothing to carry, and no pipeline to vouch for
+            manifest = {"schema_version": SCHEMA_VERSION,
+                        "kind": "serving-pool"}
+    with obs.trace("serve.save_compacted", directory=str(root)):
+        staging.write_snapshot(root, payloads, manifest, carry_from)
+        obs.count("serve.artifact.pool_saved")
+    return root
+
+
+def _pipeline_manifest(rec: NPRecRecommender,
+                       extra_metadata: dict | None) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": KIND,
+        "counts": {
+            "entities": rec.model.graph.num_entities,
+            "edges": rec.model.graph.num_edges,
+            "train_papers": len(rec._train_by_id),
+        },
+        "extra": extra_metadata or {},
+    }
+
+
+def _pipeline_payloads(rec: NPRecRecommender, corpus: Corpus | None,
+                       author_affiliations: dict[str, str] | None
+                       ) -> dict[str, staging.Payload]:
+    """Every payload file of a fitted pipeline, by relative path."""
     if rec.model is None or rec.sem is None:
         raise NotFittedError("cannot save an unfitted NPRecRecommender")
     if rec.sem.extra_rules or (rec.sem.rules is not None
@@ -175,44 +212,24 @@ def save_pipeline(recommender: NPRecRecommender, directory: str | os.PathLike,
         raise ArtifactError(
             "cannot persist user-registered extra rules (arbitrary "
             "callables); drop extra_rules or persist them out of band")
-    root = Path(directory)
-    root.mkdir(parents=True, exist_ok=True)
-
-    with obs.trace("serve.save_pipeline", directory=str(root)):
-        _write_json(root / "config.json", _config_payload(rec))
-        _write_json(root / "graph.json", rec.model.graph.to_payload())
-        affiliations: dict[str, str] = dict(author_affiliations or {})
-        if corpus is not None:
-            affiliations.update({a.id: a.affiliation for a in corpus.authors
-                                 if a.affiliation})
-        _write_json(root / "papers.json", {
+    affiliations: dict[str, str] = dict(author_affiliations or {})
+    if corpus is not None:
+        affiliations.update({a.id: a.affiliation for a in corpus.authors
+                             if a.affiliation})
+    payloads = {
+        "config.json": staging.json_payload(_config_payload(rec)),
+        "graph.json": staging.json_payload(rec.model.graph.to_payload()),
+        "papers.json": staging.json_payload({
             "train_papers": [paper_to_dict(p)
                              for p in rec._train_by_id.values()],
             "author_affiliations": affiliations,
-        })
-        _save_sem(rec.sem, root / "sem")
-        _save_model(rec.model, root / "model")
-        if rec._profile_text is not None:
-            _save_profile_text(rec._profile_text, root / "profile_text")
-
-        files = sorted(
-            str(p.relative_to(root)).replace(os.sep, "/")
-            for p in root.rglob("*")
-            if p.is_file() and p.name != MANIFEST_NAME)
-        manifest = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "nprec-pipeline",
-            "files": {rel: _sha256(root / rel) for rel in files},
-            "counts": {
-                "entities": rec.model.graph.num_entities,
-                "edges": rec.model.graph.num_edges,
-                "train_papers": len(rec._train_by_id),
-            },
-            "extra": extra_metadata or {},
-        }
-        _write_json(root / MANIFEST_NAME, manifest)
-        obs.count("serve.artifact.saved")
-    return root
+        }),
+    }
+    payloads.update(_sem_payloads(rec.sem))
+    payloads.update(_model_payloads(rec.model))
+    if rec._profile_text is not None:
+        payloads.update(_profile_text_payloads(rec._profile_text))
+    return payloads
 
 
 def _config_payload(rec: NPRecRecommender) -> dict:
@@ -237,39 +254,42 @@ def _config_payload(rec: NPRecRecommender) -> dict:
     }
 
 
-def _save_sem(sem: SubspaceEmbeddingMethod, root: Path) -> None:
+def _sem_payloads(sem: SubspaceEmbeddingMethod
+                  ) -> dict[str, staging.Payload]:
     encoder = sem.encoder
     network = sem.network
     rules = sem.rules
     if encoder is None or network is None or rules is None:
         raise NotFittedError("cannot save an unfitted SEM pipeline")
-    _write_json(root / "encoder.json", {
-        "dim": encoder.dim,
-        "sif_a": encoder.sif_a,
-        "max_words": encoder.max_words,
-        "total_words": encoder._total_words,
-        "frequency": dict(encoder._frequency),
-    })
-    _save_npz(root / "encoder.npz", {"rotation": encoder._rotation})
-    root.mkdir(parents=True, exist_ok=True)
-    save_module(network, root / "network.npz")
     mean, std = rules._require_fitted()
-    _save_npz(root / "rules.npz", {
-        "weights": np.asarray(rules.weights),
-        "mean": mean,
-        "std": std,
-    })
+    payloads = {
+        "sem/encoder.json": staging.json_payload({
+            "dim": encoder.dim,
+            "sif_a": encoder.sif_a,
+            "max_words": encoder.max_words,
+            "total_words": encoder._total_words,
+            "frequency": dict(encoder._frequency),
+        }),
+        "sem/encoder.npz": staging.npz_payload(
+            {"rotation": encoder._rotation}),
+        "sem/network.npz": staging.npz_payload(network.state_dict()),
+        "sem/rules.npz": staging.npz_payload({
+            "weights": np.asarray(rules.weights),
+            "mean": mean,
+            "std": std,
+        }),
+    }
     if sem.labeler is not None:
         if sem.labeler.emission_ is None or sem.labeler.transition_ is None:
             raise NotFittedError("SEM labeler exists but is not fitted")
-        _save_npz(root / "labeler.npz", {
+        payloads["sem/labeler.npz"] = staging.npz_payload({
             "emission": sem.labeler.emission_,
             "transition": sem.labeler.transition_,
         })
+    return payloads
 
 
-def _save_model(model: NPRecModel, root: Path) -> None:
-    _save_npz(root / "weights.npz", model.state_dict())
+def _model_payloads(model: NPRecModel) -> dict[str, staging.Payload]:
     static: dict[str, np.ndarray] = {"nonpaper_mask": model._nonpaper_mask}
     if model._text_matrix is not None:
         static["text_matrix"] = model._text_matrix
@@ -278,27 +298,33 @@ def _save_model(model: NPRecModel, root: Path) -> None:
         static["content_data"] = content.data
         static["content_indices"] = content.indices
         static["content_indptr"] = content.indptr
-    _save_npz(root / "static.npz", static)
-
     fields, meta = model.extra_state()
-    _save_npz(root / "fields.npz", fields)
-    _write_json(root / "field_rng.json", {"state": meta["field_rng"]})
+    return {
+        "model/weights.npz": staging.npz_payload(model.state_dict()),
+        "model/static.npz": staging.npz_payload(static),
+        "model/fields.npz": staging.npz_payload(fields),
+        "model/field_rng.json": staging.json_payload(
+            {"state": meta["field_rng"]}),
+    }
 
 
-def _save_profile_text(module: JTIERecommender, root: Path) -> None:
+def _profile_text_payloads(module: JTIERecommender
+                           ) -> dict[str, staging.Payload]:
     if module.bilinear_ is None:
         raise NotFittedError("profile-text module exists but is not fitted")
-    _write_json(root / "meta.json", {
-        "text_dim": module.text_dim,
-        "venue_rate": module._venue_rate,
-        "author_h": module._author_h,
-    })
     arrays = {"bilinear.weight": module.bilinear_.weight.data}
     head = module._head
     arrays["head.weight"] = head.weight.data
     if head.bias is not None:
         arrays["head.bias"] = head.bias.data
-    _save_npz(root / "weights.npz", arrays)
+    return {
+        "profile_text/meta.json": staging.json_payload({
+            "text_dim": module.text_dim,
+            "venue_rate": module._venue_rate,
+            "author_h": module._author_h,
+        }),
+        "profile_text/weights.npz": staging.npz_payload(arrays),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -306,34 +332,7 @@ def _save_profile_text(module: JTIERecommender, root: Path) -> None:
 # ----------------------------------------------------------------------
 def _verify_manifest(root: Path) -> dict:
     faults.maybe_fail("artifact.verify")
-    manifest_path = root / MANIFEST_NAME
-    if not manifest_path.is_file():
-        raise ArtifactError(f"no {MANIFEST_NAME} in {root} — not an artifact "
-                            "directory (or the manifest was deleted)")
-    try:
-        manifest = _read_json(manifest_path)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ArtifactError(f"corrupt manifest {manifest_path}: {exc}") from exc
-    version = manifest.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise SchemaVersionError(
-            f"artifact at {root} has schema version {version!r}; this build "
-            f"reads version {SCHEMA_VERSION}. Re-save the pipeline with the "
-            "current code (artifacts are not forward/backward compatible).")
-    if manifest.get("kind") != "nprec-pipeline":
-        raise ArtifactError(
-            f"artifact kind {manifest.get('kind')!r} is not 'nprec-pipeline'")
-    bad: list[str] = []
-    for rel, checksum in manifest.get("files", {}).items():
-        path = root / rel
-        if not path.is_file():
-            bad.append(f"{rel} (missing)")
-        elif _sha256(path) != checksum:
-            bad.append(f"{rel} (checksum mismatch)")
-    if bad:
-        raise ArtifactError(
-            f"artifact at {root} failed integrity checks: {', '.join(bad)}")
-    return manifest
+    return staging.verify(root, KIND, SCHEMA_VERSION)
 
 
 def load_pipeline(directory: str | os.PathLike) -> NPRecRecommender:
@@ -385,9 +384,8 @@ def manifest_extra(directory: str | os.PathLike) -> dict:
     artifact (:func:`load_pipeline`) is what reports that.
     """
     try:
-        return dict(_read_json(Path(directory) / MANIFEST_NAME)
-                    .get("extra", {}))
-    except (OSError, ValueError):
+        return dict(staging.read_manifest(directory).get("extra", {}))
+    except (ArtifactError, OSError):
         return {}
 
 
@@ -398,24 +396,8 @@ def load_author_affiliations(directory: str | os.PathLike) -> dict[str, str]:
 
 
 # ----------------------------------------------------------------------
-# Serving-pool snapshot (WAL compaction)
+# Serving-pool snapshot (WAL compaction, see save_compacted)
 # ----------------------------------------------------------------------
-def save_pool(directory: str | os.PathLike, papers) -> Path:
-    """Snapshot the serving pool to ``pool/pool.json`` inside an artifact.
-
-    Written (atomically) by :meth:`repro.serve.index.ServingIndex.compact`
-    *before* the pipeline re-save, so the subsequent manifest rewrite
-    covers the snapshot with a checksum like every other payload. Order
-    is preserved — the pool's insertion order decides IVF positions and
-    tie-breaking, so the snapshot must restore it exactly.
-    """
-    root = Path(directory)
-    path = root / "pool" / "pool.json"
-    _write_json(path, {"papers": [paper_to_dict(p) for p in papers]})
-    obs.count("serve.artifact.pool_saved")
-    return path
-
-
 def load_pool(directory: str | os.PathLike) -> list:
     """Reload the pool snapshot; ``[]`` when the artifact has none.
 
@@ -423,7 +405,8 @@ def load_pool(directory: str | os.PathLike) -> list:
     snapshot (callers decide whether that degrades or aborts;
     :meth:`ServingIndex.from_artifact` counts it and starts without).
     """
-    path = Path(directory) / "pool" / "pool.json"
+    staging.recover(directory)  # the first read of a serving startup
+    path = Path(directory) / POOL_FILE
     if not path.is_file():
         return []
     try:
@@ -456,17 +439,31 @@ def save_ann_index(directory: str | os.PathLike, ivf,
                    paper_ids: "list[str] | tuple[str, ...]") -> Path:
     """Persist a fitted IVF quantizer inside an existing artifact.
 
-    Writes ``ann/ivf.npz`` (centroids + row assignments) and
-    ``ann/ivf.json`` (construction parameters plus the
-    :func:`pool_fingerprint` of *paper_ids*), then refreshes the
-    artifact manifest so both files are sha256-verified like every
-    other payload. The artifact must already exist (``save_pipeline``
-    first) — the quantizer indexes a serving pool, not a bare model.
+    Writes a new snapshot of the artifact adding ``ann/ivf.npz``
+    (centroids + row assignments) and ``ann/ivf.json`` (construction
+    parameters plus the :func:`pool_fingerprint` of *paper_ids*) and
+    carrying the other files under their old checksums. The artifact
+    must already exist (``save_pipeline`` first).
 
     Raises :class:`~repro.errors.NotFittedError` for an unfitted index
     and :class:`~repro.errors.ArtifactError` when *directory* is not an
     artifact.
     """
+    payloads = _ann_payloads(ivf, paper_ids)
+    root = Path(directory)
+    try:
+        manifest = staging.read_manifest(root)
+    except ArtifactError as exc:
+        raise ArtifactError(f"{exc} (save_pipeline before save_ann_index)"
+                            ) from exc
+    with obs.trace("serve.save_ann_index", directory=str(root)):
+        staging.write_snapshot(root, payloads, manifest, carry_from=root)
+        obs.count("serve.ann.artifact_saved")
+    return root / "ann"
+
+
+def _ann_payloads(ivf, paper_ids: "list[str] | tuple[str, ...]"
+                  ) -> dict[str, staging.Payload]:
     from repro.serve.ann import IVFIndex
 
     if not isinstance(ivf, IVFIndex) or not ivf.fitted:
@@ -475,18 +472,10 @@ def save_ann_index(directory: str | os.PathLike, ivf,
         raise ArtifactError(
             f"quantizer covers {ivf.num_rows} rows but the pool has "
             f"{len(paper_ids)} papers — cluster the pool you serve")
-    root = Path(directory)
-    if not (root / MANIFEST_NAME).is_file():
-        raise ArtifactError(f"no {MANIFEST_NAME} in {root}: save_pipeline "
-                            "before save_ann_index")
-    with obs.trace("serve.save_ann_index", directory=str(root)):
-        _save_npz(root / "ann" / "ivf.npz", ivf.to_arrays())
-        meta = ivf.meta()
-        meta["pool_sha256"] = pool_fingerprint(paper_ids)
-        _write_json(root / "ann" / "ivf.json", meta)
-        _refresh_manifest(root)
-        obs.count("serve.ann.artifact_saved")
-    return root / "ann"
+    meta = ivf.meta()
+    meta["pool_sha256"] = pool_fingerprint(paper_ids)
+    return {"ann/ivf.npz": staging.npz_payload(ivf.to_arrays()),
+            "ann/ivf.json": staging.json_payload(meta)}
 
 
 def load_ann_index(directory: str | os.PathLike):
@@ -519,26 +508,6 @@ def load_ann_index(directory: str | os.PathLike):
 def has_ann_index(directory: str | os.PathLike) -> bool:
     """Whether the artifact carries a persisted ANN quantizer."""
     return (Path(directory) / "ann" / "ivf.json").is_file()
-
-
-def _refresh_manifest(root: Path) -> None:
-    """Re-walk the artifact and rewrite the manifest's file checksums.
-
-    Used after adding optional payloads (the ANN quantizer) to an
-    already-saved artifact so the whole directory stays covered by the
-    integrity check.
-    """
-    manifest_path = root / MANIFEST_NAME
-    if not manifest_path.is_file():
-        raise ArtifactError(f"no {MANIFEST_NAME} in {root} — not an "
-                            "artifact directory")
-    manifest = _read_json(manifest_path)
-    files = sorted(
-        str(p.relative_to(root)).replace(os.sep, "/")
-        for p in root.rglob("*")
-        if p.is_file() and p.name != MANIFEST_NAME)
-    manifest["files"] = {rel: _sha256(root / rel) for rel in files}
-    _write_json(manifest_path, manifest)
 
 
 def _rebuild(root: Path, manifest: dict) -> NPRecRecommender:

@@ -611,30 +611,20 @@ class ServingIndex:
     def compact(self, directory: "str | Path | None" = None) -> dict:
         """Bake WAL-covered mutations into the artifact; truncate the log.
 
-        Under ``_serve_lock``: snapshots the serving pool to
-        ``pool/pool.json`` (:func:`repro.serve.artifacts.save_pool`),
-        re-saves the pipeline — whose graph/model/field-sampler state
-        already contains every WAL-covered ingest — and only *then*
-        truncates the log, so the log is never emptied before the new
-        artifact is complete. Compaction is **not** crash-atomic:
-        :func:`~repro.serve.artifacts.save_pipeline` rewrites each payload
-        file in place and the manifest last, so a crash between those
-        writes leaves new payloads under the old checksums. The next
-        :meth:`from_artifact` then fails verification and serves the
-        degraded TF-IDF fallback; the model is lost although the log is
-        intact. A restarted :meth:`from_artifact` merges
-        ``pool/pool.json`` with its ``papers`` argument, so compacted
-        ingests survive without any WAL records. The re-saved manifest
-        keeps the loaded one's ``extra`` task metadata, which the CLI
-        rebuilds its pool from.
+        Under ``_serve_lock``: writes one staged snapshot
+        (:func:`repro.serve.artifacts.save_compacted`) of the pool, the
+        re-saved pipeline (keeping the manifest's ``extra``, which the
+        CLI rebuilds its pool from) and the IVF quantizer, and only
+        *then* truncates the log. A crash at any point leaves the old
+        artifact with the whole log or the new one; either restarts to
+        the same pool and answers. A degraded index carries the
+        artifact's payloads under their old checksums instead.
 
         *directory* defaults to the artifact directory the index was
         loaded from. Returns a summary dict (records compacted, pool
         size, directory).
         """
-        from repro.serve.artifacts import (MANIFEST_NAME, _refresh_manifest,
-                                           manifest_extra, save_pipeline,
-                                           save_pool)
+        from repro.serve.artifacts import save_compacted
         with self._serve_lock:
             if self._wal is None:
                 raise WALError("compact() needs an attached write-ahead log "
@@ -647,14 +637,10 @@ class ServingIndex:
                                "directory= explicitly")
             with obs.trace("serve.wal.compact", records=self._wal.lag,
                            pool=self.num_papers):
-                save_pool(target, self._papers)
-                if not self.degraded:
-                    save_pipeline(self._recommender, target,
-                                  extra_metadata=manifest_extra(
-                                      self._artifact_dir or target),
-                                  author_affiliations=self._affiliations)
-                elif (target / MANIFEST_NAME).exists():
-                    _refresh_manifest(target)
+                save_compacted(target, None if self.degraded
+                               else self._recommender, self._papers,
+                               self._artifact_dir or target,
+                               self._affiliations, self._ann)
                 dropped = self._wal.truncate()
             self._artifact_dir = target
             pool_size = self.num_papers

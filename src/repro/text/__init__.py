@@ -22,13 +22,13 @@ from repro.text.tokenizer import (
     tokenize,
 )
 from repro.text.vocab import UNK_TOKEN, Vocabulary
-from repro.text.word_vectors import HashWordVectors, SvdWordVectors
+from repro.text.word_vectors import HashWordVectors
 
 __all__ = [
     "tokenize", "split_sentences", "sentence_tokens", "ngrams",
     "STOPWORDS", "MAX_SENTENCE_WORDS",
     "Vocabulary", "UNK_TOKEN",
-    "HashWordVectors", "SvdWordVectors",
+    "HashWordVectors",
     "SentenceEncoder",
     "SequenceLabeler", "sentence_features", "SUBSPACE_NAMES", "CUE_WORDS",
     "TextFeatures", "extract_features", "estimate_syllables",

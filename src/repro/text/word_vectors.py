@@ -1,27 +1,20 @@
 """Word embedding substrates.
 
 The paper uses pretrained Word2Vec vectors for the keyword rule (Eq. 3) and
-BERT token states for abstracts. Offline, we provide two interchangeable
-sources with the same ``vector(word) -> ndarray`` contract:
-
-* :class:`HashWordVectors` — deterministic vectors seeded by a stable hash
-  of the word. Any process, any machine, same word -> same vector. Distinct
-  words get near-orthogonal directions, so set-overlap structure (the part
-  of Word2Vec geometry the expert rules actually rely on) is preserved.
-* :class:`SvdWordVectors` — distributional vectors trained by truncated SVD
-  of a PPMI co-occurrence matrix, the classical count-based equivalent of
-  skip-gram (Levy & Goldberg, 2014). Captures topical similarity between
-  *different* words that co-occur.
+BERT token states for abstracts. Offline, :class:`HashWordVectors` gives
+deterministic vectors seeded by a stable hash of the word. Any process, any
+machine, same word -> same vector. Distinct words get near-orthogonal
+directions, so set-overlap structure (the part of Word2Vec geometry the
+expert rules actually rely on) is preserved.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from repro.errors import NotFittedError
 from repro.utils.validation import check_positive
 
 
@@ -65,79 +58,3 @@ class HashWordVectors:
 
     def __contains__(self, word: str) -> bool:
         return True  # every word has a vector by construction
-
-
-class SvdWordVectors:
-    """PPMI + truncated-SVD distributional word vectors.
-
-    Fit on a corpus of token lists; words co-occurring within ``window``
-    positions receive similar vectors. Out-of-vocabulary words fall back to
-    a :class:`HashWordVectors` vector so the interface is total.
-    """
-
-    def __init__(self, dim: int = 64, window: int = 4, min_count: int = 2) -> None:
-        check_positive("dim", dim)
-        check_positive("window", window)
-        self.dim = dim
-        self.window = window
-        self.min_count = min_count
-        self._fallback = HashWordVectors(dim=dim, salt="repro-svd-oov")
-        self.vocabulary_: dict[str, int] | None = None
-        self.embeddings_: np.ndarray | None = None
-
-    def fit(self, documents: Sequence[Sequence[str]]) -> "SvdWordVectors":
-        """Build the co-occurrence matrix and factorise it."""
-        counts: dict[str, int] = {}
-        for doc in documents:
-            for token in doc:
-                counts[token] = counts.get(token, 0) + 1
-        vocab = sorted(w for w, c in counts.items() if c >= self.min_count)
-        index = {word: i for i, word in enumerate(vocab)}
-        n = len(index)
-        if n == 0:
-            raise ValueError("no words meet min_count; cannot fit SvdWordVectors")
-        cooc = np.zeros((n, n))
-        for doc in documents:
-            ids = [index[t] for t in doc if t in index]
-            for pos, left in enumerate(ids):
-                hi = min(len(ids), pos + self.window + 1)
-                for right in ids[pos + 1:hi]:
-                    cooc[left, right] += 1.0
-                    cooc[right, left] += 1.0
-        total = cooc.sum()
-        if total == 0:
-            raise ValueError("no co-occurrences found; documents too short for the window")
-        row = cooc.sum(axis=1, keepdims=True)
-        col = cooc.sum(axis=0, keepdims=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pmi = np.log((cooc * total) / (row * col))
-        ppmi = np.where(np.isfinite(pmi) & (pmi > 0), pmi, 0.0)
-        rank = min(self.dim, n)
-        u, s, _ = np.linalg.svd(ppmi, full_matrices=False)
-        emb = u[:, :rank] * np.sqrt(s[:rank])
-        if rank < self.dim:  # pad so downstream shapes stay fixed
-            emb = np.hstack([emb, np.zeros((n, self.dim - rank))])
-        norms = np.linalg.norm(emb, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        self.embeddings_ = emb / norms
-        self.vocabulary_ = index
-        return self
-
-    def vector(self, word: str) -> np.ndarray:
-        """Vector for *word*; OOV words fall back to hash vectors."""
-        if self.vocabulary_ is None or self.embeddings_ is None:
-            raise NotFittedError("SvdWordVectors.fit must be called before vector()")
-        idx = self.vocabulary_.get(word)
-        if idx is None:
-            return self._fallback.vector(word)
-        return self.embeddings_[idx]
-
-    def vectors(self, words: Iterable[str]) -> np.ndarray:
-        """Stack vectors for *words* into an ``(n, dim)`` matrix."""
-        words = list(words)
-        if not words:
-            return np.zeros((0, self.dim))
-        return np.stack([self.vector(word) for word in words])
-
-    def __contains__(self, word: str) -> bool:
-        return bool(self.vocabulary_) and word in self.vocabulary_

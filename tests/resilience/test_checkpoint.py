@@ -135,7 +135,7 @@ class TestCheckpointManager:
     def test_leftover_tmp_dir_is_invisible(self, tmp_path):
         manager = CheckpointManager(tmp_path)
         manager.save(_capture(epoch=1)[0])
-        (tmp_path / ".tmp-epoch-0002").mkdir()
+        (tmp_path / ".epoch-0002.staging").mkdir()  # a crashed save
         assert manager.epochs() == [1]
         assert manager.latest().epoch == 1
 
@@ -154,20 +154,43 @@ class TestCheckpointManager:
         manager = CheckpointManager(tmp_path)
         manager.save(_capture(epoch=1)[0])
 
-        import repro.resilience.checkpoint as checkpoint_mod
+        import repro.resilience.staging as staging_mod
 
         def crash(src, dst):
             raise OSError("simulated crash during rename")
 
-        monkeypatch.setattr(checkpoint_mod.os, "replace", crash)
+        monkeypatch.setattr(staging_mod.os, "replace", crash)
         with pytest.raises(OSError, match="simulated crash"):
             manager.save(_capture(epoch=2)[0])
         monkeypatch.undo()
 
-        # Only the hidden tmp dir was left behind; resume still works.
+        # Only the hidden staging dir was left behind; resume still works.
         assert manager.epochs() == [1]
         state = manager.latest()
         assert state is not None and state.epoch == 1
+
+    @pytest.mark.parametrize("epoch", [2, 1], ids=["next", "resave"])
+    def test_crash_anywhere_in_save_keeps_a_whole_snapshot(
+            self, tmp_path, crash_at, epoch):
+        """A kill at any write or rename of a save leaves latest() on the
+        previous snapshot or the new one, for a new slot and a re-save."""
+        previous = _capture(epoch=1, seed=0)[0]
+        new = _capture(epoch=epoch, seed=7)[0]
+        point = 0
+        while True:
+            manager = CheckpointManager(tmp_path / str(point))
+            manager.save(previous)
+            with crash_at(point) as run:
+                manager.save(new)
+            state = CheckpointManager(manager.root).latest()
+            weights = state.model_state["weight"]
+            if not run.crashed:
+                assert np.array_equal(weights, new.model_state["weight"])
+                break
+            assert any(np.array_equal(weights, s.model_state["weight"])
+                       for s in (previous, new)), run.events[-1]
+            point += 1
+        assert point == len(run.events) >= 4
 
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError):

@@ -156,6 +156,23 @@ class TestResumeBitIdentity:
         _assert_same_run(harness.weights(second), history,
                          harness.weights(baseline_trainer), baseline)
 
+    @pytest.mark.parametrize("point", range(4, 8))
+    def test_crash_inside_a_snapshot_save_resumes_bit_identically(
+            self, harness, tmp_path, crash_at, point):
+        """A kill at each write or rename of the second epoch's snapshot
+        (events 4-7; the first epoch's save is events 0-3)."""
+        baseline_trainer = harness.make()
+        baseline = harness.train(baseline_trainer)
+
+        with crash_at(point) as run:
+            harness.train(harness.make(checkpoint=tmp_path / "ckpt"))
+        assert run.crashed and len(run.events) == point + 1
+
+        resumed = harness.make(checkpoint=tmp_path / "ckpt")
+        history = harness.train(resumed, resume=True)
+        _assert_same_run(harness.weights(resumed), history,
+                         harness.weights(baseline_trainer), baseline)
+
     def test_resume_requires_checkpoint(self, nprec_setup, twin_setup):
         for harness in (nprec_setup, twin_setup):
             with pytest.raises(ValueError, match="resume=True requires"):

@@ -17,6 +17,8 @@ from repro.serve import (
     WriteAheadLog,
     load_author_affiliations,
     load_pipeline,
+    load_pool,
+    save_ann_index,
     save_pipeline,
 )
 
@@ -155,6 +157,61 @@ class TestFailureModes:
         (directory / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ArtifactError, match="kind"):
             load_pipeline(directory)
+
+
+class TestRewritesCarryChecksums:
+    """A snapshot that carries files forward keeps their old checksums."""
+
+    @pytest.mark.parametrize("rewrite", ["compact", "save_ann_index"])
+    def test_rewrite_does_not_approve_a_tampered_payload(
+            self, artifact, serve_task, tmp_path, rewrite):
+        directory = _copy(artifact[0], tmp_path)
+        pool = list(serve_task.new_papers)
+        index = ServingIndex.from_artifact(directory, papers=pool,
+                                           index="ivf")
+        ivf = index.build_ann_index()
+        # Tamper so the file still parses: only its checksum can tell.
+        target = directory / "config.json"
+        payload = json.loads(target.read_text())
+        payload["nprec_config"]["max_pool_mix"] = 0.9
+        target.write_text(json.dumps(payload))
+        if rewrite == "compact":
+            degraded = ServingIndex.from_artifact(
+                directory, papers=pool,
+                wal=WriteAheadLog(tmp_path / "ingest.wal"))
+            assert degraded.degraded
+            degraded.compact()
+        else:
+            save_ann_index(directory, ivf, index.paper_ids)
+        with pytest.raises(ArtifactError, match="config.json"):
+            load_pipeline(directory)
+
+
+class TestResave:
+    def test_a_resave_carries_the_compacted_pool(self, artifact, serve_task,
+                                                 tmp_path):
+        directory = _copy(artifact[0], tmp_path)
+        pool = list(serve_task.new_papers)
+        live = ServingIndex.from_artifact(
+            directory, papers=pool,
+            wal=WriteAheadLog(tmp_path / "ingest.wal"))
+        live.add_paper(dataclasses.replace(pool[0], id="resave-0",
+                                           references=(), citation_count=0))
+        live.compact()  # truncates the log: the snapshot is the only copy
+        save_pipeline(load_pipeline(directory), directory)
+        assert [p.id for p in load_pool(directory)] == live.paper_ids
+        restarted = ServingIndex.from_artifact(directory, papers=pool)
+        assert restarted.health(probe=False)["checks"]["artifact"]["ok"]
+        assert restarted.paper_ids == live.paper_ids
+
+    def test_a_directory_that_is_not_an_artifact_is_refused(
+            self, fitted_recommender, tmp_path):
+        directory = tmp_path / "data"
+        directory.mkdir()
+        (directory / "notes.txt").write_text("keep me")
+        with pytest.raises(ArtifactError, match="not a snapshot"):
+            save_pipeline(fitted_recommender, directory)
+        assert sorted(p.name for p in directory.iterdir()) == ["notes.txt"]
 
 
 class TestManifest:

@@ -1,5 +1,6 @@
 """CLI tests: warmup -> query against a real artifact, plus arg handling."""
 
+import argparse
 import dataclasses
 import json
 import shutil
@@ -7,7 +8,8 @@ import shutil
 import pytest
 
 from repro.serve import ServingIndex, WriteAheadLog, load_pool
-from repro.serve.__main__ import _default_wal, _manifest_task, main
+from repro.serve.__main__ import (_default_wal, _load_or_fit_index,
+                                  _manifest_task, main)
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +153,37 @@ class TestCompact:
         restarted = ServingIndex.from_artifact(directory,
                                                papers=task.new_papers)
         assert restarted.paper_ids == live.paper_ids
+
+    def test_serve_restarts_from_a_compact_cut_mid_swap(
+            self, warm_dir, tmp_path, crash_at, capsys):
+        """A crash between the swap's two renames leaves only the backup;
+        ``serve`` must load it, not fit over it and lose its pool."""
+        directory = tmp_path / "artifact"
+        shutil.copytree(warm_dir, directory)
+        task = _manifest_task(str(directory))
+        live = ServingIndex.from_artifact(
+            directory, papers=task.new_papers,
+            wal=WriteAheadLog(_default_wal(str(directory))))
+        fresh = [dataclasses.replace(template, id=f"cli-swap-{i}",
+                                     references=(), citation_count=0)
+                 for i, template in enumerate(task.new_papers[:2])]
+        live.add_paper(fresh[0])
+        live.compact()  # the log no longer holds fresh[0]
+        live.add_paper(fresh[1])
+        # Crash as the staging directory is renamed in: the old snapshot
+        # is already the backup.
+        with crash_at(f"rename .{directory.name}.staging") as run:
+            live.compact()
+        assert run.crashed and not directory.exists()
+        capsys.readouterr()
+
+        args = argparse.Namespace(dir=str(directory), scale=0.3, seed=0,
+                                  cache_size=64, index="exact", nprobe=8,
+                                  n_lists=None)
+        _, index = _load_or_fit_index(args)
+        assert "loading artifact" in capsys.readouterr().err
+        assert not index.degraded
+        assert fresh[0].id in index.paper_ids
 
     @pytest.mark.parametrize("argv", [
         ["query"], ["compact"], ["swap", "--candidate", "elsewhere"]])

@@ -242,6 +242,93 @@ class TestCrashRecovery:
         # The artifact it re-saved still verifies clean.
         assert restarted.health(probe=False)["checks"]["artifact"]["ok"]
 
+    def test_a_crash_anywhere_in_compact_restarts_to_the_same_answers(
+            self, artifact, serve_task, tmp_path, crash_at, monkeypatch):
+        """A crash at any staged write or rename of ``compact``, or just
+        before the log truncate, restarts from the same directory and
+        log to an index that is not degraded, whose artifact verifies
+        and whose ``top_k`` equals the never-crashed index's."""
+        source, _ = artifact
+        pool = list(serve_task.new_papers)
+        user = serve_task.users[2]
+        live_dir = tmp_path / "live"
+        shutil.copytree(source, live_dir)
+        wal_path = tmp_path / "live.wal"
+        live = ServingIndex.from_artifact(live_dir, papers=pool,
+                                          wal=WriteAheadLog(wal_path))
+        for paper in _fresh_papers(serve_task, 3, "crash"):
+            live.add_paper(paper)
+
+        def crashed_copy(name):
+            """A copy of the pre-compaction artifact and of the live log."""
+            directory = tmp_path / name
+            shutil.copytree(live_dir, directory)
+            shutil.copy(wal_path, tmp_path / f"{name}.wal")
+            return directory
+
+        # Crash at each staged event in turn; the first run that does not
+        # crash is the never-crashed compaction.
+        crashed, point = [], 0
+        while True:
+            directory = crashed_copy(f"crash-{point}")
+            with crash_at(point) as run:
+                live.compact(directory)
+            if not run.crashed:
+                break
+            crashed.append(directory)
+            point += 1
+        assert len(crashed) == len(run.events) >= 10
+        # The last two events are the swap: target to backup, staging in.
+        assert run.events[-2:] == [f"rename crash-{point}",
+                                   f"rename .crash-{point}.staging"]
+
+        # A kill after the swap, before the log is truncated.
+        def killed():
+            raise KeyboardInterrupt
+
+        directory = crashed_copy("before-truncate")
+        monkeypatch.setattr(live.wal, "truncate", killed)
+        with pytest.raises(KeyboardInterrupt):
+            live.compact(directory)
+        monkeypatch.undo()
+        crashed.append(directory)
+
+        live.register_user(user.author_id, list(user.train_papers))
+        want = live.top_k(user.author_id, 10)
+        for directory in crashed:
+            log = directory.with_name(f"{directory.name}.wal")
+            restarted = ServingIndex.from_artifact(
+                directory, papers=pool, wal=WriteAheadLog(log))
+            assert not restarted.degraded, directory.name
+            assert restarted.health(probe=False)["checks"]["artifact"]["ok"], \
+                directory.name
+            restarted.register_user(user.author_id, list(user.train_papers))
+            assert restarted.top_k(user.author_id, 10) == want, directory.name
+
+    def test_compact_persists_the_live_quantizer(self, artifact, serve_task,
+                                                 tmp_path):
+        source, _ = artifact
+        directory = tmp_path / "pipeline"
+        shutil.copytree(source, directory)
+        pool = list(serve_task.new_papers)
+        user = serve_task.users[2]
+        wal_path = tmp_path / "ingest.wal"
+        live = ServingIndex.from_artifact(directory, papers=pool, index="ivf",
+                                          wal=WriteAheadLog(wal_path))
+        live.build_ann_index()
+        for paper in _fresh_papers(serve_task, 2, "ivf"):
+            live.add_paper(paper)
+        live.compact()
+
+        # The restart adopts the compacted quantizer instead of refitting.
+        restarted = ServingIndex.from_artifact(
+            directory, papers=pool, index="ivf", wal=WriteAheadLog(wal_path))
+        assert restarted.ann is not None
+        for index in (live, restarted):
+            index.register_user(user.author_id, list(user.train_papers))
+        assert restarted.top_k(user.author_id, 10) == \
+            live.top_k(user.author_id, 10)
+
     @pytest.mark.parametrize("elsewhere", [False, True])
     def test_compact_keeps_the_manifest_extra(self, artifact, serve_task,
                                               tmp_path, elsewhere):

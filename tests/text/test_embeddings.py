@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import NotFittedError
-from repro.text import HashWordVectors, SentenceEncoder, SvdWordVectors
+from repro.text import HashWordVectors, SentenceEncoder
 
 
 class TestHashWordVectors:
@@ -37,39 +36,6 @@ class TestHashWordVectors:
 
     def test_contains_everything(self):
         assert "anything" in HashWordVectors()
-
-
-class TestSvdWordVectors:
-    DOCS = [
-        "deep neural networks learn representations".split(),
-        "deep neural models learn features".split(),
-        "graph neural networks learn structure".split(),
-        "stock market prices fall quickly".split(),
-        "stock market prices rise quickly".split(),
-    ] * 3
-
-    def test_cooccurring_words_similar(self):
-        wv = SvdWordVectors(dim=8, min_count=2).fit(self.DOCS)
-        sim_related = float(wv.vector("deep") @ wv.vector("neural"))
-        sim_unrelated = float(wv.vector("deep") @ wv.vector("market"))
-        assert sim_related > sim_unrelated
-
-    def test_not_fitted(self):
-        with pytest.raises(NotFittedError):
-            SvdWordVectors().vector("deep")
-
-    def test_oov_fallback_is_deterministic(self):
-        wv = SvdWordVectors(dim=8, min_count=2).fit(self.DOCS)
-        np.testing.assert_array_equal(wv.vector("zzz"), wv.vector("zzz"))
-        assert "zzz" not in wv
-
-    def test_empty_corpus_raises(self):
-        with pytest.raises(ValueError):
-            SvdWordVectors(min_count=2).fit([["once"]])
-
-    def test_pads_when_rank_below_dim(self):
-        wv = SvdWordVectors(dim=32, min_count=1).fit(self.DOCS[:2])
-        assert wv.vector("deep").shape == (32,)
 
 
 class TestSentenceEncoder:

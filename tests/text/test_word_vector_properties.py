@@ -1,39 +1,8 @@
-"""Additional coverage: SVD word vectors and encoder interaction details."""
+"""Additional coverage: sentence-encoder interaction details."""
 
 import numpy as np
-import pytest
 
-from repro.text import SentenceEncoder, SvdWordVectors
-
-
-class TestSvdTraining:
-    DOCS = [
-        "alpha beta gamma delta".split(),
-        "alpha beta gamma epsilon".split(),
-        "alpha beta zeta eta".split(),
-        "omega psi chi phi".split(),
-        "omega psi chi upsilon".split(),
-        "omega psi tau sigma".split(),
-    ] * 4
-
-    def test_vectors_normalised(self):
-        wv = SvdWordVectors(dim=6, min_count=2).fit(self.DOCS)
-        for word in ("alpha", "omega", "beta"):
-            assert np.linalg.norm(wv.vector(word)) == pytest.approx(1.0, abs=1e-6)
-
-    def test_cluster_structure(self):
-        wv = SvdWordVectors(dim=6, min_count=2).fit(self.DOCS)
-        within = float(wv.vector("alpha") @ wv.vector("beta"))
-        across = float(wv.vector("alpha") @ wv.vector("omega"))
-        assert within > across
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            SvdWordVectors(window=0)
-
-    def test_vectors_matrix_shape(self):
-        wv = SvdWordVectors(dim=6, min_count=2).fit(self.DOCS)
-        assert wv.vectors(["alpha", "zzz"]).shape == (2, 6)
+from repro.text import SentenceEncoder
 
 
 class TestEncoderDetails:
