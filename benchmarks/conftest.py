@@ -9,9 +9,9 @@ Setting ``REPRO_OBS=1`` additionally captures an observability trace per
 benchmark (stage spans, training telemetry, sampling counters) under
 ``results/obs/<benchmark>.jsonl`` — the timing baseline future perf PRs
 diff against — plus a run snapshot under ``results/obs/runs/<benchmark>.json``
-for the regression gate. Inspect a trace with ``python -m repro.obs report
-<file>``; compare snapshots with ``python -m repro.obs diff A B`` or gate
-them with ``python -m repro.obs check RUN --baseline FILE``.
+for the regression gate. Compare snapshots with ``python -m repro.obs
+diff A B`` or gate them with ``python -m repro.obs check RUN --baseline
+FILE``.
 """
 
 from __future__ import annotations

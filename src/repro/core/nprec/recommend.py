@@ -89,9 +89,8 @@ class NPRecRecommender(Recommender):
         if not train_papers:
             raise ValueError("no training papers")
 
-        with obs.profile("nprec.fit"), \
-                obs.trace("nprec.fit", train_papers=len(train_papers),
-                          new_papers=len(new_papers)):
+        with obs.trace("nprec.fit", train_papers=len(train_papers),
+                       new_papers=len(new_papers)):
             # 1. Subspace text embeddings (capped subset keeps SEM affordable
             #    on large corpora; embeddings are then produced for everyone).
             sem_train = train_papers

@@ -68,8 +68,7 @@ class NPRecTrainer:
         pairs = list(pairs)
         if not pairs:
             raise ValueError("no training pairs")
-        with obs.profile("nprec.train"), \
-                obs.trace("nprec.train", epochs=self.epochs, pairs=len(pairs)):
+        with obs.trace("nprec.train", epochs=self.epochs, pairs=len(pairs)):
             return run_epochs(
                 lambda epoch, order: self._run_epoch(pairs, order, epoch),
                 NPRecTrainHistory(), module=self.model,

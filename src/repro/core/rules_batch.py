@@ -94,8 +94,7 @@ class BatchPairScorer:
             if paper.id in self._index:
                 raise ValueError(f"duplicate paper id {paper.id!r}")
             self._index[paper.id] = position
-        with obs.profile("rules.batch.precompute"), \
-                obs.trace("rules.batch.precompute", papers=len(self.papers)):
+        with obs.trace("rules.batch.precompute", papers=len(self.papers)):
             self._precompute()
 
     # ------------------------------------------------------------------

@@ -153,9 +153,8 @@ class TwinNetworkTrainer:
         if missing:
             raise KeyError(f"encoded cache missing {len(missing)} papers, "
                            f"e.g. {sorted(missing)[:3]}")
-        with obs.profile("sem.twin.train"), \
-                obs.trace("sem.twin.train", epochs=self.epochs,
-                          triplets=len(triplets), distance=self.distance):
+        with obs.trace("sem.twin.train", epochs=self.epochs,
+                       triplets=len(triplets), distance=self.distance):
             return run_epochs(
                 lambda epoch, order: self._run_epoch(triplets, encoded, order,
                                                      epoch),

@@ -106,10 +106,9 @@ def available_experiments() -> list[str]:
 def run_experiment(experiment_id: str, **kwargs) -> "ResultTable | list[ResultTable]":
     """Run one registered experiment by id.
 
-    Every run is wrapped in an ``experiment.<id>`` span and its duration
-    is recorded under the ``experiment.duration_seconds`` histogram
-    (labelled by experiment id), so a captured trace pairs each
-    :class:`ResultTable` with the timing that produced it.
+    Every run is wrapped in an ``experiment.<id>`` span, so a captured
+    trace pairs each :class:`ResultTable` with the timing that produced
+    it.
     """
     from repro.experiments import _load_all
 
@@ -118,11 +117,8 @@ def run_experiment(experiment_id: str, **kwargs) -> "ResultTable | list[ResultTa
         raise KeyError(
             f"unknown experiment {experiment_id!r}; available: {sorted(EXPERIMENTS)}"
         )
-    with obs.trace(f"experiment.{experiment_id}", **kwargs) as span:
-        result = EXPERIMENTS[experiment_id](**kwargs)
-    obs.observe("experiment.duration_seconds", span.duration,
-                experiment=experiment_id)
-    return result
+    with obs.trace(f"experiment.{experiment_id}", **kwargs):
+        return EXPERIMENTS[experiment_id](**kwargs)
 
 
 def render_results(result: "ResultTable | Sequence[ResultTable]") -> str:

@@ -35,7 +35,7 @@ from repro.nn.losses import (
     mse_loss,
 )
 from repro.nn.optim import SGD, Adam, Optimizer, StepLR, clip_grad_norm
-from repro.nn.serialization import load_module, save_module
+from repro.nn.serialization import load_module
 from repro.nn.tensor import Tensor, as_tensor, concat, no_grad, parameter, stack
 
 __all__ = [
@@ -47,5 +47,5 @@ __all__ = [
     "l2_regularization", "cross_entropy",
     "binary_cross_entropy_with_logits", "mse_loss",
     "Optimizer", "SGD", "Adam", "StepLR", "clip_grad_norm",
-    "save_module", "load_module",
+    "load_module",
 ]

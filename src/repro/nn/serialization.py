@@ -1,4 +1,4 @@
-"""Saving and loading module weights as ``.npz`` archives."""
+"""Loading module weights from ``.npz`` archives."""
 
 from __future__ import annotations
 
@@ -9,13 +9,8 @@ import numpy as np
 from repro.nn.layers import Module
 
 
-def save_module(module: Module, path: str | os.PathLike) -> None:
-    """Write *module*'s parameters to an ``.npz`` archive at *path*."""
-    np.savez(os.fspath(path), **module.state_dict())
-
-
 def load_module(module: Module, path: str | os.PathLike) -> Module:
-    """Load parameters saved by :func:`save_module` into *module* (strict).
+    """Load an ``.npz`` archive of a ``state_dict`` into *module* (strict).
 
     Every archive key must match a module parameter by name *and* shape.
     Validation happens before any parameter is written, so a mismatched

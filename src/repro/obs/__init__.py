@@ -11,10 +11,8 @@ Typical capture::
 
     obs.configure(enabled=True, reset=True)
     recommender.fit(corpus, train, new)          # instrumented internally
-    print(obs.console_summary())                 # human summary
     obs.write_jsonl("results/obs/run.jsonl")     # machine-readable capture
-
-and later ``python -m repro.obs report results/obs/run.jsonl``.
+    totals = obs.runs.flatten(obs.runs.capture_run())  # span.<name>:total ...
 
 Instrumenting code::
 
@@ -35,13 +33,9 @@ in ``docs/API.md`` (section "repro.obs").
 
 from __future__ import annotations
 
-import functools
-from typing import Callable, TypeVar
-
 import time as _time
 
 from repro.obs import config as _config
-from repro.obs import profiling as _profiling
 from repro.obs import flightrec, runs, server, slo, tracing
 from repro.obs.config import (
     ObsState,
@@ -50,18 +44,11 @@ from repro.obs.config import (
     get_registry,
     get_tracer,
     is_enabled,
-    is_profiling,
 )
 from repro.obs.exemplars import Exemplar, ExemplarReservoir
 from repro.obs.emitters import (
-    console_summary,
     events,
-    lint_exposition,
     prometheus_text,
-    read_jsonl,
-    render_exemplars,
-    render_multi_report,
-    render_report,
     set_metric_help,
     write_jsonl,
 )
@@ -88,19 +75,16 @@ from repro.obs.tracing import (
 )
 
 __all__ = [
-    "configure", "is_enabled", "is_profiling", "get_registry", "get_tracer",
+    "configure", "is_enabled", "get_registry", "get_tracer",
     "get_exemplars", "ObsState",
-    "trace", "traced", "request", "count", "gauge", "observe",
-    "observe_quantile", "event", "profile",
+    "trace", "request", "count", "gauge", "observe",
+    "observe_quantile", "event",
     "current_trace_id", "new_trace_id",
     "Counter", "Gauge", "Histogram", "Quantile", "P2Quantile",
     "MetricsRegistry", "DEFAULT_BUCKETS", "DEFAULT_QUANTILES",
     "Tracer", "SpanRecord", "SpanStats",
     "Exemplar", "ExemplarReservoir",
-    "write_jsonl", "read_jsonl", "events", "prometheus_text",
-    "lint_exposition", "set_metric_help",
-    "console_summary", "render_report", "render_multi_report",
-    "render_exemplars",
+    "write_jsonl", "events", "prometheus_text", "set_metric_help",
     "FlightRecorder", "get_flight_recorder", "process_snapshot",
     "ObsServer",
     "runs", "slo", "flightrec", "server",
@@ -279,27 +263,6 @@ def event(name: str, **fields: object) -> None:
         flightrec.get_flight_recorder().note_event(name, fields)
 
 
-_F = TypeVar("_F", bound=Callable)
-
-
-def traced(name: str | None = None, **attrs: object) -> Callable[[_F], _F]:
-    """Decorator form of :func:`trace`; defaults to the function's qualname."""
-
-    def deco(fn: _F) -> _F:
-        span_name = name or fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            if not _config._STATE.enabled:
-                return fn(*args, **kwargs)
-            with trace(span_name, **attrs):
-                return fn(*args, **kwargs)
-
-        return wrapper  # type: ignore[return-value]
-
-    return deco
-
-
 def count(name: str, amount: float = 1.0, **labels: str) -> None:
     """Increment the counter *name* (+labels) by *amount*; no-op when off."""
     state = _config._STATE
@@ -346,17 +309,11 @@ def observe_quantile(name: str, value: float, *,
             value, trace_id=trace_id)
 
 
-def profile(stage: str, top_n: int = 5, **attrs: object):
-    """Allocation-profiling span: ``trace`` plus tracemalloc deltas.
+def profile(stage: str, **attrs: object) -> _NoopContext:
+    """Retired allocation-profiling span: always the shared no-op context.
 
-    Opens a span named ``profile.<stage>`` carrying ``alloc_net_kb``,
-    ``alloc_peak_kb``, and the top-*top_n* allocation sites as span
-    attributes, and records the same numbers into the
-    ``profile.net_alloc_kb``/``profile.peak_alloc_kb`` histograms
-    (labelled ``stage=...``). Requires *both* ``configure(enabled=True)``
-    and ``configure(profiling=True)``; otherwise this is the same shared
-    no-op context as a disabled :func:`trace`.
+    Nothing in the library calls it. The name stays only because the
+    benchmark's tracing recorder (``bench/tracing.py``, ``OBS_FUNCTIONS``)
+    wraps it by name; delete the two together.
     """
-    if not (_config._STATE.enabled and _config._STATE.profiling):
-        return NOOP_CONTEXT
-    return _profiling.ProfileContext(stage, top_n, attrs)
+    return NOOP_CONTEXT

@@ -1,12 +1,7 @@
-"""CLI: inspect captures and gate runs against baselines.
+"""CLI: compare run snapshots and gate runs against baselines.
 
 Commands
 --------
-``report <capture.jsonl> [...]``
-    Pretty-print captures written by :func:`repro.obs.write_jsonl`.
-    Several paths merge into **one** report: per-source trace trees and
-    metric lists (each section labelled with its file), plus span
-    totals aggregated across every capture.
 ``diff <baseline.json> <current.json>``
     Render per-metric deltas between two run snapshots written by
     :func:`repro.obs.runs.write_run`.
@@ -24,30 +19,6 @@ import pathlib
 import sys
 
 from repro.obs import runs
-from repro.obs.emitters import read_jsonl, render_exemplars, render_multi_report
-
-
-def cmd_report(args: argparse.Namespace) -> int:
-    captures = []
-    status = 0
-    for path in args.files:
-        try:
-            captures.append((str(path), read_jsonl(path)))
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            status = 1
-    if not captures:
-        return status
-    if args.exemplars:
-        for i, (label, captured) in enumerate(captures):
-            if i:
-                print()
-            if len(captures) > 1:
-                print(f"== {label} ==")
-            print(render_exemplars(captured))
-    else:
-        print(render_multi_report(captures))
-    return status
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
@@ -95,19 +66,9 @@ def main(argv: list[str] | None = None) -> int:
     """Parse arguments and dispatch to the chosen subcommand."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Inspect observability captures and gate run snapshots.",
+        description="Compare and gate observability run snapshots.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    report = sub.add_parser(
-        "report", help="pretty-print captures (several merge into one report)")
-    report.add_argument("files", nargs="+", type=pathlib.Path,
-                        help="capture file(s) written by repro.obs.write_jsonl")
-    report.add_argument("--exemplars", action="store_true",
-                        help="render retained request exemplars (slowest / "
-                             "errored) as full span trees instead of the "
-                             "aggregate report")
-    report.set_defaults(fn=cmd_report)
 
     diff = sub.add_parser("diff", help="per-metric deltas of two run snapshots")
     diff.add_argument("baseline", type=pathlib.Path,

@@ -29,10 +29,6 @@ class ObsState:
     enabled: bool
     registry: MetricsRegistry
     tracer: Tracer
-    #: Allocation profiling (`obs.profile`) is a second opt-in on top of
-    #: `enabled` — tracemalloc snapshots are far too heavy to ride along
-    #: with every ordinary capture.
-    profiling: bool = False
     #: Request exemplars: span trees of the slowest / errored requests.
     exemplars: ExemplarReservoir = field(default_factory=ExemplarReservoir)
     #: Structured event log (`obs.event`): bounded, trace-ID-stamped.
@@ -42,8 +38,8 @@ class ObsState:
 _STATE = ObsState(enabled=False, registry=MetricsRegistry(), tracer=Tracer())
 
 
-def configure(enabled: bool | None = None, *, profiling: bool | None = None,
-              max_spans: int | None = None, reset: bool = False) -> ObsState:
+def configure(enabled: bool | None = None, *, max_spans: int | None = None,
+              reset: bool = False) -> ObsState:
     """Adjust the global observability state; returns it.
 
     Parameters
@@ -51,10 +47,6 @@ def configure(enabled: bool | None = None, *, profiling: bool | None = None,
     enabled:
         ``True`` turns instrumentation on, ``False`` off; ``None`` leaves
         the flag unchanged (useful with ``reset=True``).
-    profiling:
-        ``True`` additionally arms :func:`repro.obs.profile` spans
-        (tracemalloc allocation deltas); requires ``enabled``. ``None``
-        leaves the flag unchanged.
     max_spans:
         Bound the tracer's retained finished-span list (load runs would
         otherwise grow it without limit; span *aggregates* keep counting
@@ -73,19 +65,12 @@ def configure(enabled: bool | None = None, *, profiling: bool | None = None,
         _STATE.tracer.max_spans = max_spans
     if enabled is not None:
         _STATE.enabled = bool(enabled)
-    if profiling is not None:
-        _STATE.profiling = bool(profiling)
     return _STATE
 
 
 def is_enabled() -> bool:
     """Whether instrumented call sites currently record anything."""
     return _STATE.enabled
-
-
-def is_profiling() -> bool:
-    """Whether :func:`repro.obs.profile` spans capture allocation data."""
-    return _STATE.enabled and _STATE.profiling
 
 
 def get_registry() -> MetricsRegistry:

@@ -13,8 +13,8 @@ tree here, and the reservoir retains
   bound still holds under an error storm).
 
 Everything retained is JSON-ready: exemplars ride along in the JSONL
-capture (``{"type": "exemplar", ...}`` lines) and render as span trees
-via ``python -m repro.obs report --exemplars``. Each exemplar carries
+capture (``{"type": "exemplar", ...}`` lines) and the ops plane's
+``GET /exemplars`` route. Each exemplar carries
 the ``trace_id`` of its originating request, joining it back to the
 span/metric/event lines of the same capture.
 

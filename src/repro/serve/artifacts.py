@@ -363,8 +363,7 @@ def load_pipeline(directory: str | os.PathLike) -> NPRecRecommender:
     @retry(attempts=3, backoff=Backoff(base=0.02), retry_on=(InjectedFault,),
            name="artifact.load")
     def _load() -> NPRecRecommender:
-        with obs.profile("serve.load_pipeline"), \
-                obs.trace("serve.load_pipeline", directory=str(root)):
+        with obs.trace("serve.load_pipeline", directory=str(root)):
             manifest = _verify_manifest(root)
             faults.maybe_fail("artifact.load")
             try:

@@ -33,8 +33,8 @@ Every shed is counted (``serve.shed{reason=...}``) and logged as an
 reports the attached scheduler's queue depth, in-flight batches, and
 shed rate, and turns unhealthy when the queue saturates.
 
-Deterministic testing: pass ``start=False`` plus a
-:class:`repro.obs.testing.FakeClock` and drive flushes explicitly with
+Deterministic testing: pass ``start=False`` plus a manually advanced
+``clock`` callable and drive flushes explicitly with
 :meth:`BatchScheduler.pump` — the flush policy becomes a pure function
 of the clock, with no background thread racing the assertions.
 """
@@ -63,9 +63,8 @@ class SheddingGovernor:
     one slow cold-start query cannot shed traffic on its own. Recovery
     is passive: samples age out of the window and shedding stops.
 
-    Thread-safe; the *clock* is injectable
-    (:class:`repro.obs.testing.FakeClock`) so burn and recovery are
-    deterministic under test.
+    Thread-safe; the *clock* is injectable, so a manually advanced clock
+    makes burn and recovery deterministic under test.
     """
 
     def __init__(self, threshold: float = 0.25, window: float = 5.0,
@@ -368,8 +367,8 @@ class BatchScheduler:
 
         Takes a batch only when the flush policy says one is due — the
         queue holds ``max_batch`` requests, the oldest has waited
-        ``max_wait_ms``, or the scheduler is draining — so FakeClock
-        tests exercise the real policy, not a test-only shortcut.
+        ``max_wait_ms``, or the scheduler is draining — so tests on a
+        manual clock exercise the real policy, not a test-only shortcut.
         Returns 0 when nothing is due.
         """
         with self._cv:

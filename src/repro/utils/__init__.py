@@ -1,19 +1,6 @@
 """Shared utilities: seeded RNG management, validation helpers, and IO."""
 
-from repro.utils.rng import RngMixin, as_generator, spawn_generators
-from repro.utils.validation import (
-    check_fitted,
-    check_in_range,
-    check_positive,
-    check_probability,
-)
+from repro.utils.rng import as_generator
+from repro.utils.validation import check_positive
 
-__all__ = [
-    "RngMixin",
-    "as_generator",
-    "spawn_generators",
-    "check_fitted",
-    "check_in_range",
-    "check_positive",
-    "check_probability",
-]
+__all__ = ["as_generator", "check_positive"]

@@ -28,37 +28,3 @@ def as_generator(seed: SeedLike) -> np.random.Generator:
         return seed
     return np.random.default_rng(seed)
 
-
-def spawn_generators(seed: SeedLike, count: int) -> list[np.random.Generator]:
-    """Split *seed* into *count* independent child generators.
-
-    Children are derived through ``Generator.spawn`` so that streams are
-    statistically independent yet fully determined by the parent seed.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    return as_generator(seed).spawn(count)
-
-
-class RngMixin:
-    """Mixin giving a class a lazily created, seedable ``self.rng``.
-
-    Subclasses set ``self._seed`` (int, Generator, or None) in ``__init__``;
-    the ``rng`` property materialises the generator on first use so that
-    pickling/config round-trips stay cheap.
-    """
-
-    _seed: SeedLike = None
-    _rng: np.random.Generator | None = None
-
-    @property
-    def rng(self) -> np.random.Generator:
-        """The component's private random generator."""
-        if self._rng is None:
-            self._rng = as_generator(self._seed)
-        return self._rng
-
-    def reseed(self, seed: SeedLike) -> None:
-        """Replace the generator, e.g. between repeated experiment runs."""
-        self._seed = seed
-        self._rng = None

@@ -1,15 +1,11 @@
 """Small argument-validation helpers used across the library.
 
-They exist to turn silent numerical nonsense (negative dimensions,
-probabilities outside [0, 1], use-before-fit) into immediate, descriptive
-exceptions, following the "errors should never pass silently" principle.
+They exist to turn silent numerical nonsense (negative dimensions and
+the like) into immediate, descriptive exceptions, following the "errors
+should never pass silently" principle.
 """
 
 from __future__ import annotations
-
-from typing import Any
-
-from repro.errors import NotFittedError
 
 
 def check_positive(name: str, value: float, *, strict: bool = True) -> None:
@@ -19,27 +15,3 @@ def check_positive(name: str, value: float, *, strict: bool = True) -> None:
     if not strict and value < 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
 
-
-def check_probability(name: str, value: float) -> None:
-    """Raise ``ValueError`` unless ``0 <= value <= 1``."""
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-
-
-def check_in_range(name: str, value: float, low: float, high: float) -> None:
-    """Raise ``ValueError`` unless ``low <= value <= high``."""
-    if not low <= value <= high:
-        raise ValueError(f"{name} must be in [{low}, {high}], got {value!r}")
-
-
-def check_fitted(model: Any, attribute: str) -> None:
-    """Raise :class:`NotFittedError` if *attribute* is missing or ``None``.
-
-    Conventionally fitted state carries a trailing underscore
-    (``embeddings_``, ``components_``), mirroring scikit-learn.
-    """
-    if getattr(model, attribute, None) is None:
-        raise NotFittedError(
-            f"{type(model).__name__} is not fitted yet: call fit() before "
-            f"using an estimator method that relies on '{attribute}'"
-        )

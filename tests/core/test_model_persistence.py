@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.subspace_model import SubspaceEmbeddingNetwork
-from repro.nn import load_module, save_module
+from repro.nn import load_module
 
 
 class TestSubspaceNetworkPersistence:
@@ -16,7 +16,7 @@ class TestSubspaceNetworkPersistence:
         before = net.embed(H, labels)
 
         path = tmp_path / "subspace.npz"
-        save_module(net, path)
+        np.savez(path, **net.state_dict())
 
         other = SubspaceEmbeddingNetwork(in_dim=16, hidden_dims=(24,), out_dim=8,
                                          rng=99)
@@ -27,7 +27,7 @@ class TestSubspaceNetworkPersistence:
     def test_architecture_mismatch_rejected(self, tmp_path):
         net = SubspaceEmbeddingNetwork(in_dim=16, out_dim=8, rng=0)
         path = tmp_path / "model.npz"
-        save_module(net, path)
+        np.savez(path, **net.state_dict())
         wrong = SubspaceEmbeddingNetwork(in_dim=16, out_dim=12, rng=0)
         with pytest.raises((KeyError, ValueError)):
             load_module(wrong, path)

@@ -12,7 +12,6 @@ from repro.nn import (
     Sequential,
     Tensor,
     load_module,
-    save_module,
 )
 
 
@@ -153,7 +152,7 @@ class TestModuleReflection:
     def test_save_load_npz(self, tmp_path):
         net = MLP([3, 4, 2], rng=0)
         path = tmp_path / "model.npz"
-        save_module(net, path)
+        np.savez(path, **net.state_dict())
         other = MLP([3, 4, 2], rng=7)
         load_module(other, path)
         x = Tensor(np.ones((1, 3)))

@@ -8,31 +8,21 @@ from repro import obs
 @pytest.fixture
 def obs_enabled():
     """Enable observability for one test, restoring the default after."""
-    state = obs.configure(enabled=True, profiling=False, reset=True)
+    state = obs.configure(enabled=True, reset=True)
     try:
         yield state
     finally:
-        obs.configure(enabled=False, profiling=False, reset=True)
+        obs.configure(enabled=False, reset=True)
 
 
 @pytest.fixture
 def obs_disabled():
     """Guarantee the default (disabled, empty) state around a test."""
-    state = obs.configure(enabled=False, profiling=False, reset=True)
+    state = obs.configure(enabled=False, reset=True)
     try:
         yield state
     finally:
-        obs.configure(enabled=False, profiling=False, reset=True)
-
-
-@pytest.fixture
-def obs_profiling():
-    """Enable observability *and* allocation profiling for one test."""
-    state = obs.configure(enabled=True, profiling=True, reset=True)
-    try:
-        yield state
-    finally:
-        obs.configure(enabled=False, profiling=False, reset=True)
+        obs.configure(enabled=False, reset=True)
 
 
 @pytest.fixture

@@ -1,17 +1,8 @@
-"""Tests for the JSONL / Prometheus / console emitters and the report CLI."""
+"""Tests for the JSONL and Prometheus emitters."""
 
-import pytest
+import json
 
-from repro import obs
-from repro.obs.__main__ import main as obs_main
-from repro.obs.emitters import (
-    console_summary,
-    prometheus_text,
-    read_jsonl,
-    render_multi_report,
-    render_report,
-    write_jsonl,
-)
+from repro.obs.emitters import prometheus_text, write_jsonl
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 
@@ -117,7 +108,7 @@ class TestJsonl:
         path = write_jsonl(tmp_path / "sub" / "cap.jsonl",
                            registry=small_registry(), tracer=tracer,
                            meta={"benchmark": "demo"})
-        events = read_jsonl(path)
+        events = [json.loads(line) for line in path.read_text().splitlines()]
         meta, *rest = events
         assert meta["type"] == "meta"
         assert meta["benchmark"] == "demo"
@@ -128,109 +119,3 @@ class TestJsonl:
         assert [s["name"] for s in spans] == ["outer", "inner"]
         assert spans[1]["parent"] == spans[0]["index"]
         assert {m["kind"] for m in metrics} == {"counter", "gauge", "histogram"}
-
-    def test_read_rejects_garbage(self, tmp_path):
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"ok": 1}\nnot json\n')
-        with pytest.raises(ValueError, match="bad.jsonl:2"):
-            read_jsonl(bad)
-
-
-class TestReportRendering:
-    def test_report_contains_tree_totals_and_metrics(self, tmp_path):
-        tracer = Tracer()
-        outer = tracer.start("fit")
-        tracer.finish(tracer.start("fit.sem"))
-        tracer.finish(outer)
-        path = write_jsonl(tmp_path / "cap.jsonl", registry=small_registry(),
-                           tracer=tracer)
-        report = render_report(read_jsonl(path))
-        assert "Trace" in report
-        assert "\n  fit.sem" in report  # indented child
-        assert "Span totals" in report
-        assert "calls=1" in report
-        assert "Metrics" in report
-        assert "graph.nodes{type=paper}  120" in report
-
-    def test_empty_capture_message(self):
-        assert "empty capture" in render_report([{"type": "meta"}])
-
-    def test_console_summary_uses_global_state(self, obs_enabled):
-        with obs.trace("live.span"):
-            obs.count("live.counter", 2)
-        summary = console_summary()
-        assert "live.span" in summary
-        assert "live.counter  2" in summary
-
-
-class TestMultiReport:
-    def _capture(self, tmp_path, name, span, counter_value):
-        tracer = Tracer()
-        tracer.finish(tracer.start(span))
-        reg = MetricsRegistry()
-        reg.counter("c").inc(counter_value)
-        return write_jsonl(tmp_path / name, registry=reg, tracer=tracer)
-
-    def test_single_capture_matches_render_report(self, tmp_path):
-        path = self._capture(tmp_path, "a.jsonl", "fit", 1)
-        captured = read_jsonl(path)
-        assert render_multi_report([("a", captured)]) == render_report(captured)
-
-    def test_sections_labelled_and_totals_merged(self, tmp_path):
-        a = read_jsonl(self._capture(tmp_path, "a.jsonl", "fit", 1))
-        b = read_jsonl(self._capture(tmp_path, "b.jsonl", "fit", 2))
-        report = render_multi_report([("a.jsonl", a), ("b.jsonl", b)])
-        assert "Trace — a.jsonl" in report
-        assert "Trace — b.jsonl" in report
-        assert "Span totals (2 captures)" in report
-        assert "calls=2" in report  # fit aggregated across both captures
-        # Metric sections stay per source: counters are NOT summed.
-        assert "Metrics — a.jsonl" in report
-        assert "Metrics — b.jsonl" in report
-        assert "c  1" in report and "c  2" in report
-        assert "c  3" not in report
-
-    def test_quantile_line_in_console_report(self, obs_enabled):
-        obs.observe_quantile("q.latency", 0.5)
-        summary = console_summary()
-        assert "q.latency" in summary
-        assert "count=1" in summary and "p99=0.5" in summary
-
-
-class TestCli:
-    def test_report_command(self, tmp_path, capsys):
-        tracer = Tracer()
-        tracer.finish(tracer.start("stage"))
-        path = write_jsonl(tmp_path / "cap.jsonl",
-                           registry=MetricsRegistry(), tracer=tracer)
-        assert obs_main(["report", str(path)]) == 0
-        assert "stage" in capsys.readouterr().out
-
-    def test_report_merges_multiple_files(self, tmp_path, capsys):
-        paths = []
-        for name in ("one", "two"):
-            tracer = Tracer()
-            tracer.finish(tracer.start(f"stage.{name}"))
-            paths.append(str(write_jsonl(tmp_path / f"{name}.jsonl",
-                                         registry=MetricsRegistry(),
-                                         tracer=tracer)))
-        assert obs_main(["report", *paths]) == 0
-        out = capsys.readouterr().out
-        assert "stage.one" in out and "stage.two" in out
-        assert "Span totals (2 captures)" in out
-
-    def test_report_missing_file_fails(self, tmp_path, capsys):
-        assert obs_main(["report", str(tmp_path / "nope.jsonl")]) == 1
-        assert "error" in capsys.readouterr().err
-
-    def test_report_renders_readable_files_despite_failures(self, tmp_path,
-                                                            capsys):
-        tracer = Tracer()
-        tracer.finish(tracer.start("good.stage"))
-        good = write_jsonl(tmp_path / "good.jsonl",
-                           registry=MetricsRegistry(), tracer=tracer)
-        assert obs_main(["report", str(tmp_path / "nope.jsonl"),
-                         str(good)]) == 1
-        captured = capsys.readouterr()
-        assert "error" in captured.err
-        assert "good.stage" in captured.out

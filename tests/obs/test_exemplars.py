@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro import obs
-from repro.obs.__main__ import main as obs_main
 from repro.obs.exemplars import Exemplar, ExemplarReservoir
 
 
@@ -165,16 +164,3 @@ class TestRequestContext:
         exemplar_ids = {l["trace_id"] for l in lines
                         if l.get("type") == "exemplar"}
         assert exemplar_ids and exemplar_ids <= span_ids
-
-    def test_report_exemplars_cli(self, obs_enabled, tmp_path, capsys):
-        with obs.request("serve.query", k=3):
-            with obs.trace("rank"):
-                pass
-        path = tmp_path / "cap.jsonl"
-        obs.write_jsonl(path)
-        trace_id = obs.get_exemplars().slowest()[0].trace_id
-        obs.configure(enabled=False)  # CLI must read the file, not state
-        assert obs_main(["report", str(path), "--exemplars"]) == 0
-        out = capsys.readouterr().out
-        assert trace_id in out
-        assert "rank" in out  # full span tree, not just the root

@@ -7,6 +7,8 @@ durations and the de-fuzzing drop counter; with obs disabled the same
 code paths record nothing.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -78,21 +80,6 @@ class TestTrainerTelemetry:
         assert flat["span.nprec.train.epoch:calls"] == epochs
         assert flat["span.nprec.train.epoch:total"] > 0
 
-    def test_profiling_captures_training_allocations(self, obs_profiling,
-                                                     acm_small, train_papers,
-                                                     fitted_rules):
-        pairs = build_training_pairs(train_papers, rules=fitted_rules,
-                                     negative_ratio=1, max_positives=10, seed=0)
-        model = make_model(acm_small, train_papers)
-        NPRecTrainer(model, lr=1e-2, epochs=1, seed=0).train(pairs)
-        (span,) = [s for s in obs.get_tracer().spans
-                   if s.name == "profile.nprec.train"]
-        assert span.attrs["alloc_peak_kb"] > 0
-        assert span.attrs["top_allocations"]
-        net = obs.get_registry().get("profile.net_alloc_kb",
-                                     stage="nprec.train")
-        assert net is not None and net.count == 1
-
     def test_full_capture_has_spans_and_drop_counter(self, obs_enabled, tmp_path,
                                                      acm_small, train_papers,
                                                      fitted_rules):
@@ -102,7 +89,8 @@ class TestTrainerTelemetry:
                                      negative_ratio=2, max_positives=10, seed=0)
         model = make_model(acm_small, train_papers)
         NPRecTrainer(model, lr=1e-2, epochs=1, seed=0).train(pairs)
-        events = obs.read_jsonl(obs.write_jsonl(tmp_path / "train.jsonl"))
+        path = obs.write_jsonl(tmp_path / "train.jsonl")
+        events = [json.loads(line) for line in path.read_text().splitlines()]
         spans = [e for e in events if e.get("type") == "span"]
         metrics = [e for e in events if e.get("type") == "metric"]
         assert any(s["name"] == "nprec.train.epoch" and s["duration"] > 0
@@ -246,7 +234,6 @@ class TestExperimentTelemetry:
         (span,) = [s for s in obs.get_tracer().spans
                    if s.name == "experiment._obs_dummy"]
         assert span.attrs == {"scale": 0.5, "seed": 3}
-        duration = obs.get_registry().get("experiment.duration_seconds",
-                                          experiment="_obs_dummy")
-        assert duration.count == 1
-        assert duration.sum == pytest.approx(span.duration, rel=0.5, abs=0.05)
+        flat = runs.flatten(runs.capture_run())
+        assert flat["span.experiment._obs_dummy:calls"] == 1
+        assert flat["span.experiment._obs_dummy:total"] == span.duration

@@ -9,8 +9,9 @@ linter actually rejects each class of violation it claims to catch.
 
 import pytest
 
-from repro.obs.emitters import lint_exposition, prometheus_text, set_metric_help
+from repro.obs.emitters import prometheus_text, set_metric_help
 from repro.obs.metrics import MetricsRegistry
+from tests.helpers import lint_exposition
 
 
 @pytest.fixture

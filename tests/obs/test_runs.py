@@ -28,7 +28,7 @@ class TestCaptureAndPersist:
         assert snapshot["schema_version"] == runs.SCHEMA_VERSION
         assert snapshot["run_id"] == "r1"
         assert snapshot["meta"] == {"seed": 7}
-        assert snapshot["git_sha"]  # repo is a git checkout
+        assert snapshot["git_sha"] == runs.git_sha()  # None without .git
         assert snapshot["spans"]["nprec.fit"]["calls"] == 1
         kinds = {e["kind"] for e in snapshot["metrics"]}
         assert kinds == {"counter", "gauge", "histogram", "quantile"}

@@ -11,7 +11,7 @@ import pytest
 
 from repro import obs
 from repro.data import load_acm
-from repro.obs.emitters import lint_exposition
+from tests.helpers import lint_exposition
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.server import ObsServer
 from repro.obs.slo import GaugeBoundSLO, register_slo

@@ -14,7 +14,7 @@ from repro.obs.slo import (
     registered_slos,
     unregister_slo,
 )
-from repro.obs.testing import FakeClock
+from tests.helpers import FakeClock
 
 
 class TestLatencySLO:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.testing import FakeClock
+from tests.helpers import FakeClock
 
 
 def test_manual_clock_is_frozen():

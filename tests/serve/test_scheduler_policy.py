@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro import obs
-from repro.obs.testing import FakeClock
+from tests.helpers import FakeClock
 from repro.serve import BatchScheduler, ServingIndex
 from repro.serve.scheduler import SheddingGovernor
 

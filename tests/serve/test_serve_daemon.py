@@ -19,7 +19,7 @@ import urllib.request
 
 import pytest
 
-from repro.obs.emitters import lint_exposition
+from tests.helpers import lint_exposition
 from repro.serve import WriteAheadLog
 
 _REPO = pathlib.Path(__file__).resolve().parents[2]

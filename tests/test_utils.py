@@ -3,16 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import NotFittedError
-from repro.utils import (
-    RngMixin,
-    as_generator,
-    check_fitted,
-    check_in_range,
-    check_positive,
-    check_probability,
-    spawn_generators,
-)
+from repro.utils import as_generator, check_positive
 
 
 class TestAsGenerator:
@@ -28,34 +19,6 @@ class TestAsGenerator:
     def test_none_gives_generator(self):
         assert isinstance(as_generator(None), np.random.Generator)
 
-    def test_spawned_streams_differ(self):
-        children = spawn_generators(0, 3)
-        assert len(children) == 3
-        values = [c.random() for c in children]
-        assert len(set(values)) == 3
-
-    def test_spawn_validation(self):
-        with pytest.raises(ValueError):
-            spawn_generators(0, -1)
-        assert spawn_generators(0, 0) == []
-
-
-class TestRngMixin:
-    class Component(RngMixin):
-        def __init__(self, seed):
-            self._seed = seed
-
-    def test_lazy_and_stable(self):
-        comp = self.Component(7)
-        rng = comp.rng
-        assert comp.rng is rng
-
-    def test_reseed(self):
-        comp = self.Component(7)
-        first = comp.rng.random()
-        comp.reseed(7)
-        assert comp.rng.random() == first
-
 
 class TestValidation:
     def test_check_positive(self):
@@ -65,24 +28,3 @@ class TestValidation:
         check_positive("x", 0, strict=False)
         with pytest.raises(ValueError):
             check_positive("x", -1, strict=False)
-
-    def test_check_probability(self):
-        check_probability("p", 0.5)
-        for bad in (-0.1, 1.1):
-            with pytest.raises(ValueError):
-                check_probability("p", bad)
-
-    def test_check_in_range(self):
-        check_in_range("x", 5, 0, 10)
-        with pytest.raises(ValueError):
-            check_in_range("x", 11, 0, 10)
-
-    def test_check_fitted(self):
-        class Model:
-            weights_ = None
-
-        with pytest.raises(NotFittedError):
-            check_fitted(Model(), "weights_")
-        model = Model()
-        model.weights_ = [1]
-        check_fitted(model, "weights_")
