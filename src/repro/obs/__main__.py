@@ -8,7 +8,7 @@ Commands
 ``check <run.json> --baseline <file> [--tolerance T] [--timing-tolerance T]``
     Exit 1 when any gated metric regressed beyond tolerance — the CI
     perf gate. Counters/gauges use ``--tolerance`` (default 10%); wall
-    clock and allocation keys use the looser ``--timing-tolerance``
+    clock keys (spans, latencies) use the looser ``--timing-tolerance``
     (default 500%, machines differ).
 """
 
@@ -88,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
                        help="relative budget for deterministic metrics "
                             "(default 0.1 = 10%%)")
     check.add_argument("--timing-tolerance", type=float, default=5.0,
-                       help="relative budget for wall-clock/memory metrics "
+                       help="relative budget for wall-clock metrics "
                             "(default 5.0 = 500%%)")
     check.set_defaults(fn=cmd_check)
 

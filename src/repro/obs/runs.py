@@ -11,8 +11,9 @@ duration aggregates. Two snapshots are comparable field by field:
   gate.
 
 What gates: a metric key's direction is classified from its name.
-Latency/duration/memory keys, ANN scan fractions, and failure-ish
-counters (degraded, dropped, faults, guard trips, ...) regress upward;
+Span totals and means, latency/duration keys, ANN scan fractions, and
+failure-ish counters (degraded, dropped, faults, guard trips, ...)
+regress upward;
 accuracy/agreement/recall@K regress downward — the ANN recall gate
 rides on this; everything else (structural gauges, throughput
 counters whose "good" direction is ambiguous) is compared in ``diff``
@@ -38,18 +39,18 @@ from repro.obs.tracing import Tracer
 #: Bump on any incompatible snapshot layout change.
 SCHEMA_VERSION = 1
 
-#: Metric-key fragments whose growth is a regression (latency, memory,
+#: Metric-key fragments whose growth is a regression (latency,
 #: failures) vs whose shrinkage is one (quality scores).
 _LOWER_IS_BETTER = re.compile(
-    r"latency|duration|seconds|alloc|degraded|dropped|skipped|underfilled|"
+    r"latency|duration|seconds|degraded|dropped|skipped|underfilled|"
     r"failures|faults|guard\.trips|retries_exhausted|corrupt|rollbacks|"
     r"errors|error_rate|scan_fraction|[._]shed|torn_records|rolled_back|"
     r"wal\.lag")
 _HIGHER_IS_BETTER = re.compile(r"accuracy|agreement|recall|achieved_qps|"
                                r"throughput")
-#: Keys that measure wall-clock, memory, or machine-dependent rates and
-#: therefore gate with the looser tolerance.
-_TIMING = re.compile(r"latency|duration|seconds|alloc|qps|throughput")
+#: Keys that measure wall-clock or machine-dependent rates and therefore
+#: gate with the looser tolerance. Every ``span.`` key is a duration.
+_TIMING = re.compile(r"^span\.|latency|duration|seconds|qps|throughput")
 
 
 def git_sha() -> str | None:
@@ -172,7 +173,8 @@ def classify(key: str) -> str | None:
         # Observation/call volume is workload, not quality — a run that
         # answered more queries did not regress.
         return None
-    if _LOWER_IS_BETTER.search(key):
+    if key.startswith("span.") or _LOWER_IS_BETTER.search(key):
+        # A span's total/mean is the stage's wall clock.
         return "lower"
     if _HIGHER_IS_BETTER.search(key):
         return "higher"
@@ -180,7 +182,7 @@ def classify(key: str) -> str | None:
 
 
 def is_timing(key: str) -> bool:
-    """Whether *key* measures wall-clock/memory (loose-tolerance gated)."""
+    """Whether *key* measures wall clock (loose-tolerance gated)."""
     return bool(_TIMING.search(key))
 
 

@@ -77,7 +77,7 @@ class TestFlattenAndClassify:
     def test_classification(self):
         assert runs.classify("serve.query.latency:p99") == "lower"
         assert runs.classify("nprec.train.epoch_duration_seconds:mean") == "lower"
-        assert runs.classify("profile.net_alloc_kb{stage=x}:mean") == "lower"
+        assert runs.classify("serve.ingest.latency:p50") == "lower"
         assert runs.classify("serve.degraded{reason=x}:value") == "lower"
         assert runs.classify("nprec.train.epoch_accuracy:mean") == "higher"
         assert runs.classify("sem.twin.epoch_rule_agreement:mean") == "higher"
@@ -90,12 +90,15 @@ class TestFlattenAndClassify:
         # Volume keys never gate: more traffic is not a regression.
         assert runs.classify("serve.query.latency:count") is None
         assert runs.classify("span.nprec.fit:calls") is None
+        # A span's total/mean is wall clock: the table3 gate's keys.
+        assert runs.classify("span.experiment.table3:total") == "lower"
+        assert runs.classify("span.experiment.table3:mean") == "lower"
         # Structural gauges are informational.
         assert runs.classify("graph.nodes:value") is None
 
     def test_timing_keys(self):
         assert runs.is_timing("serve.query.latency:p99")
-        assert runs.is_timing("profile.peak_alloc_kb{stage=x}:mean")
+        assert runs.is_timing("span.experiment.table3:mean")
         assert not runs.is_timing("serve.degraded:value")
 
 
@@ -122,6 +125,18 @@ class TestDiffAndCheck:
                 event["sum"] = event["sum"] * 10  # now far beyond it
         bad = runs.check_runs(baseline, current)
         assert [d.key for d in bad] == ["nprec.train.epoch_duration_seconds:mean"]
+
+    def test_a_slower_span_regresses_past_the_timing_budget(self,
+                                                            obs_enabled):
+        baseline, current = self._snapshots(obs_enabled)
+        baseline["spans"]["nprec.fit"].update(total=1.0, mean=1.0)
+        stats = current["spans"]["nprec.fit"]
+        stats.update(total=3.0, mean=3.0)  # 3x slower: inside 5x budget
+        assert runs.check_runs(baseline, current) == []
+        stats.update(total=10.0, mean=10.0)
+        bad = runs.check_runs(baseline, current)
+        assert [d.key for d in bad] == ["span.nprec.fit:mean",
+                                        "span.nprec.fit:total"]
 
     def test_accuracy_drop_regresses_tightly(self, obs_enabled):
         baseline, current = self._snapshots(obs_enabled)
