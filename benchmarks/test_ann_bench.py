@@ -22,6 +22,14 @@ Scale is env-tunable so CI can smoke cheaply while the committed
 
     REPRO_ANN_POOLS=1500,6000 pytest benchmarks/test_ann_bench.py
 
+The sweep runs on one BLAS thread (:func:`single_threaded_blas`), as
+serving does while a scheduler is live. With OpenBLAS's default pool, a
+process started right after a CPU-heavy one (CI runs table3 first) can
+keep the BLAS worker on the main thread's core for about a second; each
+threaded product then waits about 8 ms for it, and the pool-1500 exact
+latency read 8 ms against a 0.19 ms baseline. One thread cannot wait
+on a worker.
+
 Shape assertions: recall@K is exactly monotone in ``nprobe`` (probing
 more lists only grows the candidate superset), ``nprobe == n_lists``
 reproduces the exact ranking order-for-order, and at the largest pool
@@ -42,6 +50,7 @@ import numpy as np
 from repro import obs
 from repro.obs import runs
 from repro.serve.ann import IVFIndex, exact_top_k
+from repro.serve.scheduler import single_threaded_blas
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_PATH = REPO_ROOT / "BENCH_ann.json"
@@ -98,7 +107,8 @@ def test_ann_sweep():
     was_enabled = obs.is_enabled()
     obs.configure(enabled=True, reset=True)
     try:
-        report = _run_sweep()
+        with single_threaded_blas():
+            report = _run_sweep()
     finally:
         RUNS_DIR.mkdir(parents=True, exist_ok=True)
         runs.write_run(RUNS_DIR, run_id="ann", meta=report.get("meta", {}))

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -116,8 +116,19 @@ def _dense(rows: Rows) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def _parts(rows: Rows, layout: SplitRows) -> tuple[np.ndarray, np.ndarray]:
+class _Parts(NamedTuple):
+    """Plain full rows split once for one :class:`SplitRows` layout:
+    what :func:`_parts` would cut from them on every call."""
+
+    head: np.ndarray
+    content_t: np.ndarray
+
+
+def _parts(rows: "Rows | _Parts",
+           layout: SplitRows) -> tuple[np.ndarray, np.ndarray]:
     """(head, transposed dense content) of *rows* in *layout*'s columns."""
+    if isinstance(rows, _Parts):
+        return rows
     if isinstance(rows, SplitRows):
         content = rows.content
         content_t = np.zeros((content.width, len(rows)))
@@ -332,6 +343,9 @@ class IVFIndex:
         self.max_iter = max_iter
         self.recluster_factor = recluster_factor
         self.centroids: np.ndarray | None = None
+        #: ``((at, width), parts)``: the centroids split for the last
+        #: interest layout probed. Reset wherever the centroids change.
+        self._split: "tuple[tuple[int, int], _Parts] | None" = None
         self._assignments: list[int] = []
         self._lists: list[list[int]] = []
 
@@ -395,6 +409,7 @@ class IVFIndex:
                 break
             assign = new_assign
         self.centroids = centroids
+        self._split = None
         self._assignments = [int(j) for j in assign]
         self._lists = [[] for _ in range(n_lists)]
         for position, j in enumerate(assign):
@@ -465,9 +480,27 @@ class IVFIndex:
         if not self.fitted:
             raise ValueError("probe() before fit(): cluster the pool first")
         nprobe = max(1, min(int(nprobe), self.num_lists))
-        scores = pooled_scores(interest, self.centroids, mix)
+        scores = pooled_scores(interest, self._centroid_rows(interest), mix)
         order = np.lexsort((np.arange(scores.shape[0]), -scores))
         return order[:nprobe]
+
+    def _centroid_rows(self, interest: Rows) -> "Rows | _Parts":
+        """The centroids as a probe with *interest* scores them.
+
+        Opposite split interest rows, the centroids' dense head and
+        transposed content block are cut once per fit and layout, not
+        once per probe; the arrays match what :func:`_parts` cuts, so
+        the probe's scores are unchanged bit for bit.
+        """
+        assert self.centroids is not None
+        if not isinstance(interest, SplitRows):
+            return self.centroids
+        key = (interest.at, interest.content.width)
+        if self._split is None or self._split[0] != key:
+            head, content_t = _parts(self.centroids, interest)
+            self._split = (key, _Parts(head,
+                                       np.ascontiguousarray(content_t)))
+        return self._split[1]
 
     def gather(self, interest: Rows, mix: float,
                nprobe: int) -> tuple[np.ndarray, ProbeStats]:

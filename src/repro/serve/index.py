@@ -1191,7 +1191,8 @@ class ServingIndex:
         # Attached micro-batching scheduler: a queue saturated to
         # capacity (admissions are being shed as queue_full) or an
         # actively-burning SLO governor makes the index unhealthy —
-        # it is answering, but through the degraded path.
+        # it is answering, but through the degraded path. Its stats
+        # carry blas_threads: 1 while the scheduler pins BLAS.
         if self._scheduler is not None:
             stats = self._scheduler.stats()
             saturated = stats["queue_depth"] >= stats["queue_capacity"]

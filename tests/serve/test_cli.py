@@ -104,6 +104,9 @@ class TestSchedulerFlags:
         assert check["queue_capacity"] == 16
         assert check["max_batch"] == 4
         assert check["shed_rate"] == 0.0
+        # The report is taken while the scheduler is live: one BLAS
+        # thread, or null where numpy bundles no OpenBLAS.
+        assert check["blas_threads"] in (1, None)
 
     def test_health_without_flag_has_no_scheduler_check(self, warm_dir,
                                                         capsys):

@@ -18,8 +18,8 @@ import pytest
 from repro import obs
 from repro.core.nprec.model import ContentRows
 from repro.serve import ServingIndex, WriteAheadLog
-from repro.serve.ann import (SplitRows, batch_exact_top_k, pooled_scores,
-                             rank_candidates)
+from repro.serve.ann import (IVFIndex, SplitRows, batch_exact_top_k,
+                             pooled_scores, rank_candidates)
 
 TOL = 1e-12
 
@@ -152,6 +152,26 @@ class TestSplitScores:
                                               mix=mix, block_size=16)
             assert np.array_equal(got, positions)
             assert got_scores.tobytes() == scores.tobytes()
+
+    def test_probe_splits_the_centroids_once_per_fit(self, index,
+                                                     serve_task):
+        rows = index._influence
+        mix = index._recommender.config.max_pool_mix
+        ivf = IVFIndex(n_lists=6, seed=0).fit(rows)
+        clone = IVFIndex.from_arrays(ivf.to_arrays(), ivf.meta())
+        profiles = [index._profiles[u.author_id][1] for u in serve_task.users]
+        for quantizer in (ivf, clone):
+            assert quantizer._split is None
+            for profile in profiles:
+                quantizer.probe(profile, mix, 3)
+                parts = quantizer._split[1]
+                # The cut the probe used to make per call, same bits.
+                want = pooled_scores(profile, quantizer.centroids, mix)
+                got = pooled_scores(profile, parts, mix)
+                assert got.tobytes() == want.tobytes()
+            assert quantizer._split[1] is parts
+        ivf.fit(rows[np.arange(0, rows.shape[0], 2)])
+        assert ivf._split is None
 
     def test_full_probe_ivf_equals_exact(self, artifact, pool, serve_task,
                                          index):
