@@ -4,7 +4,12 @@ Times the two pipeline stages the batch engine rewired — de-fuzzed
 negative sampling and triplet annotation — against verbatim copies of
 the pre-batch per-pair implementations, on the same corpus and with warm
 sentence-encoder caches for both paths (the comparison is about pair
-scoring, not text encoding). Writes the measured timings to
+scoring, not text encoding). Both paths are timed on one BLAS thread
+(:func:`single_threaded_blas`): with the default pool, OpenBLAS workers
+that wake for the batch path's small products and then spin made the
+batch de-fuzz about 1.5x slower on a 2-vCPU machine (speedups of
+3.4-4.2x instead of 5.2-8.8x), while the per-pair path barely calls
+BLAS. Writes the measured timings to
 ``BENCH_pairscore.json`` at the repo root and asserts the engine keeps
 its >= 5x contract at benchmark scale.
 """
@@ -19,6 +24,7 @@ from repro.core.annotation import Triplet, annotate_triplets
 from repro.core.nprec.sampling import TrainingPair, defuzzed_negatives
 from repro.core.rules import ExpertRuleSet
 from repro.data import load_scopus
+from repro.serve.scheduler import blas_threads, single_threaded_blas
 from repro.text import SentenceEncoder
 from repro.utils.rng import as_generator
 
@@ -104,31 +110,35 @@ def test_pairscore_speedups():
     for paper in papers:
         rules.abstract_rule.centroids(paper)
 
-    # One-off feature precompute, reported on its own: the scorer is
-    # memoized on the rule set, so a pipeline run (weight learning ->
-    # annotation -> de-fuzzed sampling over one corpus) pays it once.
-    rules._scorer_cache = None
-    precompute_start = time.perf_counter()
-    rules.batch_scorer(papers)
-    precompute_s = time.perf_counter() - precompute_start
+    with single_threaded_blas():
+        threads = blas_threads()
+        # One-off feature precompute, reported on its own: the scorer is
+        # memoized on the rule set, so a pipeline run (weight learning ->
+        # annotation -> de-fuzzed sampling over one corpus) pays it once.
+        rules._scorer_cache = None
+        precompute_start = time.perf_counter()
+        rules.batch_scorer(papers)
+        precompute_s = time.perf_counter() - precompute_start
 
-    def batch_defuzz():
-        rules._scorer_cache = None  # conservative: re-pay precompute
-        return defuzzed_negatives(papers, rules, N_NEGATIVES, seed=3)
+        def batch_defuzz():
+            rules._scorer_cache = None  # conservative: re-pay precompute
+            return defuzzed_negatives(papers, rules, N_NEGATIVES, seed=3)
 
-    def batch_annotate():
-        # warm scorer — in sem.fit the annotation stage always runs
-        # after weight learning has already built it
-        return annotate_triplets(papers, rules, n_triplets=N_TRIPLETS, seed=4)
+        def batch_annotate():
+            # warm scorer — in sem.fit the annotation stage always runs
+            # after weight learning has already built it
+            return annotate_triplets(papers, rules, n_triplets=N_TRIPLETS,
+                                     seed=4)
 
-    legacy_defuzz_s, legacy_negatives = _best_of(
-        lambda: legacy_defuzzed_negatives(papers, rules, N_NEGATIVES, seed=3))
-    batch_defuzz_s, batch_negatives = _best_of(batch_defuzz)
-    legacy_annotate_s, legacy_triplets = _best_of(
-        lambda: legacy_annotate_triplets(papers, rules,
-                                         n_triplets=N_TRIPLETS, seed=4))
-    rules.batch_scorer(papers)  # re-warm after the defuzz cache resets
-    batch_annotate_s, batch_triplets = _best_of(batch_annotate)
+        legacy_defuzz_s, legacy_negatives = _best_of(
+            lambda: legacy_defuzzed_negatives(papers, rules, N_NEGATIVES,
+                                              seed=3))
+        batch_defuzz_s, batch_negatives = _best_of(batch_defuzz)
+        legacy_annotate_s, legacy_triplets = _best_of(
+            lambda: legacy_annotate_triplets(papers, rules,
+                                             n_triplets=N_TRIPLETS, seed=4))
+        rules.batch_scorer(papers)  # re-warm after the defuzz cache resets
+        batch_annotate_s, batch_triplets = _best_of(batch_annotate)
 
     # Numerical-equivalence evidence alongside the timings: the batch
     # engine must reproduce the per-pair fused scores to <= 1e-9.
@@ -144,6 +154,7 @@ def test_pairscore_speedups():
 
     report = {
         "corpus": {"loader": "scopus", "scale": SCALE, "papers": len(papers)},
+        "blas_threads": threads,
         "workload": {"n_negatives": N_NEGATIVES, "n_triplets": N_TRIPLETS},
         "scorer_precompute_seconds": round(precompute_s, 4),
         "defuzzed_negatives": {

@@ -2,12 +2,12 @@
 
 from repro.cluster.gmm import GaussianMixture, select_components_bic
 from repro.cluster.kmeans import KMeans, kmeans_plus_plus
-from repro.cluster.lof import local_outlier_factor, normalized_lof
+from repro.cluster.lof import local_outlier_factor
 from repro.cluster.tsne import tsne
 
 __all__ = [
     "KMeans", "kmeans_plus_plus",
     "GaussianMixture", "select_components_bic",
-    "local_outlier_factor", "normalized_lof",
+    "local_outlier_factor",
     "tsne",
 ]

@@ -65,12 +65,3 @@ def local_outlier_factor(data: np.ndarray, k: int = 10) -> np.ndarray:
         # inf/inf -> duplicates everywhere; define as perfectly inlying
         ratios = np.where(np.isfinite(ratios), ratios, 1.0)
         return ratios.mean(axis=1)
-
-
-def normalized_lof(data: np.ndarray, k: int = 10) -> np.ndarray:
-    """LOF scaled to [0, 1] by min-max — the paper's Fig. 3 vertical axis."""
-    scores = local_outlier_factor(data, k=k)
-    low, high = scores.min(), scores.max()
-    if high - low < 1e-12:
-        return np.zeros_like(scores)
-    return (scores - low) / (high - low)

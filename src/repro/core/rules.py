@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -178,21 +178,6 @@ class AbstractSubspaceRule:
 #: Rule identifiers, in fusion-vector order.
 RULE_NAMES = ("classification", "references", "keywords", "abstract")
 
-#: Signature of a user-registered expert rule: higher = more different.
-ExtraRule = Callable[[Paper, Paper], float]
-
-
-def venue_difference(paper_p: Paper, paper_q: Paper) -> float:
-    """Example extra rule: venue disagreement (Sec. III-B notes the rule
-    set "supports an increasing number of expert rules").
-
-    0.0 when both papers appeared at the same venue, 1.0 when the venues
-    differ, 0.5 when either venue is unknown.
-    """
-    if paper_p.venue is None or paper_q.venue is None:
-        return 0.5
-    return 0.0 if paper_p.venue == paper_q.venue else 1.0
-
 
 @dataclass
 class RuleScores:
@@ -206,17 +191,14 @@ class RuleScores:
     references: float
     keywords: float
     abstract: np.ndarray  # (K,)
-    extra: tuple[float, ...] = ()
 
     def vector(self, subspace: int) -> np.ndarray:
-        """Rule vector for *subspace*: :data:`RULE_NAMES` order, then any
-        registered extra rules."""
+        """Rule vector for *subspace*, in :data:`RULE_NAMES` order."""
         return np.array([
             self.classification,
             self.references,
             self.keywords,
             float(self.abstract[subspace]),
-            *self.extra,
         ])
 
 
@@ -232,36 +214,19 @@ class ExpertRuleSet:
     def __init__(self, encoder: SentenceEncoder,
                  word_vectors: HashWordVectors | None = None,
                  num_subspaces: int = len(SUBSPACE_NAMES),
-                 weights: np.ndarray | None = None,
-                 extra_rules: "Sequence[tuple[str, ExtraRule]] | None" = None) -> None:
+                 weights: np.ndarray | None = None) -> None:
         self.encoder = encoder
         self.word_vectors = word_vectors or HashWordVectors(dim=encoder.dim)
         self.num_subspaces = num_subspaces
         self.abstract_rule = AbstractSubspaceRule(encoder, num_subspaces)
-        self.extra_rules: list[tuple[str, ExtraRule]] = list(extra_rules or [])
-        seen_names = set(RULE_NAMES)
-        for name, _ in self.extra_rules:
-            if name in seen_names:
-                raise ValueError(f"duplicate rule name {name!r}")
-            seen_names.add(name)
         if weights is None:
-            weights = np.ones(self.rule_count) / self.rule_count
+            weights = np.ones(len(RULE_NAMES)) / len(RULE_NAMES)
         self.weights = np.asarray(weights, dtype=np.float64)
-        if self.weights.shape != (self.rule_count,):
-            raise ValueError(f"weights must have shape ({self.rule_count},)")
+        if self.weights.shape != (len(RULE_NAMES),):
+            raise ValueError(f"weights must have shape ({len(RULE_NAMES)},)")
         self._mean: np.ndarray | None = None
         self._std: np.ndarray | None = None
         self._scorer_cache: "tuple[tuple[str, ...], BatchPairScorer] | None" = None
-
-    @property
-    def rule_count(self) -> int:
-        """Number of fused rules (built-in + extra)."""
-        return len(RULE_NAMES) + len(self.extra_rules)
-
-    @property
-    def rule_names(self) -> tuple[str, ...]:
-        """All rule names in fusion-vector order."""
-        return RULE_NAMES + tuple(name for name, _ in self.extra_rules)
 
     # ------------------------------------------------------------------
     def raw_scores(self, paper_p: Paper, paper_q: Paper) -> RuleScores:
@@ -277,8 +242,6 @@ class ExpertRuleSet:
             keywords=keyword_difference(paper_p.keywords, paper_q.keywords,
                                         self.word_vectors),
             abstract=abstract,
-            extra=tuple(float(rule(paper_p, paper_q))
-                        for _, rule in self.extra_rules),
         )
 
     def fit(self, papers: Sequence[Paper], n_pairs: int = 200,
@@ -306,17 +269,9 @@ class ExpertRuleSet:
             raise NotFittedError("ExpertRuleSet.fit must be called before scoring")
         return self._mean, self._std
 
-    def normalized_vector(self, paper_p: Paper, paper_q: Paper, subspace: int) -> np.ndarray:
-        """Z-scored rule vector for one pair and subspace."""
-        mean, std = self._require_fitted()
-        return (self.raw_scores(paper_p, paper_q).vector(subspace) - mean) / std
-
-    def fused_score(self, paper_p: Paper, paper_q: Paper, subspace: int) -> float:
-        """``f^k(p, q) = sum_i a_i f_i(p, q)`` over z-scored rules."""
-        return float(self.weights @ self.normalized_vector(paper_p, paper_q, subspace))
-
     def fused_scores(self, paper_p: Paper, paper_q: Paper) -> np.ndarray:
-        """Fused scores for every subspace at once, shape ``(K,)``."""
+        """``f^k(p, q) = sum_i a_i f_i(p, q)`` over z-scored rules, for
+        every subspace at once, shape ``(K,)``."""
         mean, std = self._require_fitted()
         raw = self.raw_scores(paper_p, paper_q)
         return np.array([

@@ -1,9 +1,11 @@
 """Vectorized batch pair scoring for the expert rule set.
 
-The per-pair path in :mod:`repro.core.rules` recomputes every rule from
-Python data structures on each call, which caps the de-fuzzing sampler
-(Sec. IV-C), triplet annotation (Sec. III-D), and rule-weight learning at
-toy corpus sizes. :class:`BatchPairScorer` precomputes per-paper features
+The per-pair path in :mod:`repro.core.rules` (``raw_scores``,
+``fused_scores``) recomputes every rule from Python data structures on
+each call. The rule-statistics fit uses it, and the tests use it as the
+reference for this module; the de-fuzzing sampler (Sec. IV-C), triplet
+annotation (Sec. III-D) and rule-weight learning score pairs here
+instead. :class:`BatchPairScorer` precomputes per-paper features
 **once** for a fixed corpus —
 
 * a stacked subspace-centroid tensor ``(n, K, d)`` so the abstract rule
@@ -17,11 +19,6 @@ toy corpus sizes. :class:`BatchPairScorer` precomputes per-paper features
 
 and then scores ``(m_pairs, K)`` fused rule matrices in vectorized numpy,
 numerically identical (to <= 1e-9) to :meth:`ExpertRuleSet.fused_scores`.
-
-User-registered extra rules are opaque callables and cannot be
-vectorized generically; they fall back to one Python call per pair (the
-built-in rules still run batched, so registering an extra rule degrades
-the engine gracefully rather than disabling it).
 
 Memory note: the keyword distance matrix is dense ``(V_kw, V_kw)``
 float64, where ``V_kw`` is the number of distinct keywords in the corpus.
@@ -40,6 +37,7 @@ from scipy import sparse
 from repro import obs
 from repro.core.rules import (
     EMPTY_KEYWORD_DISTANCE,
+    RULE_NAMES,
     ExpertRuleSet,
     default_level_weight,
 )
@@ -257,13 +255,6 @@ class BatchPairScorer:
         diff = self._centroids[left] - self._centroids[right]  # (m, K, d)
         return np.sqrt((diff ** 2).sum(axis=2))  # (m, K)
 
-    def _extras(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        extras = np.empty((left.shape[0], len(self.rules.extra_rules)))
-        for column, (_, rule) in enumerate(self.rules.extra_rules):
-            extras[:, column] = [float(rule(self.papers[i], self.papers[j]))
-                                 for i, j in zip(left, right)]
-        return extras
-
     # ------------------------------------------------------------------
     # Public scoring API
     # ------------------------------------------------------------------
@@ -271,7 +262,7 @@ class BatchPairScorer:
                    right: Sequence[int] | np.ndarray) -> np.ndarray:
         """Unnormalised rule matrices for aligned index arrays.
 
-        Returns ``(m, K, R)`` where ``R == rules.rule_count``, matching
+        Returns ``(m, K, R)`` where ``R == len(RULE_NAMES)``, matching
         :meth:`RuleScores.vector` for every pair and subspace.
         """
         n = len(self.papers)
@@ -282,7 +273,7 @@ class BatchPairScorer:
                              f"{right.shape[0]} right indices")
         m = left.shape[0]
         k = self.rules.num_subspaces
-        raw = np.empty((m, k, self.rules.rule_count))
+        raw = np.empty((m, k, len(RULE_NAMES)))
         for start in range(0, m, SCORE_CHUNK):
             sl = slice(start, min(start + SCORE_CHUNK, m))
             lc, rc = left[sl], right[sl]
@@ -290,8 +281,6 @@ class BatchPairScorer:
             raw[sl, :, 1] = self._references(lc, rc)[:, None]
             raw[sl, :, 2] = self._keywords(lc, rc)[:, None]
             raw[sl, :, 3] = self._abstract(lc, rc)
-            if self.rules.extra_rules:
-                raw[sl, :, 4:] = self._extras(lc, rc)[:, None, :]
         return raw
 
     def normalized_matrix(self, left: Sequence[int] | np.ndarray,
@@ -308,9 +297,3 @@ class BatchPairScorer:
         scores = self.normalized_matrix(left, right) @ self.rules.weights
         obs.count("rules.batch.pairs", scores.shape[0])
         return scores
-
-    def fused_scores_by_id(self, left_ids: Sequence[str],
-                           right_ids: Sequence[str]) -> np.ndarray:
-        """Convenience wrapper of :meth:`fused_scores` over paper ids."""
-        return self.fused_scores([self.index_of(p) for p in left_ids],
-                                 [self.index_of(q) for q in right_ids])

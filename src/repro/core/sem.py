@@ -73,13 +73,8 @@ class SEMConfig:
 class SubspaceEmbeddingMethod:
     """The paper's SEM model with a scikit-learn-style ``fit`` interface."""
 
-    def __init__(self, config: SEMConfig | None = None,
-                 extra_rules=None) -> None:
+    def __init__(self, config: SEMConfig | None = None) -> None:
         self.config = config or SEMConfig()
-        #: Optional user-registered expert rules, forwarded to the
-        #: :class:`ExpertRuleSet` (name, callable) — see
-        #: :func:`repro.core.rules.venue_difference` for an example.
-        self.extra_rules = list(extra_rules or [])
         self.encoder: SentenceEncoder | None = None
         self.labeler: SequenceLabeler | None = None
         self.rules: ExpertRuleSet | None = None
@@ -143,8 +138,7 @@ class SubspaceEmbeddingMethod:
             self.labeler.fit([p.abstract for p in subset],
                              [list(p.sentence_labels) for p in subset])
 
-        self.rules = ExpertRuleSet(self.encoder, num_subspaces=cfg.num_subspaces,
-                                   extra_rules=self.extra_rules)
+        self.rules = ExpertRuleSet(self.encoder, num_subspaces=cfg.num_subspaces)
         self.rules.fit(papers, seed=int(rng.integers(2**31)))
         if cfg.learn_rule_weights:
             weights = self._learn_rule_weights(papers, rng)
@@ -207,7 +201,7 @@ class SubspaceEmbeddingMethod:
         confident = np.abs(fused_gap) >= 1e-9
         agree = np.sign(z_q - z_q2) == np.sign(fused_gap)[..., None]
         agreements = (agree & confident[..., None]).sum(axis=(0, 1)).astype(float)
-        counted = np.full(self.rules.rule_count, float(confident.sum()))
+        counted = np.full(len(RULE_NAMES), float(confident.sum()))
         counted[counted == 0] = 1.0
         weights = agreements / counted + 1e-3
         return weights / weights.sum()

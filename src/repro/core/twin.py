@@ -23,7 +23,7 @@ import numpy as np
 from repro import obs
 from repro.core.annotation import Triplet
 from repro.core.subspace_model import SubspaceEmbeddingNetwork
-from repro.nn import Adam, Tensor, l2_regularization, no_grad
+from repro.nn import Adam, Tensor, l2_regularization
 from repro.resilience import faults
 from repro.resilience.checkpoint import (
     CheckpointLike, GuardLike, resilience_options, run_epochs)
@@ -196,13 +196,3 @@ class TwinNetworkTrainer:
         obs.observe("sem.twin.epoch_hinge_loss", mean_loss)
         obs.observe("sem.twin.epoch_rule_agreement", agreement)
         return mean_loss, violations / len(triplets)
-
-    def violation_rate(self, triplets: Sequence[Triplet],
-                       encoded: Mapping[str, tuple[np.ndarray, Sequence[int]]]) -> float:
-        """Fraction of triplets whose distance ordering is still wrong."""
-        triplets = list(triplets)
-        if not triplets:
-            raise ValueError("no triplets to evaluate")
-        with no_grad():
-            d_pos, d_neg = self._distances(triplets, encoded)
-        return int((d_pos.data <= d_neg.data).sum()) / len(triplets)

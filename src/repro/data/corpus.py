@@ -100,13 +100,6 @@ class Corpus:
             raise DataError(f"unknown author id {author_id!r} in corpus {self.name!r}")
         return author
 
-    def get_venue(self, venue_id: str) -> Venue:
-        """Venue by id, raising :class:`DataError` when absent."""
-        venue = self._venues.get(venue_id)
-        if venue is None:
-            raise DataError(f"unknown venue id {venue_id!r} in corpus {self.name!r}")
-        return venue
-
     # ------------------------------------------------------------------
     # Derived indexes
     # ------------------------------------------------------------------
@@ -125,12 +118,6 @@ class Corpus:
     def by_field(self, field: str) -> list[Paper]:
         """Papers whose discipline label equals *field*."""
         return [p for p in self._papers.values() if p.field == field]
-
-    def by_year(self, year_min: int | None = None, year_max: int | None = None) -> list[Paper]:
-        """Papers published within the (inclusive) year window."""
-        return [p for p in self._papers.values()
-                if (year_min is None or p.year >= year_min)
-                and (year_max is None or p.year <= year_max)]
 
     def fields(self) -> list[str]:
         """Distinct discipline labels, sorted."""

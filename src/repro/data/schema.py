@@ -102,8 +102,3 @@ class Paper:
             raise ValueError(f"month must be in 1..12 or None, got {self.month}")
         if self.id in self.references:
             raise ValueError(f"paper {self.id!r} cannot reference itself")
-
-    @property
-    def is_low_resource(self) -> bool:
-        """True for patent-style records lacking venue and keywords."""
-        return self.venue is None and not self.keywords

@@ -2,8 +2,7 @@
 
 The :class:`Module` base class mirrors the familiar torch.nn contract at a
 miniature scale: parameters are discovered recursively through attributes,
-``state_dict``/``load_state_dict`` round-trip weights, and a ``training``
-flag toggles dropout behaviour.
+and ``state_dict``/``load_state_dict`` round-trip weights.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.nn import init as initializers
-from repro.nn.functional import dropout
 from repro.nn.tensor import Tensor, parameter
 from repro.utils.rng import as_generator
 
@@ -25,8 +23,6 @@ class Module:
     plain attributes; :meth:`parameters` and :meth:`state_dict` find them by
     reflection, in deterministic (sorted attribute name) order.
     """
-
-    training: bool = True
 
     def parameters(self) -> list[Tensor]:
         """All trainable tensors of this module and its children."""
@@ -65,18 +61,6 @@ class Module:
         """Clear gradients on every parameter."""
         for param in self.parameters():
             param.zero_grad()
-
-    def train(self, mode: bool = True) -> "Module":
-        """Set training mode recursively (affects dropout)."""
-        self.training = mode
-        for _, value in self._components():
-            if isinstance(value, Module):
-                value.train(mode)
-        return self
-
-    def eval(self) -> "Module":
-        """Switch to evaluation mode."""
-        return self.train(False)
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """Copy of every parameter keyed by dotted name."""
@@ -157,19 +141,6 @@ class Linear(Module):
         if self.bias is not None:
             out = out + self.bias
         return out
-
-
-class Dropout(Module):
-    """Inverted dropout layer; a no-op in eval mode."""
-
-    def __init__(self, rate: float = 0.1, rng: np.random.Generator | int | None = None) -> None:
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-        self._rng = as_generator(rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return dropout(x, self.rate, self._rng, training=self.training)
 
 
 class Sequential(Module):

@@ -1,4 +1,4 @@
-"""Loss functions: BCE (paper Eq. 23), cross-entropy, L2 and MSE.
+"""Loss functions: BCE (paper Eq. 23), L2 and MSE.
 
 The Eq. 14 hinge is written inline in
 :class:`~repro.core.twin.TwinNetworkTrainer`.
@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.functional import log_softmax
 from repro.nn.tensor import Tensor, as_tensor
 
 
@@ -32,23 +31,6 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray | Tenso
     positive_part = logits.clip_min(0.0)
     softplus_term = ((-(logits.abs())).exp() + 1.0).log()
     return (positive_part - logits * target_t + softplus_term).mean()
-
-
-def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of integer *targets* under *logits*.
-
-    *logits* is ``(n, classes)``; *targets* is an ``(n,)`` int array.
-    """
-    targets = np.asarray(targets)
-    if logits.ndim != 2:
-        raise ValueError(f"cross_entropy expects 2-D logits, got shape {logits.shape}")
-    if targets.ndim != 1 or targets.shape[0] != logits.shape[0]:
-        raise ValueError(
-            f"targets shape {targets.shape} incompatible with logits {logits.shape}"
-        )
-    log_probs = log_softmax(logits, axis=-1)
-    picked = log_probs[np.arange(targets.shape[0]), targets]
-    return -picked.mean()
 
 
 def mse_loss(prediction: Tensor, target: np.ndarray | Tensor) -> Tensor:

@@ -1,4 +1,4 @@
-"""First-order optimisers (SGD with momentum, Adam) and LR schedules."""
+"""First-order optimisers: SGD with momentum, and Adam."""
 
 from __future__ import annotations
 
@@ -130,34 +130,3 @@ class Adam(Optimizer):
         self._m = [m.copy() for m in moments_m]
         self._v = [v.copy() for v in moments_v]
 
-
-class StepLR:
-    """Multiply the optimiser learning rate by *gamma* every *step_size* epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.5) -> None:
-        if step_size <= 0:
-            raise ValueError(f"step_size must be positive, got {step_size}")
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self._epoch = 0
-
-    def step(self) -> None:
-        """Advance one epoch, decaying the learning rate on boundaries."""
-        self._epoch += 1
-        if self._epoch % self.step_size == 0:
-            self.optimizer.lr *= self.gamma
-
-
-def clip_grad_norm(params: Iterable[Tensor], max_norm: float) -> float:
-    """Rescale gradients in-place so their global L2 norm is <= *max_norm*.
-
-    Returns the pre-clipping norm, useful for monitoring training health.
-    """
-    params = [p for p in params if p.grad is not None]
-    total = float(np.sqrt(sum(float((p.grad**2).sum()) for p in params)))
-    if total > max_norm and total > 0:
-        scale = max_norm / total
-        for param in params:
-            param.grad = param.grad * scale
-    return total

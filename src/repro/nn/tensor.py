@@ -147,10 +147,6 @@ class Tensor:
     def _item_error(self) -> float:
         raise ShapeError(f"item() requires a scalar tensor, got shape {self.shape}")
 
-    def detach(self) -> "Tensor":
-        """A new tensor sharing data but cut off from the autograd graph."""
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         grad = ", requires_grad=True" if self.requires_grad else ""
         label = f", name={self.name!r}" if self.name else ""

@@ -60,7 +60,6 @@ from repro.serve.ann import (
 )
 from repro.serve.artifacts import (
     SCHEMA_VERSION,
-    has_ann_index,
     load_ann_index,
     load_author_affiliations,
     load_pipeline,
@@ -77,7 +76,7 @@ from repro.serve.wal import WALRecord, WriteAheadLog
 __all__ = [
     "SCHEMA_VERSION",
     "save_pipeline", "load_pipeline", "load_author_affiliations",
-    "save_ann_index", "load_ann_index", "has_ann_index", "pool_fingerprint",
+    "save_ann_index", "load_ann_index", "pool_fingerprint",
     "load_pool",
     "IVFIndex", "ProbeStats", "exact_top_k",
     "batch_exact_top_k", "rank_candidates", "pooled_scores",

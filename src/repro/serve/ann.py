@@ -372,11 +372,6 @@ class IVFIndex:
         """Row -> list assignment vector (a copy)."""
         return np.asarray(self._assignments, dtype=np.int64)
 
-    def list_sizes(self) -> np.ndarray:
-        """Current inverted-list occupancy, one entry per list."""
-        return np.asarray([len(members) for members in self._lists],
-                          dtype=np.int64)
-
     # ------------------------------------------------------------------
     # Clustering
     # ------------------------------------------------------------------

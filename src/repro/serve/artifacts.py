@@ -131,9 +131,7 @@ def save_pipeline(recommender: NPRecRecommender, directory: str | os.PathLike,
     NotFittedError
         If the recommender has not been fitted.
     ArtifactError
-        If the pipeline contains components that cannot be persisted
-        (user-registered callable extra rules), or if *directory* is
-        neither empty nor an artifact.
+        If *directory* is neither empty nor an artifact.
     """
     root = Path(directory)
     payloads = _pipeline_payloads(recommender, corpus, author_affiliations)
@@ -207,11 +205,6 @@ def _pipeline_payloads(rec: NPRecRecommender, corpus: Corpus | None,
     """Every payload file of a fitted pipeline, by relative path."""
     if rec.model is None or rec.sem is None:
         raise NotFittedError("cannot save an unfitted NPRecRecommender")
-    if rec.sem.extra_rules or (rec.sem.rules is not None
-                               and rec.sem.rules.extra_rules):
-        raise ArtifactError(
-            "cannot persist user-registered extra rules (arbitrary "
-            "callables); drop extra_rules or persist them out of band")
     affiliations: dict[str, str] = dict(author_affiliations or {})
     if corpus is not None:
         affiliations.update({a.id: a.affiliation for a in corpus.authors
@@ -502,11 +495,6 @@ def load_ann_index(directory: str | os.PathLike):
             f"{exc}") from exc
     obs.count("serve.ann.artifact_loaded")
     return index, meta
-
-
-def has_ann_index(directory: str | os.PathLike) -> bool:
-    """Whether the artifact carries a persisted ANN quantizer."""
-    return (Path(directory) / "ann" / "ivf.json").is_file()
 
 
 def _rebuild(root: Path, manifest: dict) -> NPRecRecommender:

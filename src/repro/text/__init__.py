@@ -16,7 +16,6 @@ from repro.text.sequence_labeler import (
 from repro.text.tokenizer import (
     MAX_SENTENCE_WORDS,
     STOPWORDS,
-    ngrams,
     sentence_tokens,
     split_sentences,
     tokenize,
@@ -25,7 +24,7 @@ from repro.text.vocab import UNK_TOKEN, Vocabulary
 from repro.text.word_vectors import HashWordVectors
 
 __all__ = [
-    "tokenize", "split_sentences", "sentence_tokens", "ngrams",
+    "tokenize", "split_sentences", "sentence_tokens",
     "STOPWORDS", "MAX_SENTENCE_WORDS",
     "Vocabulary", "UNK_TOKEN",
     "HashWordVectors",

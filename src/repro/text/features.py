@@ -37,20 +37,6 @@ class TextFeatures:
     long_word_ratio: float
     lexical_density: float
 
-    def as_vector(self) -> np.ndarray:
-        """Feature vector in a fixed order (for linear scoring models)."""
-        return np.array([
-            self.sentence_count,
-            self.word_count,
-            self.avg_sentence_length,
-            self.avg_word_length,
-            self.type_token_ratio,
-            self.stopword_ratio,
-            self.flesch_reading_ease,
-            self.long_word_ratio,
-            self.lexical_density,
-        ])
-
 
 def extract_features(text: str) -> TextFeatures:
     """Compute :class:`TextFeatures` for *text*.

@@ -92,10 +92,6 @@ class SentenceEncoder:
         pooled = (weights[:, None] * vectors).sum(axis=0) / weights.sum()
         return np.tanh(self._rotation @ pooled)
 
-    def encode_sentence(self, sentence: str) -> np.ndarray:
-        """Encode one raw sentence string."""
-        return self.encode_tokens(tokenize(sentence))
-
     def encode(self, text: str) -> np.ndarray:
         """Encode *text* into an ``(n_sentences, dim)`` matrix.
 
@@ -106,13 +102,3 @@ class SentenceEncoder:
         if not sentences:
             return np.zeros((0, self.dim))
         return np.stack([self.encode_tokens(tokens) for tokens in sentences])
-
-    def encode_document(self, text: str) -> np.ndarray:
-        """Mean-pool sentence vectors into a single document vector.
-
-        Used by the BERT-average baseline of Fig. 2.
-        """
-        matrix = self.encode(text)
-        if matrix.shape[0] == 0:
-            return np.zeros(self.dim)
-        return matrix.mean(axis=0)

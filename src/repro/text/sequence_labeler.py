@@ -192,10 +192,6 @@ class SequenceLabeler:
         features = sentence_features(sentences)
         return self._viterbi(features, emission, transition).tolist()
 
-    def predict_many(self, abstracts: Sequence[str]) -> list[list[int]]:
-        """Vector version of :meth:`predict`."""
-        return [self.predict(text) for text in abstracts]
-
     def accuracy(self, abstracts: Sequence[str], labels: Sequence[Sequence[int]]) -> float:
         """Per-sentence tagging accuracy against gold labels."""
         correct = 0

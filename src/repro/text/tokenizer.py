@@ -9,7 +9,6 @@ filtering, and the 30-word cap exposed as ``max_sentence_words``.
 from __future__ import annotations
 
 import re
-from typing import Iterable
 
 _WORD_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9\-']*")
 _SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")
@@ -54,11 +53,3 @@ def sentence_tokens(
         raise ValueError(f"max_words must be positive, got {max_words}")
     return [tokenize(sentence, drop_stopwords=drop_stopwords)[:max_words]
             for sentence in split_sentences(text)]
-
-
-def ngrams(tokens: Iterable[str], n: int) -> list[tuple[str, ...]]:
-    """Contiguous n-grams of a token sequence."""
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    tokens = list(tokens)
-    return [tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1)]

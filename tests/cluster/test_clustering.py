@@ -8,7 +8,6 @@ from repro.cluster import (
     KMeans,
     kmeans_plus_plus,
     local_outlier_factor,
-    normalized_lof,
     select_components_bic,
     tsne,
 )
@@ -139,16 +138,6 @@ class TestLOF:
             local_outlier_factor(np.zeros((1, 2)), k=3)
         with pytest.raises(ValueError):
             local_outlier_factor(np.zeros(5), k=3)
-
-    def test_normalized_in_unit_interval(self):
-        data = np.random.default_rng(2).normal(size=(50, 3))
-        scores = normalized_lof(data, k=8)
-        assert scores.min() == pytest.approx(0.0)
-        assert scores.max() == pytest.approx(1.0)
-
-    def test_normalized_constant_input(self):
-        np.testing.assert_array_equal(normalized_lof(np.zeros((10, 2)), k=3),
-                                      np.zeros(10))
 
 
 class TestTSNE:

@@ -78,9 +78,11 @@ class TestBatchScorerEquivalence:
         left = rng.integers(len(papers), size=6)
         right = rng.integers(len(papers), size=6)
         matrix = scorer.normalized_matrix(left, right)
+        mean, std = rules._require_fitted()
         for row, (i, j) in enumerate(zip(left, right)):
+            raw = rules.raw_scores(papers[i], papers[j])
             for k in range(rules.num_subspaces):
-                expected = rules.normalized_vector(papers[i], papers[j], k)
+                expected = (raw.vector(k) - mean) / std
                 np.testing.assert_allclose(matrix[row, k], expected,
                                            rtol=0, atol=1e-9)
 

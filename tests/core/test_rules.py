@@ -138,7 +138,7 @@ class TestExpertRuleSet:
     def test_not_fitted(self):
         rules = ExpertRuleSet(SentenceEncoder(dim=16))
         with pytest.raises(NotFittedError):
-            rules.fused_score(make_paper("a"), make_paper("b"), 0)
+            rules.fused_scores(make_paper("a"), make_paper("b"))
 
     def test_same_topic_scores_lower(self, fitted):
         rules, papers = fitted

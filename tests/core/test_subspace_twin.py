@@ -12,7 +12,7 @@ from repro.core.twin import (
     pair_distance,
 )
 from repro.data import load_scopus
-from repro.nn import Tensor
+from repro.nn import Tensor, no_grad
 from repro.text import SentenceEncoder
 
 
@@ -153,6 +153,13 @@ class TestTwinTrainer:
             out[p.id] = (H[:len(labels)], labels)
         return out
 
+    @staticmethod
+    def _violation_rate(trainer, triplets, encoded):
+        """Fraction of triplets whose distance ordering is still wrong."""
+        with no_grad():
+            d_pos, d_neg = trainer._distances(triplets, encoded)
+        return float((d_pos.data <= d_neg.data).mean())
+
     def test_training_reduces_violations(self, small_corpus, fitted_rules):
         rules, encoder = fitted_rules
         triplets = annotate_triplets(small_corpus, rules, n_triplets=25,
@@ -161,9 +168,9 @@ class TestTwinTrainer:
         net = SubspaceEmbeddingNetwork(in_dim=16, hidden_dims=(24,), out_dim=8, rng=0)
         trainer = TwinNetworkTrainer(net, distance="euclidean", epochs=4,
                                      lr=2e-3, seed=0)
-        before = trainer.violation_rate(triplets, encoded)
+        before = self._violation_rate(trainer, triplets, encoded)
         history = trainer.train(triplets, encoded)
-        after = trainer.violation_rate(triplets, encoded)
+        after = self._violation_rate(trainer, triplets, encoded)
         assert after < before
         assert len(history.losses) == 4
 
@@ -180,8 +187,6 @@ class TestTwinTrainer:
         trainer = TwinNetworkTrainer(net, seed=0)
         with pytest.raises(ValueError):
             trainer.train([], {})
-        with pytest.raises(ValueError):
-            trainer.violation_rate([], {})
 
     def test_config_validation(self):
         net = SubspaceEmbeddingNetwork(in_dim=16, out_dim=8, rng=0)

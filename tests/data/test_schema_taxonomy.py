@@ -26,13 +26,8 @@ class TestSchema:
         paper = make_paper()
         assert paper.citation_count == 0
         assert paper.references == ()
-        assert paper.is_low_resource  # no venue and no keywords
-
-    def test_low_resource_detection(self):
-        patent = make_paper(venue=None, keywords=())
-        assert patent.is_low_resource
-        normal = make_paper(venue="v1", keywords=("k",))
-        assert not normal.is_low_resource
+        assert paper.venue is None
+        assert paper.keywords == ()
 
     def test_rejects_self_citation(self):
         with pytest.raises(ValueError):

@@ -138,7 +138,7 @@ class TestLoaders:
     def test_patents_low_resource(self):
         corpus = load_patents(scale=0.3, seed=0)
         for paper in corpus.papers[:20]:
-            assert paper.is_low_resource
+            assert paper.venue is None and not paper.keywords
             assert paper.month is not None
             assert paper.year == 2017
 

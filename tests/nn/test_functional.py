@@ -1,15 +1,9 @@
-"""Tests for the functional ops (softmax, normalisation, dropout)."""
+"""Tests for the functional ops (softmax, normalisation)."""
 
 import numpy as np
 import pytest
 
-from repro.nn import (
-    Tensor,
-    dropout,
-    l2_normalize,
-    log_softmax,
-    softmax,
-)
+from repro.nn import Tensor, l2_normalize, softmax
 from repro.nn.tensor import parameter
 
 
@@ -23,11 +17,6 @@ class TestSoftmax:
         out = softmax(x)
         assert np.isfinite(out.data).all()
         assert out.data[0] == pytest.approx(1.0)
-
-    def test_log_softmax_consistent(self):
-        x = Tensor(np.random.default_rng(1).normal(size=(3, 5)))
-        np.testing.assert_allclose(log_softmax(x).data,
-                                   np.log(softmax(x).data), atol=1e-12)
 
     def test_softmax_gradient_flows(self):
         p = parameter(np.array([1.0, 2.0, 3.0]))
@@ -48,24 +37,3 @@ class TestNormalisation:
         out = l2_normalize(x)
         assert np.isfinite(out.data).all()
 
-
-class TestDropoutFunctional:
-    def test_rate_zero_identity(self):
-        x = Tensor(np.ones((3, 3)))
-        out = dropout(x, 0.0, np.random.default_rng(0), training=True)
-        np.testing.assert_array_equal(out.data, x.data)
-
-    def test_eval_identity(self):
-        x = Tensor(np.ones((3, 3)))
-        out = dropout(x, 0.9, np.random.default_rng(0), training=False)
-        np.testing.assert_array_equal(out.data, x.data)
-
-    def test_invalid_rate(self):
-        with pytest.raises(ValueError):
-            dropout(Tensor(np.ones(3)), 1.0, np.random.default_rng(0))
-
-    def test_expected_scale_preserved(self):
-        rng = np.random.default_rng(1)
-        x = Tensor(np.ones((200, 200)))
-        out = dropout(x, 0.3, rng, training=True)
-        assert out.data.mean() == pytest.approx(1.0, abs=0.05)

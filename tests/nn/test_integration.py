@@ -1,20 +1,15 @@
 """Integration tests: the autograd stack trains real models end to end."""
 
 import numpy as np
-import pytest
 
 from repro.nn import (
     MLP,
     SGD,
     Adam,
-    Embedding,
-    GlobalAttentionPooling,
     Linear,
-    StepLR,
     Tensor,
-    clip_grad_norm,
+    binary_cross_entropy_with_logits,
     concat,
-    cross_entropy,
     mse_loss,
 )
 
@@ -37,52 +32,24 @@ class TestRegression:
         final = mse_loss(net(Tensor(x)).reshape(-1), y).item()
         assert final < first * 0.2
 
-    def test_classifier_with_scheduler_and_clipping(self):
+    def test_relu_classifier_trains_with_sgd_momentum(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(120, 4))
-        labels = (x[:, 0] + x[:, 1] - x[:, 2] > 0).astype(int)
-        net = MLP([4, 12, 2], activation="relu", final_activation=False, rng=0)
-        opt = SGD(net.parameters(), lr=0.5, momentum=0.9)
-        sched = StepLR(opt, step_size=40, gamma=0.5)
+        labels = (x[:, 0] + x[:, 1] - x[:, 2] > 0).astype(float)
+        net = MLP([4, 12, 1], activation="relu", final_activation=False, rng=0)
+        opt = SGD(net.parameters(), lr=0.1, momentum=0.9)
+        first = None
         for _ in range(120):
             opt.zero_grad()
-            loss = cross_entropy(net(Tensor(x)), labels)
+            loss = binary_cross_entropy_with_logits(
+                net(Tensor(x)).reshape(-1), labels)
+            if first is None:
+                first = loss.item()
             loss.backward()
-            clip_grad_norm(net.parameters(), 5.0)
             opt.step()
-            sched.step()
-        preds = net(Tensor(x)).data.argmax(axis=1)
-        assert (preds == labels).mean() > 0.9
-        assert opt.lr < 0.5  # scheduler actually decayed
-
-    def test_embedding_plus_attention_pipeline(self):
-        """Embedding lookup -> attention pooling -> linear head, trained to
-        separate two 'documents' composed of different token groups."""
-        rng = np.random.default_rng(2)
-        emb = Embedding(20, 8, rng=0)
-        pool = GlobalAttentionPooling(8, 8, rng=1)
-        head = Linear(8, 1, rng=2)
-        params = emb.parameters() + pool.parameters() + head.parameters()
-        opt = Adam(params, lr=5e-2)
-        docs = [(rng.integers(0, 10, size=6), 0.0) for _ in range(10)] + \
-               [(rng.integers(10, 20, size=6), 1.0) for _ in range(10)]
-        for _ in range(60):
-            opt.zero_grad()
-            losses = []
-            for token_ids, label in docs:
-                pooled = pool(emb(token_ids))
-                pred = head(pooled.reshape(1, -1)).reshape(())
-                losses.append((pred - label) * (pred - label))
-            total = losses[0]
-            for term in losses[1:]:
-                total = total + term
-            (total * (1.0 / len(losses))).backward()
-            opt.step()
-        errors = 0
-        for token_ids, label in docs:
-            pred = head(pool(emb(token_ids)).reshape(1, -1)).item()
-            errors += int(round(min(max(pred, 0.0), 1.0)) != label)
-        assert errors <= 2
+        logits = net(Tensor(x)).reshape(-1)
+        assert binary_cross_entropy_with_logits(logits, labels).item() < first * 0.3
+        assert ((logits.data > 0) == labels).mean() > 0.9
 
     def test_concat_training_path(self):
         """Gradients flow through concat into both branches."""

@@ -5,7 +5,6 @@ import pytest
 
 from repro.nn import (
     MLP,
-    Dropout,
     Embedding,
     Linear,
     Module,
@@ -94,24 +93,6 @@ class TestEmbedding:
         np.testing.assert_allclose(emb.weight.grad[0], [0.0, 0.0])
 
 
-class TestDropout:
-    def test_eval_mode_identity(self):
-        layer = Dropout(0.5, rng=0).eval()
-        x = Tensor(np.ones((4, 4)))
-        np.testing.assert_array_equal(layer(x).data, x.data)
-
-    def test_training_zeroes_and_rescales(self):
-        layer = Dropout(0.5, rng=0)
-        out = layer(Tensor(np.ones((100, 100))))
-        kept = out.data[out.data != 0]
-        np.testing.assert_allclose(kept, 2.0)
-        assert 0.3 < (out.data == 0).mean() < 0.7
-
-    def test_invalid_rate(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
-
-
 class TestModuleReflection:
     def test_nested_parameters(self):
         class Net(Module):
@@ -157,13 +138,6 @@ class TestModuleReflection:
         load_module(other, path)
         x = Tensor(np.ones((1, 3)))
         np.testing.assert_allclose(net(x).data, other(x).data)
-
-    def test_train_eval_propagates(self):
-        net = Sequential(Linear(2, 2, rng=0), Dropout(0.5, rng=0))
-        net.eval()
-        assert net.steps[1].training is False
-        net.train()
-        assert net.steps[1].training is True
 
     def test_zero_grad(self):
         net = Linear(2, 2, rng=0)

@@ -2,6 +2,7 @@
 persistence, and the ServingIndex strategy wiring."""
 
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +10,8 @@ import pytest
 from repro import obs
 from repro.errors import ArtifactError, NotFittedError
 from repro.serve import (IVFIndex, ServingIndex, batch_exact_top_k,
-                         exact_top_k, has_ann_index,
-                         load_ann_index, pool_fingerprint, rank_candidates,
-                         save_ann_index)
+                         exact_top_k, load_ann_index, pool_fingerprint,
+                         rank_candidates, save_ann_index)
 
 MIX = 0.7
 
@@ -143,7 +143,7 @@ class TestKMeans:
     def test_assignments_partition_the_pool(self):
         rows, _ = _clustered(211)
         ivf = IVFIndex(n_lists=9).fit(rows)
-        sizes = ivf.list_sizes()
+        sizes = np.array([len(m) for m in ivf._lists])
         assert sizes.sum() == 211
         assert (sizes > 0).all()  # empty-cluster stealing leaves none empty
         members = np.sort(np.concatenate(
@@ -382,7 +382,7 @@ class TestArtifactPersistence:
         return directory
 
     def test_round_trip_and_manifest_coverage(self, warm_dir, pool):
-        assert has_ann_index(warm_dir)
+        assert (warm_dir / "ann" / "ivf.json").is_file()
         ivf, meta = load_ann_index(warm_dir)
         assert ivf.fitted and ivf.num_rows == len(pool)
         assert meta["pool_sha256"] == pool_fingerprint([p.id for p in pool])
@@ -440,6 +440,6 @@ class TestArtifactPersistence:
             load_ann_index(warm_dir)
 
     def test_missing_quantizer_raises(self, artifact):
-        assert not has_ann_index(artifact[0])
+        assert not (Path(artifact[0]) / "ann").exists()
         with pytest.raises(ArtifactError, match="no ANN quantizer"):
             load_ann_index(artifact[0])

@@ -9,7 +9,6 @@ import pytest
 
 from repro.core.nprec import NPRecRecommender
 from repro.core.nprec.model import ContentRows
-from repro.core.rules import venue_difference
 from repro.errors import ArtifactError, NotFittedError, SchemaVersionError
 from repro.serve import (
     SCHEMA_VERSION,
@@ -90,15 +89,6 @@ class TestFailureModes:
     def test_unfitted_recommender_rejected(self, tmp_path):
         with pytest.raises(NotFittedError):
             save_pipeline(NPRecRecommender(), tmp_path / "x")
-
-    def test_extra_rules_rejected(self, artifact, fitted_recommender,
-                                  tmp_path):
-        fitted_recommender.sem.extra_rules = [("venue", venue_difference)]
-        try:
-            with pytest.raises(ArtifactError, match="extra rules"):
-                save_pipeline(fitted_recommender, tmp_path / "x")
-        finally:
-            fitted_recommender.sem.extra_rules = []
 
     def test_missing_manifest(self, artifact, tmp_path):
         directory = _copy(artifact[0], tmp_path)

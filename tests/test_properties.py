@@ -18,7 +18,7 @@ from repro.analysis.metrics import (
     rankdata,
     spearman_correlation,
 )
-from repro.cluster.lof import local_outlier_factor, normalized_lof
+from repro.cluster.lof import local_outlier_factor
 from repro.core.rules import (
     classification_difference,
     keyword_difference,
@@ -74,13 +74,6 @@ class TestAutogradProperties:
         weights = softmax(Tensor(a), axis=-1)
         assert weights.data.min() >= 0
         assert weights.data.sum() == pytest.approx(1.0)
-
-    @given(small_arrays())
-    @settings(max_examples=30, deadline=None)
-    def test_detach_blocks_gradient(self, a):
-        p = parameter(a.copy())
-        out = (p.detach() * 3.0).sum()
-        assert not out.requires_grad
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +173,9 @@ class TestLofProperties:
     @given(arrays(np.float64, st.tuples(st.integers(5, 25), st.integers(2, 4)),
                   elements=finite_floats))
     @settings(max_examples=30, deadline=None)
-    def test_lof_positive_and_normalized_bounded(self, data):
+    def test_lof_positive(self, data):
         scores = local_outlier_factor(data, k=3)
         assert np.all(scores > 0)
-        normed = normalized_lof(data, k=3)
-        assert normed.min() >= 0.0
-        assert normed.max() <= 1.0
 
     @given(arrays(np.float64, st.tuples(st.integers(5, 15), st.integers(2, 3)),
                   elements=finite_floats))

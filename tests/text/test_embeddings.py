@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.text import HashWordVectors, SentenceEncoder
+from repro.text import HashWordVectors, SentenceEncoder, tokenize
 
 
 class TestHashWordVectors:
@@ -41,8 +41,9 @@ class TestHashWordVectors:
 class TestSentenceEncoder:
     def test_shape_and_determinism(self):
         enc = SentenceEncoder(dim=32)
-        a = enc.encode_sentence("We propose a novel method for ranking.")
-        b = SentenceEncoder(dim=32).encode_sentence("We propose a novel method for ranking.")
+        a = enc.encode_tokens(tokenize("We propose a novel method for ranking."))
+        b = SentenceEncoder(dim=32).encode_tokens(
+            tokenize("We propose a novel method for ranking."))
         assert a.shape == (32,)
         np.testing.assert_array_equal(a, b)
 
@@ -54,28 +55,22 @@ class TestSentenceEncoder:
     def test_empty_text(self):
         enc = SentenceEncoder(dim=16)
         assert enc.encode("").shape == (0, 16)
-        np.testing.assert_array_equal(enc.encode_document(""), np.zeros(16))
 
     def test_similar_sentences_closer_than_different(self):
         enc = SentenceEncoder(dim=64)
-        a = enc.encode_sentence("graph neural networks for recommendation")
-        b = enc.encode_sentence("graph neural models for recommendation")
-        c = enc.encode_sentence("protein folding in mitochondrial cells")
+        a = enc.encode_tokens(tokenize("graph neural networks for recommendation"))
+        b = enc.encode_tokens(tokenize("graph neural models for recommendation"))
+        c = enc.encode_tokens(tokenize("protein folding in mitochondrial cells"))
         assert np.linalg.norm(a - b) < np.linalg.norm(a - c)
 
     def test_fit_frequencies_downweights_common_words(self):
         texts = ["the cat sat"] * 50 + ["quantum entanglement observed"]
         enc = SentenceEncoder(dim=64).fit_frequencies(texts)
-        with_rare = enc.encode_sentence("the quantum result")
+        with_rare = enc.encode_tokens(tokenize("the quantum result"))
         base = SentenceEncoder(dim=64)
         # after frequency fitting, "the" contributes less; vectors differ
-        assert not np.allclose(with_rare, base.encode_sentence("the quantum result"))
-
-    def test_document_pooling(self):
-        enc = SentenceEncoder(dim=16)
-        doc = enc.encode_document("One two three. Four five six.")
-        sentences = enc.encode("One two three. Four five six.")
-        np.testing.assert_allclose(doc, sentences.mean(axis=0))
+        assert not np.allclose(with_rare,
+                               base.encode_tokens(tokenize("the quantum result")))
 
     def test_bad_dim(self):
         with pytest.raises(ValueError):

@@ -93,12 +93,6 @@ class TestTextFeatures:
         feats = extract_features("")
         assert feats == TextFeatures(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
-    def test_vector_order_stable(self):
-        feats = extract_features("Alpha beta gamma delta. Epsilon zeta.")
-        vec = feats.as_vector()
-        assert vec.shape == (9,)
-        assert vec[0] == feats.sentence_count
-
     def test_flesch_reasonable_range(self):
         feats = extract_features("The cat sat on the mat. The dog ran fast.")
         assert 50 < feats.flesch_reading_ease <= 206.835

@@ -5,7 +5,6 @@ import pytest
 from repro.text import (
     UNK_TOKEN,
     Vocabulary,
-    ngrams,
     sentence_tokens,
     split_sentences,
     tokenize,
@@ -46,18 +45,6 @@ class TestSentences:
     def test_sentence_tokens_bad_max(self):
         with pytest.raises(ValueError):
             sentence_tokens("a b.", max_words=0)
-
-
-class TestNgrams:
-    def test_bigrams(self):
-        assert ngrams(["a", "b", "c"], 2) == [("a", "b"), ("b", "c")]
-
-    def test_n_larger_than_sequence(self):
-        assert ngrams(["a"], 3) == []
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            ngrams(["a"], 0)
 
 
 class TestVocabulary:

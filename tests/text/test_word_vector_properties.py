@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.text import SentenceEncoder
+from repro.text import SentenceEncoder, tokenize
 
 
 class TestEncoderDetails:
@@ -10,18 +10,18 @@ class TestEncoderDetails:
         short = SentenceEncoder(dim=16, max_words=3)
         full = SentenceEncoder(dim=16, max_words=30)
         sentence = "one two three four five six seven eight"
-        a = short.encode_sentence(sentence)
-        b = full.encode_sentence(sentence)
+        a = short.encode_tokens(tokenize(sentence))
+        b = full.encode_tokens(tokenize(sentence))
         assert not np.allclose(a, b)
 
     def test_seed_changes_rotation(self):
-        a = SentenceEncoder(dim=16, seed=1).encode_sentence("graph networks")
-        b = SentenceEncoder(dim=16, seed=2).encode_sentence("graph networks")
+        a = SentenceEncoder(dim=16, seed=1).encode_tokens(tokenize("graph networks"))
+        b = SentenceEncoder(dim=16, seed=2).encode_tokens(tokenize("graph networks"))
         assert not np.allclose(a, b)
 
     def test_output_bounded_by_tanh(self):
         enc = SentenceEncoder(dim=16)
-        vec = enc.encode_sentence("some words in a sentence here")
+        vec = enc.encode_tokens(tokenize("some words in a sentence here"))
         assert np.all(np.abs(vec) <= 1.0)
 
     def test_fit_frequencies_returns_self(self):
