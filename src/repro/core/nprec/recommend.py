@@ -169,7 +169,6 @@ class NPRecRecommender(Recommender):
         with obs.trace("nprec.recommend.rank", user_papers=len(user_papers),
                        candidates=len(candidates)):
             obs.count("nprec.recommend.queries")
-            obs.observe("nprec.recommend.candidate_set_size", len(candidates))
             return self._rank(user_papers, candidates)
 
     def _rank(self, user_papers: Sequence[Paper],

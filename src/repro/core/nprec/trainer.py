@@ -106,6 +106,4 @@ class NPRecTrainer:
             accuracy = correct / len(pairs)
             span.set("loss", mean_loss)
             span.set("accuracy", accuracy)
-        obs.observe("nprec.train.epoch_loss", mean_loss)
-        obs.observe("nprec.train.epoch_accuracy", accuracy)
         return mean_loss, accuracy

@@ -75,7 +75,7 @@ class BatchPairScorer:
         path works unfitted, mirroring :meth:`ExpertRuleSet.raw_scores`).
     papers:
         The corpus the scorer is specialised to. Pairs are addressed by
-        **position** in this sequence (use :meth:`index_of` to map ids).
+        **position** in this sequence.
 
     Features are precomputed in ``__init__`` (one ``rules.batch.precompute``
     obs span); every scoring call is then loop-free over the built-in
@@ -87,11 +87,11 @@ class BatchPairScorer:
         self.papers = list(papers)
         if not self.papers:
             raise ValueError("BatchPairScorer needs at least one paper")
-        self._index: dict[str, int] = {}
-        for position, paper in enumerate(self.papers):
-            if paper.id in self._index:
+        seen: set[str] = set()
+        for paper in self.papers:
+            if paper.id in seen:
                 raise ValueError(f"duplicate paper id {paper.id!r}")
-            self._index[paper.id] = position
+            seen.add(paper.id)
         with obs.trace("rules.batch.precompute", papers=len(self.papers)):
             self._precompute()
 
@@ -194,22 +194,6 @@ class BatchPairScorer:
             self._kw_dist = np.sqrt(np.maximum(d2, 0.0))  # (V, V)
         else:
             self._kw_dist = np.zeros((1, 1))
-
-    # ------------------------------------------------------------------
-    # Lookup
-    # ------------------------------------------------------------------
-    @property
-    def num_papers(self) -> int:
-        """Corpus size n."""
-        return len(self.papers)
-
-    def index_of(self, paper_id: str) -> int:
-        """Position of *paper_id* in the scorer's corpus."""
-        try:
-            return self._index[paper_id]
-        except KeyError:
-            raise KeyError(f"paper {paper_id!r} is not in this scorer's corpus") \
-                from None
 
     # ------------------------------------------------------------------
     # Raw rule components

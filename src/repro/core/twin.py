@@ -193,6 +193,4 @@ class TwinNetworkTrainer:
             agreement = 1.0 - violations / len(triplets)
             span.set("hinge_loss", mean_loss)
             span.set("rule_agreement", agreement)
-        obs.observe("sem.twin.epoch_hinge_loss", mean_loss)
-        obs.observe("sem.twin.epoch_rule_agreement", agreement)
         return mean_loss, violations / len(triplets)

@@ -21,11 +21,12 @@ Instrumenting code::
         span.set("hits", hits)
     obs.count("my.dropped", n_dropped, reason="threshold")
     obs.gauge("my.queue_depth", depth)
-    obs.observe("my.batch_size", len(items))
 
-A span is the one record of a stage's duration: run snapshots carry its
-``span.<name>:calls|total|mean`` aggregates, so durations need no
-histogram of their own.
+Each number is recorded once. A span is the one record of a stage's
+duration (run snapshots carry its ``span.<name>:calls|total|mean``
+aggregates) and of a per-call value, as a span attribute; counters and
+gauges hold totals and levels; the only latency sketches are the two an
+SLO judges (:func:`observe_quantile`).
 
 The metric/span name vocabulary used by the library itself is documented
 in ``docs/API.md`` (section "repro.obs").
@@ -58,13 +59,7 @@ from repro.obs.flightrec import (
     process_snapshot,
 )
 from repro.obs.server import ObsServer
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.quantiles import DEFAULT_QUANTILES, P2Quantile, Quantile
 from repro.obs.tracing import (
     SpanRecord,
@@ -77,11 +72,10 @@ from repro.obs.tracing import (
 __all__ = [
     "configure", "is_enabled", "get_registry", "get_tracer",
     "get_exemplars", "ObsState",
-    "trace", "request", "count", "gauge", "observe",
-    "observe_quantile", "event",
+    "trace", "request", "count", "gauge", "observe_quantile", "event",
     "current_trace_id", "new_trace_id",
-    "Counter", "Gauge", "Histogram", "Quantile", "P2Quantile",
-    "MetricsRegistry", "DEFAULT_BUCKETS", "DEFAULT_QUANTILES",
+    "Counter", "Gauge", "Quantile", "P2Quantile",
+    "MetricsRegistry", "DEFAULT_QUANTILES",
     "Tracer", "SpanRecord", "SpanStats",
     "Exemplar", "ExemplarReservoir",
     "write_jsonl", "events", "prometheus_text", "set_metric_help",
@@ -166,9 +160,9 @@ class _RequestContext:
     """Root span of one request: allocates and propagates a trace ID.
 
     Entering the context allocates a fresh ``trace_id``, binds it to the
-    current execution context (:mod:`contextvars`, so every span, event,
-    and metric exemplar recorded underneath inherits it — across the
-    whole call stack, but never across threads), and asks the tracer to
+    current execution context (:mod:`contextvars`, so every span and
+    event recorded underneath inherits it — across the whole call
+    stack, but never across threads), and asks the tracer to
     buffer the request's finished spans. On exit the collected span tree
     is offered to the exemplar reservoir, which keeps it if the request
     was among the slowest seen or errored.
@@ -233,12 +227,12 @@ def request(name: str, **attrs: object) -> _RequestContext | _NoopContext:
     """Open a *request* span: a trace-ID-carrying root for one query.
 
     Like :func:`trace`, but additionally allocates a request trace ID,
-    propagates it to everything recorded inside (spans, :func:`event`
-    lines, histogram/quantile exemplars), and offers the request's full
-    span tree to the exemplar reservoir on exit. The yielded span's
-    ``trace_id`` attribute is the allocated ID. A ``request`` opened
-    inside another request joins the enclosing trace (same ID, one
-    reservoir offer by the outermost context). No-op when disabled.
+    propagates it to the spans and :func:`event` lines recorded inside,
+    and offers the request's full span tree to the exemplar reservoir on
+    exit. The yielded span's ``trace_id`` attribute is the allocated ID.
+    A ``request`` opened inside another request joins the enclosing
+    trace (same ID, one reservoir offer by the outermost context). No-op
+    when disabled.
     """
     if not _config._STATE.enabled:
         return NOOP_CONTEXT
@@ -277,36 +271,28 @@ def gauge(name: str, value: float, **labels: str) -> None:
         state.registry.gauge(name, **labels).set(value)
 
 
-def observe(name: str, value: float, *, trace_id: str | None = None,
-            **labels: str) -> None:
-    """Record *value* into the histogram *name* (+labels); no-op when off.
-
-    ``trace_id`` pins the max-observation exemplar to a specific request
-    instead of the ambient context — needed when the sample (e.g. a
-    request span's ``duration``) is only known *after* the request
-    context has exited and unbound the ambient ID.
-    """
-    state = _config._STATE
-    if state.enabled:
-        state.registry.histogram(name, **labels).observe(
-            value, trace_id=trace_id)
-
-
-def observe_quantile(name: str, value: float, *,
-                     trace_id: str | None = None, **labels: str) -> None:
+def observe_quantile(name: str, value: float, **labels: str) -> None:
     """Record *value* into the streaming-quantile family *name* (+labels).
 
     The P² sketch behind each child keeps p50/p90/p99 estimates in O(1)
     memory (see :mod:`repro.obs.quantiles`); no-op when observability is
     off. Spans own durations; a sketch is only for a latency whose tail
     an SLO judges (``serve.query.latency`` and ``serve.ingest.latency``,
-    :func:`repro.obs.slo.default_serving_slos`). ``trace_id`` pins the
-    exemplar to a specific request (see :func:`observe`).
+    :func:`repro.obs.slo.default_serving_slos`). The request behind a
+    slow sample is found through the exemplar reservoir, not the sketch.
     """
     state = _config._STATE
     if state.enabled:
-        state.registry.quantile(name, **labels).observe(
-            value, trace_id=trace_id)
+        state.registry.quantile(name, **labels).observe(value)
+
+
+def observe(name: str, value: float, **labels: str) -> None:
+    """Retired histogram recorder: records nothing.
+
+    Nothing in the library calls it. Like :func:`profile`, the name stays
+    only because the benchmark's tracing recorder wraps it by name; delete
+    them together.
+    """
 
 
 def profile(stage: str, **attrs: object) -> _NoopContext:

@@ -17,8 +17,7 @@ import pathlib
 import re
 
 from repro.obs import config
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.quantiles import Quantile
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.tracing import Tracer
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
@@ -98,27 +97,13 @@ def prometheus_text(registry: MetricsRegistry | None = None) -> str:
         if isinstance(metric, (Counter, Gauge)):
             lines.append(f"{name}{_prom_labels(metric.labels)} "
                          f"{_prom_value(metric.value)}")
-        elif isinstance(metric, Quantile):
+        else:  # a Quantile: one sample per tracked quantile
             for q, estimate in metric.estimates().items():
                 value = "NaN" if estimate is None else _prom_value(estimate)
                 lines.append(
                     f"{name}"
                     f"{_prom_labels(metric.labels, {'quantile': format(q, 'g')})}"
                     f" {value}")
-            lines.append(f"{name}_sum{_prom_labels(metric.labels)} "
-                         f"{_prom_value(metric.sum)}")
-            lines.append(f"{name}_count{_prom_labels(metric.labels)} "
-                         f"{metric.count}")
-        elif isinstance(metric, Histogram):
-            # bucket_counts are already cumulative (Prometheus `le` style).
-            for bound, count in zip(metric.buckets, metric.bucket_counts):
-                lines.append(
-                    f"{name}_bucket"
-                    f"{_prom_labels(metric.labels, {'le': _prom_value(bound)})}"
-                    f" {count}")
-            lines.append(f"{name}_bucket"
-                         f"{_prom_labels(metric.labels, {'le': '+Inf'})}"
-                         f" {metric.count}")
             lines.append(f"{name}_sum{_prom_labels(metric.labels)} "
                          f"{_prom_value(metric.sum)}")
             lines.append(f"{name}_count{_prom_labels(metric.labels)} "

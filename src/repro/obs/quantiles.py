@@ -9,7 +9,7 @@ float comparisons, and the result is deterministic in the input order
 
 :class:`Quantile` packages several P² estimators (p50/p90/p99 by
 default) behind the same child-metric interface as
-:class:`~repro.obs.metrics.Histogram`, so the registry, the JSONL
+:class:`~repro.obs.metrics.Counter`, so the registry, the JSONL
 capture, and the Prometheus renderer treat latency quantiles as a
 first-class metric family (rendered as a Prometheus *summary*).
 """
@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import math
 import threading
-
-from repro.obs.tracing import current_trace_id
 
 #: Quantiles every latency family tracks unless told otherwise.
 DEFAULT_QUANTILES: tuple[float, ...] = (0.5, 0.9, 0.99)
@@ -136,7 +134,7 @@ class Quantile:
 
     kind = "quantile"
     __slots__ = ("name", "labels", "quantiles", "count", "sum", "min",
-                 "max", "exemplar", "_estimators", "_lock")
+                 "max", "_estimators", "_lock")
 
     def __init__(self, name: str, labels: dict[str, str] | None = None,
                  quantiles: tuple[float, ...] = DEFAULT_QUANTILES) -> None:
@@ -152,31 +150,19 @@ class Quantile:
         self.sum = 0.0
         self.min = math.inf
         self.max = -math.inf
-        #: Trace-ID exemplar of the worst (max) observation recorded
-        #: inside a request context (see :class:`Histogram.exemplar`).
-        self.exemplar: dict[str, object] | None = None
         self._estimators = [P2Quantile(q) for q in self.quantiles]
         # Serialises concurrent observations: the P² marker arrays are
         # multi-step read-modify-write and would corrupt under races.
         self._lock = threading.Lock()
 
-    def observe(self, value: float, *, trace_id: str | None = None) -> None:
-        """Record one sample into every tracked quantile.
-
-        ``trace_id`` overrides the ambient request context for the
-        max-observation exemplar (see
-        :meth:`repro.obs.metrics.Histogram.observe`).
-        """
+    def observe(self, value: float) -> None:
+        """Record one sample into every tracked quantile."""
         value = float(value)
         with self._lock:
             self.count += 1
             self.sum += value
             self.min = min(self.min, value)
-            if value >= self.max:
-                self.max = value
-                tid = trace_id if trace_id is not None else current_trace_id()
-                if tid is not None:
-                    self.exemplar = {"trace_id": tid, "value": value}
+            self.max = max(self.max, value)
             for estimator in self._estimators:
                 estimator.observe(value)
 
@@ -200,7 +186,7 @@ class Quantile:
     def snapshot(self) -> dict[str, object]:
         """JSON-ready state of this child metric."""
         with self._lock:
-            snap: dict[str, object] = {
+            return {
                 "count": self.count,
                 "sum": self.sum,
                 "min": self.min if self.count else None,
@@ -208,6 +194,3 @@ class Quantile:
                 "quantiles": {format(e.q, "g"): e.estimate
                               for e in self._estimators},
             }
-            if self.exemplar is not None:
-                snap["exemplar"] = dict(self.exemplar)
-            return snap

@@ -12,8 +12,8 @@ capture.
 
 Trace IDs propagate through :data:`contextvars`: entering a request
 context (:func:`repro.obs.request`) allocates an ID and binds it to the
-current context, and every span, degradation event, and metric exemplar
-recorded underneath — through ``recommend.rank``, the batch scorer, the
+current context, and every span and degradation event recorded
+underneath — through ``recommend.rank``, the batch scorer, the
 TF-IDF fallback — picks it up without any explicit plumbing. Context
 variables are per-thread, so worker threads never see each other's IDs.
 

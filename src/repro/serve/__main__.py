@@ -38,13 +38,15 @@ Commands
     serving.
 ``serve``
     Long-running serving daemon: fit-or-load the artifact, register the
-    evaluation users, attach the ingestion WAL (and optionally the
-    batch scheduler), arm the flight recorder, and serve the embedded
-    HTTP ops plane (:class:`repro.obs.server.ObsServer` — ``/metrics``,
-    ``/healthz``, ``/readyz``, ``/slo``, ``/debug/vars``,
-    ``/exemplars``) until SIGTERM/SIGINT or ``--duration`` elapses;
-    shutdown drains the scheduler through its quiesce barrier and can
-    emit a final postmortem bundle.
+    evaluation users, attach the ingestion WAL (and, with
+    ``--scheduler``, a batch scheduler), arm the flight recorder, and
+    serve the embedded HTTP ops plane
+    (:class:`repro.obs.server.ObsServer` — ``/metrics``, ``/healthz``,
+    ``/readyz``, ``/slo``, ``/debug/vars``, ``/exemplars``) until
+    SIGTERM/SIGINT or ``--duration`` elapses. The daemon has no query
+    route yet, so its scheduler answers nothing: it shows up only in
+    ``/readyz`` and ``/debug/vars``, and shutdown drains it through its
+    quiesce barrier. Shutdown can also emit a final postmortem bundle.
 
 ``query``, ``compact``, ``swap``, ``health`` and ``serve`` rebuild the
 evaluation task from the manifest's ``extra`` metadata (written by
@@ -94,9 +96,11 @@ def _index_kwargs(args: argparse.Namespace) -> dict:
 def _add_scheduler_args(parser: argparse.ArgumentParser,
                         shed_threshold: bool = False) -> None:
     parser.add_argument("--scheduler", action="store_true",
-                        help="route queries through the micro-batching "
-                             "BatchScheduler (coalesced matrix passes, "
-                             "admission control, load-shedding)")
+                        help="attach a micro-batching BatchScheduler so "
+                             "the health report carries its scheduler "
+                             "check (queue depth, shed rate, BLAS "
+                             "threads); no command routes queries "
+                             "through it")
     parser.add_argument("--max-batch", type=int, default=8,
                         help="requests per batch flush (a full batch "
                              "flushes immediately)")

@@ -486,11 +486,8 @@ class ServingIndex:
                 self._append(paper, row, content_vector)
                 self._cache.clear()
                 position = self._positions[paper.id]
-        # The P² sketch behind the serve.ingest.p99 SLO. span.duration is
-        # only set once the request context exits (unbinding the ambient
-        # trace ID), so the exemplar's ID is passed explicitly.
-        obs.observe_quantile("serve.ingest.latency", span.duration,
-                             trace_id=span.trace_id)
+        # The P² sketch behind the serve.ingest.p99 SLO.
+        obs.observe_quantile("serve.ingest.latency", span.duration)
         return position
 
     def _prepare_ingest(self, paper: Paper) -> tuple:
@@ -837,9 +834,9 @@ class ServingIndex:
         empty paper list.
         """
         # A request span (not a plain trace): allocates the trace_id
-        # every nested span, degradation event, and metric exemplar
-        # carries, and offers the finished span tree to the exemplar
-        # reservoir. Lock wait is inside the span: client-visible latency.
+        # every nested span and degradation event carries, and offers
+        # the finished span tree to the exemplar reservoir. Lock wait is
+        # inside the span: client-visible latency.
         with obs.request("serve.query", k=int(k)) as span:
             result = self.batch_top_k([(user, k)])[0]
             if result.error is not None:
@@ -848,7 +845,7 @@ class ServingIndex:
         # Split by cache outcome: hit-path latency is microseconds and
         # would otherwise mask the miss-path tail in the merged p99.
         obs.observe_quantile("serve.query.latency", span.duration,
-                             trace_id=span.trace_id, cache=result.cache)
+                             cache=result.cache)
         return result.ids
 
     def cached_top_k(self, user: "str | Sequence[Paper]",
@@ -876,8 +873,7 @@ class ServingIndex:
             obs.count("serve.queries")
             version = self._pool_version
         obs.observe_quantile("serve.query.latency",
-                             time.perf_counter() - start,
-                             trace_id=obs.current_trace_id(), cache="hit")
+                             time.perf_counter() - start, cache="hit")
         return BatchQueryResult(ids=ids, scores=None, pool_version=version,
                                 cache="hit")
 
@@ -905,7 +901,7 @@ class ServingIndex:
                        if self._papers else [])
             span.set("cache", "shed")
         obs.observe_quantile("serve.query.latency", span.duration,
-                             trace_id=span.trace_id, cache="shed")
+                             cache="shed")
         return BatchQueryResult(ids=ids, scores=None, pool_version=version,
                                 cache="shed", degraded_reason="shed")
 
@@ -1037,9 +1033,6 @@ class ServingIndex:
                           job.stats.lists_probed * n)
                 obs.count("serve.ann.candidates_scanned",
                           job.stats.candidates_scanned * n)
-                for _ in range(n):
-                    obs.observe("serve.ann.scan_fraction",
-                                job.stats.scan_fraction)
         elif rank_jobs:
             ranked = batch_exact_top_k(
                 [j.interest for j in rank_jobs], matrix,

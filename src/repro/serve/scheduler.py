@@ -28,8 +28,9 @@ Admission control is three-tiered, cheapest first:
    (``reason="queue_full"``) rather than growing without bound.
 
 Every shed is counted (``serve.shed{reason=...}``) and logged as an
-``obs.event`` carrying the request's trace id; batch shape lands in the
-``serve.batch.size`` / ``serve.batch.wait`` histograms. ``health()``
+``obs.event`` carrying the request's trace id; each flush is a
+``serve.batch.flush`` span carrying the batch ``size`` and ``wait_max``,
+the oldest request's queue wait in seconds. ``health()``
 reports the attached scheduler's queue depth, in-flight batches, and
 shed rate, and turns unhealthy when the queue saturates.
 
@@ -196,16 +197,15 @@ class Ticket:
     validation error).
     """
 
-    __slots__ = ("user", "k", "enqueued", "trace_id", "event", "ids",
-                 "scores", "pool_version", "cache", "degraded_reason",
-                 "shed", "shed_reason", "error")
+    __slots__ = ("user", "k", "enqueued", "event", "ids", "scores",
+                 "pool_version", "cache", "degraded_reason", "shed",
+                 "shed_reason", "error")
 
     def __init__(self, user: "str | Sequence[Paper]", k: int,
-                 enqueued: float, trace_id: str | None) -> None:
+                 enqueued: float) -> None:
         self.user = user
         self.k = k
         self.enqueued = enqueued
-        self.trace_id = trace_id
         self.event = threading.Event()
         self.ids: list[str] = []
         self.scores = None
@@ -335,7 +335,7 @@ class BatchScheduler:
             raise RuntimeError("scheduler is closed")
         hit = self._index.cached_top_k(user, k)
         if hit is not None:
-            ticket = Ticket(user, k, self._clock(), obs.current_trace_id())
+            ticket = Ticket(user, k, self._clock())
             with self._stats_lock:
                 self._submitted += 1
                 self._fast_hits += 1
@@ -358,8 +358,7 @@ class BatchScheduler:
             if self._closed:
                 raise RuntimeError("scheduler is closed")
             if len(self._queue) < self.queue_depth:
-                ticket = Ticket(user, k, self._clock(),
-                                obs.current_trace_id())
+                ticket = Ticket(user, k, self._clock())
                 self._queue.append(ticket)
                 self._cv.notify()
                 return ticket
@@ -376,7 +375,7 @@ class BatchScheduler:
     # ------------------------------------------------------------------
     def _shed(self, user: "str | Sequence[Paper]", k: int,
               reason: str) -> Ticket:
-        ticket = Ticket(user, k, self._clock(), obs.current_trace_id())
+        ticket = Ticket(user, k, self._clock())
         with self._stats_lock:
             self._shed_count += 1
             self._shed_by_reason[reason] = \
@@ -385,12 +384,10 @@ class BatchScheduler:
             # A request span (joining any enclosing trace) so the shed
             # event — and the fallback answer's spans — carry a trace id
             # a capture can join back to the individual occurrence.
-            with obs.request("serve.shed", reason=reason) as span:
+            with obs.request("serve.shed", reason=reason):
                 obs.count("serve.shed", reason=reason)
                 obs.event("serve.shed", reason=reason)
                 res = self._index.shed_rank(user, k)
-                if ticket.trace_id is None:
-                    ticket.trace_id = span.trace_id
         except (KeyError, ValueError) as exc:
             ticket._fail(exc)
             return ticket
@@ -462,26 +459,21 @@ class BatchScheduler:
         # _in_flight was incremented in _take_locked (under _cv), so the
         # batch is visible to a quiesce barrier for its whole lifetime.
         try:
-            now = self._clock()
-            obs.observe("serve.batch.size", float(len(batch)))
+            with obs.trace("serve.batch.flush", size=len(batch),
+                           wait_max=self._clock() - batch[0].enqueued):
+                results = self._index.batch_top_k(
+                    [(t.user, t.k) for t in batch])
+        except Exception as exc:  # the flusher must never die
             for ticket in batch:
-                obs.observe("serve.batch.wait", now - ticket.enqueued)
-            try:
-                with obs.trace("serve.batch.flush", size=len(batch)):
-                    results = self._index.batch_top_k(
-                        [(t.user, t.k) for t in batch])
-            except Exception as exc:  # the flusher must never die
-                for ticket in batch:
-                    ticket._fail(exc)
-                return
+                ticket._fail(exc)
+        else:
             done = self._clock()
             for ticket, res in zip(batch, results):
                 latency = done - ticket.enqueued
                 if res.error is None:
                     self.governor.record(latency)
-                    obs.observe_quantile(
-                        "serve.query.latency", latency,
-                        trace_id=ticket.trace_id, cache=res.cache)
+                    obs.observe_quantile("serve.query.latency", latency,
+                                         cache=res.cache)
                 ticket._resolve(res)
         finally:
             with self._stats_lock:

@@ -132,13 +132,6 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="duplicate"):
             BatchPairScorer(rules, papers)
 
-    def test_unknown_id_raises(self):
-        papers = [self._paper("a"), self._paper("b")]
-        rules = fitted_rules(papers)
-        scorer = rules.batch_scorer(papers)
-        with pytest.raises(KeyError, match="not in this scorer"):
-            scorer.index_of("nope")
-
     def test_out_of_range_index_raises(self):
         papers = [self._paper("a"), self._paper("b")]
         scorer = fitted_rules(papers).batch_scorer(papers)
@@ -168,7 +161,7 @@ class TestScorerMemo:
         first = rules.batch_scorer(papers)
         second = rules.batch_scorer(papers[:10])
         assert second is not first
-        assert second.num_papers == 10
+        assert len(second.papers) == 10
 
     def test_weight_updates_flow_through_memoized_scorer(self, papers):
         """fused_scores reads weights live — set_weights after the scorer

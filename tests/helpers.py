@@ -13,7 +13,6 @@
 
 from __future__ import annotations
 
-import math
 import re
 import threading
 
@@ -64,12 +63,7 @@ _SAMPLE_RE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
     r"(?:\{(?P<labels>(?:[a-zA-Z_][a-zA-Z0-9_]*=\"(?:[^\"\\\n]|\\.)*\",?)*)\})?"
     r" (?P<value>[^ ]+)$")
-_LABEL_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\\n]|\\.)*)"')
 _VALUE_RE = re.compile(r"^(NaN|[+-]Inf|[+-]?\d+(\.\d+)?([eE][+-]?\d+)?)$")
-
-
-def _parse_le(raw: str) -> float:
-    return math.inf if raw == "+Inf" else float(raw)
 
 
 def lint_exposition(text: str) -> list[str]:
@@ -79,10 +73,8 @@ def lint_exposition(text: str) -> list[str]:
     exactly one ``# HELP`` then exactly one ``# TYPE`` before any of its
     samples; sample lines well-formed (legal metric/label names, quoted
     and escape-valid label values, parseable value); samples grouped
-    under their family (``_bucket``/``_sum``/``_count`` suffixes allowed
-    for histograms and summaries); histogram buckets in increasing
-    ``le`` order with cumulative counts, a ``+Inf`` bucket, and a
-    ``_count`` equal to it. An empty list means the text is scrape-clean
+    under their family (``_sum``/``_count`` suffixes allowed for
+    summaries). An empty list means the text is scrape-clean
     — the contract ``GET /metrics`` and the golden-file test hold
     :func:`repro.obs.prometheus_text` to.
     """
@@ -91,14 +83,10 @@ def lint_exposition(text: str) -> list[str]:
     typed: dict[str, str] = {}
     sampled: set[str] = set()
     current: str | None = None
-    # Per-histogram-child bucket state, keyed by the sorted label string
-    # (minus ``le``): [last_le, last_count, saw_inf, inf_count].
-    buckets: dict[str, list] = {}
 
     def _family_of(name: str) -> str:
-        kind_of = typed.get(current or "", "")
-        if kind_of in ("histogram", "summary"):
-            for suffix in ("_bucket", "_sum", "_count"):
+        if typed.get(current or "") == "summary":
+            for suffix in ("_sum", "_count"):
                 if name == (current or "") + suffix:
                     return current  # type: ignore[return-value]
         return name
@@ -126,8 +114,7 @@ def lint_exposition(text: str) -> list[str]:
                 problems.append(f"line {lineno}: malformed TYPE line")
                 continue
             name, kind = parts[2], parts[3]
-            if kind not in ("counter", "gauge", "histogram", "summary",
-                            "untyped"):
+            if kind not in ("counter", "gauge", "summary", "untyped"):
                 problems.append(f"line {lineno}: unknown kind {kind!r}")
             if name in typed:
                 problems.append(f"line {lineno}: duplicate TYPE for {name}")
@@ -146,8 +133,6 @@ def lint_exposition(text: str) -> list[str]:
                 problems.append(f"line {lineno}: malformed sample {line!r}")
                 continue
             name = match.group("name")
-            raw_labels = match.group("labels") or ""
-            labels = dict(_LABEL_RE.findall(raw_labels))
             if not _VALUE_RE.match(match.group("value")):
                 problems.append(
                     f"line {lineno}: unparseable value {match.group('value')!r}")
@@ -158,38 +143,6 @@ def lint_exposition(text: str) -> list[str]:
                 problems.append(
                     f"line {lineno}: sample {name} outside its family block")
             sampled.add(family)
-            if (typed.get(family) == "histogram"
-                    and name == family + "_bucket"):
-                if "le" not in labels:
-                    problems.append(f"line {lineno}: bucket without le label")
-                    continue
-                child = ",".join(f"{k}={v}" for k, v in sorted(labels.items())
-                                 if k != "le")
-                le = _parse_le(labels["le"])
-                count = float(match.group("value"))
-                state = buckets.setdefault(family + "{" + child + "}",
-                                           [-math.inf, 0.0, False, 0.0])
-                if le <= state[0]:
-                    problems.append(
-                        f"line {lineno}: bucket le={labels['le']} out of order")
-                if count < state[1]:
-                    problems.append(
-                        f"line {lineno}: bucket counts not cumulative")
-                state[0], state[1] = le, count
-                if le == math.inf:
-                    state[2], state[3] = True, count
-            elif (typed.get(family) == "histogram"
-                    and name == family + "_count"):
-                child = ",".join(f"{k}={v}"
-                                 for k, v in sorted(labels.items()))
-                state = buckets.get(family + "{" + child + "}")
-                if state is None or not state[2]:
-                    problems.append(
-                        f"line {lineno}: histogram {family} missing +Inf "
-                        "bucket before _count")
-                elif float(match.group("value")) != state[3]:
-                    problems.append(
-                        f"line {lineno}: {family}_count != +Inf bucket count")
     for name in helped:
         if name not in typed:
             problems.append(f"family {name}: HELP without TYPE")

@@ -11,10 +11,7 @@ def small_registry() -> MetricsRegistry:
     reg = MetricsRegistry()
     reg.counter("nprec.train.grad_steps", strategy="defuzz").inc(42)
     reg.gauge("graph.nodes", type="paper").set(120)
-    h = reg.histogram("nprec.train.epoch_loss", buckets=(0.5, 1.0))
-    h.observe(0.25)
-    h.observe(0.75)
-    h.observe(2.0)
+    reg.quantile("serve.ingest.latency").observe(0.5)
     return reg
 
 
@@ -25,18 +22,18 @@ class TestPrometheusText:
             "# HELP repro_graph_nodes repro metric graph.nodes (gauge)\n"
             "# TYPE repro_graph_nodes gauge\n"
             'repro_graph_nodes{type="paper"} 120\n'
-            "# HELP repro_nprec_train_epoch_loss repro metric "
-            "nprec.train.epoch_loss (histogram)\n"
-            "# TYPE repro_nprec_train_epoch_loss histogram\n"
-            'repro_nprec_train_epoch_loss_bucket{le="0.5"} 1\n'
-            'repro_nprec_train_epoch_loss_bucket{le="1"} 2\n'
-            'repro_nprec_train_epoch_loss_bucket{le="+Inf"} 3\n'
-            "repro_nprec_train_epoch_loss_sum 3\n"
-            "repro_nprec_train_epoch_loss_count 3\n"
             "# HELP repro_nprec_train_grad_steps repro metric "
             "nprec.train.grad_steps (counter)\n"
             "# TYPE repro_nprec_train_grad_steps counter\n"
             'repro_nprec_train_grad_steps{strategy="defuzz"} 42\n'
+            "# HELP repro_serve_ingest_latency repro metric "
+            "serve.ingest.latency (summary)\n"
+            "# TYPE repro_serve_ingest_latency summary\n"
+            'repro_serve_ingest_latency{quantile="0.5"} 0.5\n'
+            'repro_serve_ingest_latency{quantile="0.9"} 0.5\n'
+            'repro_serve_ingest_latency{quantile="0.99"} 0.5\n'
+            "repro_serve_ingest_latency_sum 0.5\n"
+            "repro_serve_ingest_latency_count 1\n"
         )
 
     def test_empty_registry_renders_empty(self):
@@ -56,24 +53,6 @@ class TestPrometheusText:
         assert '{msg="line1\\nline2"}' in text
         assert all(line.startswith(("#", "repro_"))
                    for line in text.strip().splitlines())
-
-    def test_histogram_conventions(self):
-        # _count == +Inf bucket, buckets cumulative in le order, _sum
-        # equals the total of the observations.
-        reg = MetricsRegistry()
-        h = reg.histogram("lat", buckets=(0.1, 1.0))
-        for v in (0.05, 0.5, 0.5, 5.0):
-            h.observe(v)
-        lines = prometheus_text(reg).strip().splitlines()
-        assert lines == [
-            "# HELP repro_lat repro metric lat (histogram)",
-            "# TYPE repro_lat histogram",
-            'repro_lat_bucket{le="0.1"} 1',
-            'repro_lat_bucket{le="1"} 3',
-            'repro_lat_bucket{le="+Inf"} 4',
-            "repro_lat_sum 6.05",
-            "repro_lat_count 4",
-        ]
 
     def test_quantile_renders_as_summary(self):
         reg = MetricsRegistry()
@@ -118,4 +97,4 @@ class TestJsonl:
         # Spans serialise in start order, not finish order.
         assert [s["name"] for s in spans] == ["outer", "inner"]
         assert spans[1]["parent"] == spans[0]["index"]
-        assert {m["kind"] for m in metrics} == {"counter", "gauge", "histogram"}
+        assert {m["kind"] for m in metrics} == {"counter", "gauge", "quantile"}

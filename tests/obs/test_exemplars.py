@@ -114,30 +114,18 @@ class TestRequestContext:
                                                        "serve.query"}
         assert all(s["trace_id"] == outer.trace_id for s in exemplar.spans)
 
-    def test_metric_exemplar_attaches_after_request_exit(self, obs_enabled):
-        # Latency call sites record span.duration only after the request
-        # context exits (which unbinds the ambient ID) — the explicit
-        # trace_id keeps the p99-tail-to-span-tree join alive.
+    def test_slow_request_joins_through_the_reservoir(self, obs_enabled):
+        # A latency sketch records the value only; the request behind the
+        # tail is the reservoir's exemplar, under the same trace_id.
         with obs.request("r") as span:
             pass
-        assert obs.current_trace_id() is None
-        obs.observe("late.duration_seconds", 0.5, trace_id=span.trace_id)
-        obs.observe_quantile("late.latency", 0.5, trace_id=span.trace_id)
-        registry = obs.get_registry()
-        for name in ("late.duration_seconds", "late.latency"):
-            child = registry.get(name)
-            assert child.exemplar == {"trace_id": span.trace_id,
-                                      "value": 0.5}
-
-    def test_metric_exemplar_carries_trace_id(self, obs_enabled):
-        with obs.request("r") as span:
-            obs.observe("lat.duration_seconds", 0.5)
-            obs.observe_quantile("lat.latency", 0.5)
-        registry = obs.get_registry()
-        for name in ("lat.duration_seconds", "lat.latency"):
-            child = registry.get(name)
-            assert child.exemplar == {"trace_id": span.trace_id, "value": 0.5}
-            assert child.snapshot()["exemplar"]["trace_id"] == span.trace_id
+        obs.observe_quantile("r.latency", span.duration)
+        child = obs.get_registry().get("r.latency")
+        assert child.max == span.duration
+        assert "exemplar" not in child.snapshot()
+        [exemplar] = obs.get_exemplars().slowest()
+        assert exemplar.trace_id == span.trace_id
+        assert exemplar.duration == span.duration
 
     def test_event_carries_trace_id(self, obs_enabled):
         with obs.request("r") as span:

@@ -64,7 +64,8 @@ class TestTrainerTelemetry:
         assert names.count("nprec.train.epoch") == epochs
         assert "nprec.train" in names
         assert all(s.duration > 0 for s in tracer.spans)
-        # Epoch spans carry the loss/accuracy the history reports.
+        # One span per epoch carries the loss/accuracy the history
+        # reports; that is their only record (no metric family).
         epoch_spans = sorted((s for s in tracer.spans
                               if s.name == "nprec.train.epoch"),
                              key=lambda s: s.index)
@@ -72,8 +73,9 @@ class TestTrainerTelemetry:
         assert [s.attrs["accuracy"] for s in epoch_spans] == history.accuracies
 
         reg = obs.get_registry()
-        assert reg.get("nprec.train.epoch_loss").count == epochs
-        assert reg.get("nprec.train.epoch_accuracy").count == epochs
+        assert [m.name for m in reg.collect()
+                if m.name.startswith("nprec.train.")] == \
+            ["nprec.train.grad_steps"]
         assert reg.get("nprec.train.grad_steps").value >= epochs
         # The epoch spans are the one record of an epoch's duration.
         flat = runs.flatten(runs.capture_run())
@@ -126,14 +128,19 @@ class TestTwinTelemetry:
         trainer = TwinNetworkTrainer(network, epochs=epochs, batch_size=8, seed=0)
         history = trainer.train(triplets, encoded)
 
-        reg = obs.get_registry()
-        assert reg.get("sem.twin.epoch_hinge_loss").count == epochs
-        agreement = reg.get("sem.twin.epoch_rule_agreement")
-        assert agreement.count == epochs
-        assert 0.0 <= agreement.min and agreement.max <= 1.0
+        # One span per epoch carries the Eq. 14 hinge loss and the rule
+        # agreement; that is their only record (no metric family).
+        epoch_spans = sorted((s for s in obs.get_tracer().spans
+                              if s.name == "sem.twin.train.epoch"),
+                             key=lambda s: s.index)
+        assert [s.attrs["hinge_loss"] for s in epoch_spans] == history.losses
+        agreement = [s.attrs["rule_agreement"] for s in epoch_spans]
+        assert all(0.0 <= a <= 1.0 for a in agreement)
         # Agreement is the complement of the reported violation rate.
-        assert agreement.sum == pytest.approx(
-            sum(1.0 - v for v in history.violation_rates))
+        assert agreement == pytest.approx(
+            [1.0 - v for v in history.violation_rates])
+        assert [m.name for m in obs.get_registry().collect()
+                if m.name.startswith("sem.twin.")] == ["sem.twin.grad_steps"]
         flat = runs.flatten(runs.capture_run())
         assert flat["span.sem.twin.train.epoch:calls"] == epochs
 
@@ -178,6 +185,11 @@ class TestRankTelemetry:
             pytest.approx(span.duration)
         assert not [key for key in flat
                     if key.startswith("nprec.recommend.rank.")]
+        # The candidate-set size is a span attribute and nothing else.
+        assert span.attrs["candidates"] == 6
+        assert [m.name for m in obs.get_registry().collect()
+                if m.name.startswith("nprec.recommend.")] == \
+            ["nprec.recommend.queries"]
         assert obs.get_registry().get("nprec.recommend.queries").value == 1
 
     def test_disabled_rank_records_nothing(self, obs_disabled, acm_small,

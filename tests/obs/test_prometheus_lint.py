@@ -2,9 +2,9 @@
 
 ``lint_exposition`` is the structural contract behind the ops plane's
 ``/metrics`` endpoint: the concurrent-scrape tests use it to detect torn
-output, so this file proves (a) a registry exercising every metric kind,
-label escaping, and histogram conventions lints clean, and (b) the
-linter actually rejects each class of violation it claims to catch.
+output, so this file proves (a) a registry exercising every metric kind
+and label escaping lints clean, and (b) the linter actually rejects
+each class of violation it claims to catch.
 """
 
 import pytest
@@ -16,16 +16,12 @@ from tests.helpers import lint_exposition
 
 @pytest.fixture
 def populated():
-    """A registry exercising all four kinds, labels, and escaping."""
+    """A registry exercising all three kinds, labels, and escaping."""
     registry = MetricsRegistry()
     registry.counter("lint.requests", route="/metrics", outcome="ok").inc(3)
     registry.counter("lint.requests", route="/healthz", outcome="ok").inc()
     registry.gauge("lint.queue_depth").set(7)
     registry.gauge("lint.temperature").set(-3.5)
-    hist = registry.histogram("lint.latency",
-                              buckets=(0.005, 0.05, 0.5, 5.0))
-    for value in (0.001, 0.02, 0.3, 9.0):
-        hist.observe(value)
     registry.quantile("lint.duration").observe(0.125)
     # Label values whose escaping the linter must accept back.
     registry.counter("lint.weird_labels",
@@ -59,12 +55,6 @@ class TestCleanExposition:
         assert "# HELP repro_lint_helped first\\nsecond \\\\ third" in text
         assert lint_exposition(text) == []
 
-    def test_histogram_conventions_survive_lint(self, populated):
-        text = prometheus_text(populated)
-        assert 'repro_lint_latency_bucket{le="+Inf"} 4' in text
-        assert "repro_lint_latency_count 4" in text
-        assert lint_exposition(text) == []
-
 
 class TestLintCatchesViolations:
     def test_sample_without_type(self):
@@ -92,37 +82,6 @@ class TestLintCatchesViolations:
                 "repro_a 2\n")
         errors = lint_exposition(text)
         assert any("repro_a" in e for e in errors)
-
-    def test_bucket_order_violation(self):
-        text = ("# HELP repro_h h\n# TYPE repro_h histogram\n"
-                'repro_h_bucket{le="0.5"} 3\n'
-                'repro_h_bucket{le="0.1"} 1\n'
-                'repro_h_bucket{le="+Inf"} 3\n'
-                "repro_h_sum 0.9\nrepro_h_count 3\n")
-        errors = lint_exposition(text)
-        assert any("le" in e or "order" in e for e in errors)
-
-    def test_non_cumulative_buckets(self):
-        text = ("# HELP repro_h h\n# TYPE repro_h histogram\n"
-                'repro_h_bucket{le="0.1"} 5\n'
-                'repro_h_bucket{le="0.5"} 3\n'
-                'repro_h_bucket{le="+Inf"} 5\n'
-                "repro_h_sum 0.9\nrepro_h_count 5\n")
-        assert lint_exposition(text) != []
-
-    def test_missing_inf_bucket(self):
-        text = ("# HELP repro_h h\n# TYPE repro_h histogram\n"
-                'repro_h_bucket{le="0.1"} 1\n'
-                "repro_h_sum 0.1\nrepro_h_count 1\n")
-        errors = lint_exposition(text)
-        assert any("+Inf" in e for e in errors)
-
-    def test_count_must_match_inf_bucket(self):
-        text = ("# HELP repro_h h\n# TYPE repro_h histogram\n"
-                'repro_h_bucket{le="+Inf"} 4\n'
-                "repro_h_sum 0.1\nrepro_h_count 9\n")
-        errors = lint_exposition(text)
-        assert any("_count" in e for e in errors)
 
     def test_malformed_sample_line(self):
         text = ("# HELP repro_x h\n# TYPE repro_x counter\n"

@@ -167,7 +167,7 @@ class TestRegistryIntegration:
 
     def test_kind_conflict_rejected(self, obs_enabled):
         registry = obs.get_registry()
-        registry.histogram("dur").observe(1.0)
+        registry.counter("dur").inc()
         with pytest.raises(ValueError, match="already registered"):
             registry.quantile("dur")
 

@@ -13,8 +13,7 @@ from repro.obs.__main__ import main as obs_main
 def record_sample_run():
     obs.count("nprec.train.grad_steps", 40)
     obs.gauge("graph.nodes", 120)
-    obs.observe("nprec.train.epoch_duration_seconds", 0.5)
-    obs.observe("nprec.train.epoch_accuracy", 0.8)
+    obs.gauge("ann.recall_at_10", 0.8)
     for value in (0.01, 0.02, 0.04):
         obs.observe_quantile("serve.query.latency", value)
     with obs.trace("nprec.fit"):
@@ -31,7 +30,7 @@ class TestCaptureAndPersist:
         assert snapshot["git_sha"] == runs.git_sha()  # None without .git
         assert snapshot["spans"]["nprec.fit"]["calls"] == 1
         kinds = {e["kind"] for e in snapshot["metrics"]}
-        assert kinds == {"counter", "gauge", "histogram", "quantile"}
+        assert kinds == {"counter", "gauge", "quantile"}
 
     def test_default_run_id_is_unique(self, obs_enabled):
         a = runs.capture_run()
@@ -64,7 +63,8 @@ class TestFlattenAndClassify:
         record_sample_run()
         flat = runs.flatten(runs.capture_run(run_id="r"))
         assert flat["nprec.train.grad_steps:value"] == 40.0
-        assert flat["nprec.train.epoch_duration_seconds:mean"] == 0.5
+        assert flat["ann.recall_at_10:value"] == 0.8
+        assert flat["serve.query.latency:mean"] == pytest.approx(0.07 / 3)
         assert flat["serve.query.latency:count"] == 3.0
         assert "serve.query.latency:p99" in flat
         assert flat["span.nprec.fit:calls"] == 1.0
@@ -76,11 +76,10 @@ class TestFlattenAndClassify:
 
     def test_classification(self):
         assert runs.classify("serve.query.latency:p99") == "lower"
-        assert runs.classify("nprec.train.epoch_duration_seconds:mean") == "lower"
         assert runs.classify("serve.ingest.latency:p50") == "lower"
         assert runs.classify("serve.degraded{reason=x}:value") == "lower"
-        assert runs.classify("nprec.train.epoch_accuracy:mean") == "higher"
-        assert runs.classify("sem.twin.epoch_rule_agreement:mean") == "higher"
+        assert runs.classify("nprec.train.accuracy:value") == "higher"
+        assert runs.classify("sem.twin.rule_agreement:value") == "higher"
         # The ANN gate: losing recall or scanning more rows regresses.
         assert runs.classify("ann.recall_at_10{nprobe=8,pool=50000}:value") \
             == "higher"
@@ -117,14 +116,14 @@ class TestDiffAndCheck:
     def test_timing_uses_the_loose_budget(self, obs_enabled):
         baseline, current = self._snapshots(obs_enabled)
         for event in current["metrics"]:
-            if event["name"] == "nprec.train.epoch_duration_seconds":
+            if event["name"] == "serve.query.latency":
                 event["sum"] = event["sum"] * 3  # 3x slower: inside 5x budget
         assert runs.check_runs(baseline, current) == []
         for event in current["metrics"]:
-            if event["name"] == "nprec.train.epoch_duration_seconds":
+            if event["name"] == "serve.query.latency":
                 event["sum"] = event["sum"] * 10  # now far beyond it
         bad = runs.check_runs(baseline, current)
-        assert [d.key for d in bad] == ["nprec.train.epoch_duration_seconds:mean"]
+        assert [d.key for d in bad] == ["serve.query.latency:mean"]
 
     def test_a_slower_span_regresses_past_the_timing_budget(self,
                                                             obs_enabled):
@@ -141,14 +140,14 @@ class TestDiffAndCheck:
     def test_accuracy_drop_regresses_tightly(self, obs_enabled):
         baseline, current = self._snapshots(obs_enabled)
         for event in current["metrics"]:
-            if event["name"] == "nprec.train.epoch_accuracy":
-                event["sum"] = event["sum"] * 0.5
+            if event["name"] == "ann.recall_at_10":
+                event["value"] = event["value"] * 0.5
         bad = runs.check_runs(baseline, current)
-        assert [d.key for d in bad] == ["nprec.train.epoch_accuracy:mean"]
-        # Accuracy *gains* never fail the gate.
+        assert [d.key for d in bad] == ["ann.recall_at_10:value"]
+        # Recall *gains* never fail the gate.
         for event in current["metrics"]:
-            if event["name"] == "nprec.train.epoch_accuracy":
-                event["sum"] = event["sum"] * 4
+            if event["name"] == "ann.recall_at_10":
+                event["value"] = event["value"] * 4
         assert runs.check_runs(baseline, current) == []
 
     def test_new_failure_counter_from_zero_regresses(self, obs_enabled):
@@ -174,7 +173,7 @@ class TestDiffAndCheck:
     def test_render_diff_mentions_direction(self, obs_enabled):
         baseline, current = self._snapshots(obs_enabled)
         text = runs.render_diff(runs.diff_runs(baseline, current))
-        assert "nprec.train.epoch_accuracy:mean" in text
+        assert "ann.recall_at_10:value" in text
         assert "lower is better" in text
 
 
@@ -196,13 +195,13 @@ class TestCheckCLI:
         base = self._write(obs_enabled, tmp_path)
         snapshot = json.loads(base.read_text())
         for event in snapshot["metrics"]:
-            if event["name"] == "nprec.train.epoch_accuracy":
-                event["sum"] *= 0.5
+            if event["name"] == "ann.recall_at_10":
+                event["value"] *= 0.5
         cur = tmp_path / "cur.json"
         cur.write_text(json.dumps(snapshot))
         assert obs_main(["check", str(cur), "--baseline", str(base)]) == 1
         out = capsys.readouterr().out
-        assert "REGRESSION" in out and "epoch_accuracy" in out
+        assert "REGRESSION" in out and "recall_at_10" in out
 
     def test_exit_two_on_unreadable_snapshot(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"

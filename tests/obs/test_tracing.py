@@ -20,7 +20,7 @@ class TestDisabledFastPath:
             span.set("key", "value")  # must be a harmless no-op
             obs.count("invisible.counter")
             obs.gauge("invisible.gauge", 1.0)
-            obs.observe("invisible.hist", 0.5)
+            obs.observe_quantile("invisible.latency", 0.5)
         assert obs.get_tracer().spans == []
         assert len(obs.get_registry()) == 0
 

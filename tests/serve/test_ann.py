@@ -301,6 +301,9 @@ class TestServingStrategy:
         scanned = registry.get("serve.ann.candidates_scanned")
         assert probed is not None and probed.value == 3
         assert scanned is not None and 0 < scanned.value <= len(pool)
+        # The two counters are the probe work's only record.
+        assert not [m for m in registry.collect()
+                    if m.name.startswith("serve.ann.scan")]
 
     def test_invalid_strategy_arguments(self, artifact, pool):
         with pytest.raises(ValueError, match="index must be"):

@@ -86,6 +86,26 @@ class TestFlushPolicy:
         assert all(t.done for t in tickets)
         scheduler.close()
 
+    def test_flush_span_records_size_and_wait_max(self, index, users,
+                                                   obs_enabled):
+        clock = FakeClock()
+        scheduler = _manual(index, clock, max_batch=8, max_wait_ms=5.0)
+        scheduler.submit(users[0], 5)
+        clock.advance(0.002)
+        scheduler.submit(users[1], 5)
+        clock.advance(0.003)
+        assert scheduler.pump() == 2
+        (span,) = [s for s in obs.get_tracer().spans
+                   if s.name == "serve.batch.flush"]
+        assert span.attrs["size"] == 2
+        assert span.attrs["wait_max"] == pytest.approx(0.005)
+        # The span is the batch shape's only record.
+        kinds = {m.kind for m in obs.get_registry().collect()}
+        assert "histogram" not in kinds
+        assert not [m for m in obs.get_registry().collect()
+                    if m.name.startswith("serve.batch.")]
+        scheduler.close()
+
     def test_cache_hits_bypass_the_queue(self, index, users):
         clock = FakeClock()
         scheduler = _manual(index, clock, max_batch=8, max_wait_ms=5.0)
