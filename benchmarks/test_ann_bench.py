@@ -50,7 +50,7 @@ import numpy as np
 from repro import obs
 from repro.obs import runs
 from repro.serve.ann import IVFIndex, exact_top_k
-from repro.serve.scheduler import single_threaded_blas
+from repro.utils.blas import single_threaded_blas
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_PATH = REPO_ROOT / "BENCH_ann.json"

@@ -24,7 +24,7 @@ from repro.core.annotation import Triplet, annotate_triplets
 from repro.core.nprec.sampling import TrainingPair, defuzzed_negatives
 from repro.core.rules import ExpertRuleSet
 from repro.data import load_scopus
-from repro.serve.scheduler import blas_threads, single_threaded_blas
+from repro.utils.blas import blas_threads, single_threaded_blas
 from repro.text import SentenceEncoder
 from repro.utils.rng import as_generator
 

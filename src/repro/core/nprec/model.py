@@ -15,19 +15,21 @@ Eq. 23 in :mod:`repro.core.nprec.trainer`.
 Aggregation is the sampled fixed-size scheme of KGCN: each node draws K
 neighbours per hop (resampled per model instance, deterministic by seed),
 and attention weights are softmax-normalised dot products between the
-centre's and neighbours' base embeddings (Eq. 16).
+centre's and neighbours' base embeddings (Eq. 16). The whole H-hop
+aggregation is one hand-differentiated op,
+:func:`repro.nn.gcn.gcn_aggregate`, for training and serving alike.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.graph.hetero import HeterogeneousGraph
 from repro.graph.sampling import sample_multi_hop
-from repro.nn import Embedding, Linear, Module, Tensor, concat, l2_normalize, softmax
+from repro.nn import (Embedding, Linear, Module, Tensor, concat, gcn_aggregate,
+                      l2_normalize)
 from repro.nn.tensor import parameter
 from repro.utils.rng import as_generator
 
@@ -221,11 +223,6 @@ class NPRecModel(Module):
         Controls embedding init and neighbourhood sampling.
     """
 
-    #: Bound on the memoised batch receptive-field stacks (LRU): training
-    #: shuffles batches every epoch, so an unbounded cache would retain
-    #: one entry per distinct batch ever aggregated.
-    LAYER_CACHE_SIZE = 128
-
     def __init__(self, graph: HeterogeneousGraph,
                  text_vectors: dict[str, np.ndarray] | None,
                  dim: int = 32, neighbor_k: int = 8, depth: int = 2,
@@ -355,30 +352,34 @@ class NPRecModel(Module):
             self.content_proj = Linear(self._content_matrix.shape[1], dim,
                                        bias=False, rng=int(rng.integers(2**31)))
 
-        # Pre-sampled receptive fields per paper and view (deterministic).
-        self._fields: dict[tuple[int, str], list[np.ndarray]] = {}
+        # Receptive fields, one matrix per view: row i holds entity i's
+        # field hop by hop (1 + K + ... + K^H indices), or -1 in column 0
+        # while it is not sampled yet. Rows are sampled lazily, in the
+        # order aggregation first visits them.
+        self._field_width = sum(neighbor_k**h for h in range(depth + 1))
+        self._field_matrix = {view: self._unsampled(graph.num_entities)
+                              for view in _VIEWS}
         self._field_rng = as_generator(int(rng.integers(2**31)))
-        # Memoised per-batch receptive-field index stacks (see
-        # _stacked_layers): repeated recommend.rank calls reuse the same
-        # user/candidate batches, so the concatenation is paid once.
-        self._layer_cache: OrderedDict[tuple[str, bytes], list[np.ndarray]] = \
-            OrderedDict()
 
     # ------------------------------------------------------------------
     # Receptive fields
     # ------------------------------------------------------------------
-    def _receptive_field(self, index: int, view: str) -> list[np.ndarray]:
-        key = (index, view)
-        field = self._fields.get(key)
-        if field is None:
-            sample_view = view
-            if view == "influence" and not self.influence_citations:
-                sample_view = "two_way"
-            field = sample_multi_hop(self.graph, index, self.neighbor_k,
-                                     self.depth, view=sample_view,
-                                     rng=self._field_rng)
-            self._fields[key] = field
-        return field
+    def _unsampled(self, rows: int) -> np.ndarray:
+        return np.full((rows, self._field_width), -1, dtype=np.int64)
+
+    def _fields(self, indices: np.ndarray, view: str) -> np.ndarray:
+        """The ``(len(indices), 1 + K + ... + K^H)`` receptive-field rows
+        of *indices* under *view*, sampling missing ones in batch order."""
+        matrix = self._field_matrix[view]
+        sample_view = view
+        if view == "influence" and not self.influence_citations:
+            sample_view = "two_way"
+        for index in indices[matrix[indices, 0] < 0]:
+            if matrix[index, 0] < 0:  # not sampled earlier in this batch
+                matrix[index] = np.concatenate(sample_multi_hop(
+                    self.graph, int(index), self.neighbor_k, self.depth,
+                    view=sample_view, rng=self._field_rng))
+        return matrix[indices]
 
     def extra_state(self) -> tuple[dict[str, np.ndarray], dict]:
         """The receptive fields sampled so far (``{view}_nodes`` and one
@@ -386,108 +387,37 @@ class NPRecModel(Module):
         sampler's RNG state. Fields are drawn lazily, in the order training
         first visits each node, so resuming bit-identically needs both."""
         arrays: dict[str, np.ndarray] = {}
+        ends = np.cumsum([self.neighbor_k**h for h in range(self.depth + 1)])
         for view in _VIEWS:
-            keys = sorted(index for index, v in self._fields if v == view)
-            arrays[f"{view}_nodes"] = np.asarray(keys, dtype=np.int64)
-            for hop in range(self.depth + 1):
-                rows = [self._fields[(index, view)][hop] for index in keys]
-                arrays[f"{view}_hop{hop}"] = (
-                    np.asarray(rows, dtype=np.int64) if rows
-                    else np.zeros((0, self.neighbor_k ** hop), dtype=np.int64))
+            matrix = self._field_matrix[view]
+            nodes = np.flatnonzero(matrix[:, 0] >= 0)
+            arrays[f"{view}_nodes"] = nodes.astype(np.int64)
+            for hop, end in enumerate(ends):
+                arrays[f"{view}_hop{hop}"] = matrix[
+                    nodes, end - self.neighbor_k**hop:end]
         return arrays, {"field_rng": self._field_rng.bit_generator.state}
 
     def load_extra_state(self, arrays: dict[str, np.ndarray],
                          meta: dict) -> None:
-        fields: dict[tuple[int, str], list[np.ndarray]] = {}
         for view in _VIEWS:
-            hops = [arrays[f"{view}_hop{hop}"] for hop in range(self.depth + 1)]
-            for position, index in enumerate(arrays[f"{view}_nodes"]):
-                fields[(int(index), view)] = [
-                    hop_matrix[position].astype(int) for hop_matrix in hops]
-        self._fields = fields
+            matrix = self._unsampled(self.graph.num_entities)
+            matrix[arrays[f"{view}_nodes"]] = np.concatenate(
+                [arrays[f"{view}_hop{hop}"] for hop in range(self.depth + 1)],
+                axis=1)
+            self._field_matrix[view] = matrix
         self._field_rng.bit_generator.state = meta["field_rng"]
-        self._layer_cache.clear()
 
-    def _stacked_layers(self, indices: np.ndarray, view: str) -> list[np.ndarray]:
-        """Concatenated per-hop receptive-field index arrays for a batch.
-
-        The stack for a given (batch, view) is deterministic once the
-        per-node fields are sampled, so it is memoised (LRU-bounded by
-        :data:`LAYER_CACHE_SIZE`): repeated ``recommend.rank`` calls stop
-        rebuilding the same index arrays on every query. Only integer
-        index arrays are cached — embedding updates during training read
-        through them, so cached entries never go stale.
-        """
-        key = (view, indices.tobytes())
-        cached = self._layer_cache.get(key)
-        if cached is not None:
-            self._layer_cache.move_to_end(key)
-            return cached
-        layers = [np.concatenate([self._receptive_field(int(i), view)[h]
-                                  for i in indices])
-                  for h in range(self.depth + 1)]
-        self._layer_cache[key] = layers
-        while len(self._layer_cache) > self.LAYER_CACHE_SIZE:
-            self._layer_cache.popitem(last=False)
-        return layers
-
-    # ------------------------------------------------------------------
-    # Layer-0 vectors
-    # ------------------------------------------------------------------
-    def _base_vectors(self, indices: np.ndarray) -> Tensor:
-        """Layer-0 vectors: id embedding for metadata entities, projected
-        text for papers (papers carry no id embedding — see __init__)."""
-        base = self.embeddings(indices) * Tensor(self._nonpaper_mask[indices][:, None])
-        if self.use_text:
-            assert self._text_matrix is not None
-            text = Tensor(self._text_matrix[indices])
-            base = base + self.text_proj(text)
-        return base
-
-    # ------------------------------------------------------------------
-    # Graph convolution
-    # ------------------------------------------------------------------
-    def _aggregate(self, paper_indices: Sequence[int], view: str) -> Tensor:
-        """H-hop aggregation of *paper_indices* under *view*: ``(B, dim)``.
-
-        Standard KGCN layered iteration: hop ``h`` of the receptive field
-        holds ``B * K^h`` node indices; each of the H iterations folds the
-        outermost remaining hop into its centres with attention-weighted
-        sums (Eqs. 15-18), until only the batch's own vectors remain.
-        """
-        indices = np.asarray(paper_indices, dtype=int)
-        batch = indices.shape[0]
-        k = self.neighbor_k
-        d = self.dim
-        layers = self._stacked_layers(indices, view)
-        weight_stack = (self.interest_layers if view == "interest"
-                        else self.influence_layers)
-
-        base = [self._base_vectors(layer) for layer in layers]
-        # Attention over sampled neighbours (Eq. 16); scores come from base
-        # embeddings as in KGCN, so each hop's weights serve every fold.
-        attention: list[Tensor] = []
-        for h in range(self.depth):
-            centre_count = batch * k**h
-            scores = (base[h].reshape(centre_count, 1, d)
-                      * base[h + 1].reshape(centre_count, k, d)).sum(axis=2)
-            attention.append(softmax(scores, axis=-1).reshape(centre_count, k, 1))
-
-        values = base
-        for i in range(self.depth):
-            layer_module = weight_stack[i]
-            folded: list[Tensor] = []
-            for h in range(self.depth - i):
-                centre_count = batch * k**h
-                neighbourhood = (attention[h]
-                                 * values[h + 1].reshape(centre_count, k, d)
-                                 ).sum(axis=1)                    # (C, d)
-                # tanh keeps representations zero-centred so that inner-
-                # product scores can swing negative (sigmoid outputs would
-                # force every pair logit positive).
-                folded.append(layer_module(values[h] + neighbourhood).tanh())
-            values = folded
-        return values[0]
+    def _aggregate(self, indices: np.ndarray, view: str) -> Tensor:
+        """H-hop aggregation of *indices* under *view*: ``(B, dim)``."""
+        layers = (self.interest_layers if view == "interest"
+                  else self.influence_layers)
+        return gcn_aggregate(
+            self._fields(indices, view), self.neighbor_k,
+            self.embeddings.weight, self._nonpaper_mask,
+            [layer.weight for layer in layers],
+            [layer.bias for layer in layers],
+            text=self._text_matrix,
+            text_weight=self.text_proj.weight if self.use_text else None)
 
     # ------------------------------------------------------------------
     # Public views
@@ -621,9 +551,11 @@ class NPRecModel(Module):
             content_rows[paper_index - old_n] = _unit_row(content_vector)
             self._content_matrix.append(content_rows)
 
-        # Cached index stacks stay valid (indices are stable), but drop
-        # them anyway so memory accounting follows the grown tables.
-        self._layer_cache.clear()
+        for view, matrix in self._field_matrix.items():
+            if matrix.shape[0] < new_n:  # capacity doubling
+                grown = self._unsampled(max(2 * matrix.shape[0], new_n))
+                grown[:matrix.shape[0]] = matrix
+                self._field_matrix[view] = grown
         self.induct_new_papers([self.graph.key_of(paper_index).id])
         return added
 

@@ -27,6 +27,7 @@ from repro.data.corpus import Corpus
 from repro.data.schema import Paper
 from repro.errors import NotFittedError
 from repro.graph.builder import build_academic_network
+from repro.nn import no_grad
 from repro.utils.rng import as_generator
 
 #: TF-IDF vocabulary cap of the content block (serving's fallback shares it).
@@ -186,9 +187,11 @@ class NPRecRecommender(Recommender):
                     if cited is not None and cited.id not in seen:
                         profile.append(cited)
                         seen.add(cited.id)
-        interest = self.model.interest_vectors([p.id for p in user_papers]).data
-        influence_t = self.model.influence_vectors([p.id for p in candidates])
-        influence = influence_t.data
+        with no_grad():
+            interest = self.model.interest_vectors(
+                [p.id for p in user_papers]).data
+            influence = self.model.influence_vectors(
+                [p.id for p in candidates]).data
         pairwise = interest @ influence.T
         # Blend mean pooling (the I_a expectation of Sec. IV-B) with max
         # pooling so one strongly-matching interest is not diluted when a

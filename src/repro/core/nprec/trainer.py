@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -79,9 +80,16 @@ class NPRecTrainer:
     # ------------------------------------------------------------------
     def _run_epoch(self, pairs: list[TrainingPair], order: np.ndarray,
                    epoch: int) -> tuple[float, float]:
+        """One pass over *pairs* in *order*. The epoch span carries the
+        seconds spent in the forward pass and loss (``forward_s``),
+        ``backward_s``, the optimiser step (``step_s``), and the rest of
+        its duration (``other_s``: batch assembly, guard checks and
+        bookkeeping)."""
         epoch_loss = 0.0
         correct = 0
+        forward_s = backward_s = step_s = 0.0
         with obs.trace("nprec.train.epoch", epoch=epoch) as span:
+            started = time.perf_counter()
             for start in range(0, len(order), self.batch_size):
                 faults.maybe_fail("trainer.batch")
                 batch = [pairs[i] for i in order[start:start + self.batch_size]]
@@ -89,16 +97,23 @@ class NPRecTrainer:
                 cited = [p.cited for p in batch]
                 labels = np.array([p.label for p in batch])
                 self.optimizer.zero_grad()
+                before_forward = time.perf_counter()
                 logits = self.model.score_pairs(citing, cited)
                 loss = binary_cross_entropy_with_logits(logits, labels)
                 if self.reg > 0:
                     loss = loss + l2_regularization(self.optimizer.params, self.reg)
+                before_backward = time.perf_counter()
                 loss.backward()
+                after_backward = time.perf_counter()
                 if self.guard is not None:
                     self.guard.check_step(
                         loss.item(), self.optimizer.params,
                         f"nprec epoch {epoch}, batch offset {start}")
+                before_step = time.perf_counter()
                 self.optimizer.step()
+                step_s += time.perf_counter() - before_step
+                forward_s += before_backward - before_forward
+                backward_s += after_backward - before_backward
                 epoch_loss += loss.item() * len(batch)
                 correct += int((((logits.data > 0).astype(float)) == labels).sum())
                 obs.count("nprec.train.grad_steps")
@@ -106,4 +121,9 @@ class NPRecTrainer:
             accuracy = correct / len(pairs)
             span.set("loss", mean_loss)
             span.set("accuracy", accuracy)
+            span.set("forward_s", forward_s)
+            span.set("backward_s", backward_s)
+            span.set("step_s", step_s)
+            span.set("other_s", time.perf_counter() - started - forward_s
+                     - backward_s - step_s)
         return mean_loss, accuracy

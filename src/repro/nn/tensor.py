@@ -17,6 +17,9 @@ Design notes
   back down to each parent's shape.
 * The graph is a DAG of ``Tensor`` nodes; :meth:`Tensor.backward` runs a
   topological sort and calls each node's locally stored backward closure.
+  It then frees the graph it ran (PyTorch's ``retain_graph=False``): each
+  closure refers to its own output, so an unfreed graph is a reference
+  cycle that only the cyclic garbage collector reclaims.
 * All data is stored as ``float64`` for numerical robustness at the small
   model scales used in this reproduction.
 """
@@ -61,6 +64,12 @@ def no_grad() -> Iterator[None]:
         _GRAD_MODE.enabled = previous
 
 
+def _freed() -> None:
+    """The backward closure of a node whose graph was already run."""
+    raise RuntimeError("backward() through a graph that a previous "
+                       "backward() already ran and freed")
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum *grad* over broadcast dimensions so it matches *shape*."""
     if grad.shape == shape:
@@ -101,7 +110,8 @@ class Tensor:
         Optional debugging label.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn",
+                 "name", "__weakref__")
 
     def __init__(
         self,
@@ -174,6 +184,10 @@ class Tensor:
         grad:
             Incoming gradient. Defaults to 1.0, which requires ``self`` to
             be a scalar (the usual "loss.backward()" case).
+
+        Afterwards every node it ran holds no parents, and its closure is
+        one that raises, so the intermediates are freed as soon as nothing
+        else refers to them and a second pass through the graph fails.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
@@ -203,8 +217,11 @@ class Tensor:
                     stack.append((parent, False))
 
         for node in reversed(order):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn()
+            if node._backward_fn is not None:
+                if node.grad is not None:
+                    node._backward_fn()
+                node._backward_fn = _freed
+                node._parents = ()
 
     @staticmethod
     def _result(

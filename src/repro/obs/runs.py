@@ -40,14 +40,14 @@ from repro.obs.tracing import Tracer
 SCHEMA_VERSION = 1
 
 #: Metric-key fragments whose growth is a regression (latency,
-#: failures) vs whose shrinkage is one (quality scores).
+#: failures) vs whose shrinkage is one (ANN recall, the only quality
+#: score a run records).
 _LOWER_IS_BETTER = re.compile(
     r"latency|duration|seconds|degraded|dropped|skipped|underfilled|"
     r"failures|faults|guard\.trips|retries_exhausted|corrupt|rollbacks|"
     r"errors|error_rate|scan_fraction|[._]shed|torn_records|rolled_back|"
     r"wal\.lag")
-_HIGHER_IS_BETTER = re.compile(r"accuracy|agreement|recall|achieved_qps|"
-                               r"throughput")
+_HIGHER_IS_BETTER = re.compile(r"recall")
 #: Keys that measure wall-clock or machine-dependent rates and therefore
 #: gate with the looser tolerance. Every ``span.`` key is a duration.
 _TIMING = re.compile(r"^span\.|latency|duration|seconds|qps|throughput")

@@ -44,6 +44,7 @@ from repro.nn.layers import Module
 from repro.nn.optim import Adam
 from repro.resilience import staging
 from repro.resilience.guards import GuardPolicy, NumericGuard
+from repro.utils.blas import single_threaded_blas
 from repro.utils.rng import SeedLike, as_generator
 
 #: On-disk checkpoint layout version; mismatches refuse to load.
@@ -272,6 +273,9 @@ def run_epochs(epoch_fn: Callable[[int, np.ndarray], tuple[Any, ...]],
     ``NumericalError`` or ``InjectedFault`` restores the epoch-start
     state, decays the learning rate and retries, within its rollback
     budget. With a *checkpoint*, every completed epoch is snapshotted.
+    The epochs hold :func:`~repro.utils.blas.single_threaded_blas`:
+    a training batch's products are too small to gain from a second
+    OpenBLAS thread, which only spins.
     """
     rng = as_generator(seed)
     order = np.arange(n_examples)
@@ -291,26 +295,27 @@ def run_epochs(epoch_fn: Callable[[int, np.ndarray], tuple[Any, ...]],
             state.restore(module, optimizer, rng, order, columns)
             obs.count("resilience.checkpoint.resumed")
             epoch = state.epoch
-    while epoch < epochs:
-        snapshot = None
-        if guard is not None:
-            snapshot = TrainState.capture(epoch, module, optimizer, rng,
-                                          order, columns)
-        try:
-            rng.shuffle(order)
-            values = epoch_fn(epoch, order)
+    with single_threaded_blas():
+        while epoch < epochs:
+            snapshot = None
             if guard is not None:
-                guard.check_epoch(values[0], epoch)
-        except (NumericalError, InjectedFault):
-            if snapshot is None or not guard.admit_rollback():
-                raise
-            snapshot.restore(module, optimizer, rng, order, columns)
-            guard.decay_lr(optimizer)
-            continue
-        for column, value in zip(columns.values(), values, strict=True):
-            column.append(value)
-        epoch += 1
-        if checkpoint is not None:
-            checkpoint.save(TrainState.capture(epoch, module, optimizer, rng,
-                                               order, columns))
+                snapshot = TrainState.capture(epoch, module, optimizer,
+                                              rng, order, columns)
+            try:
+                rng.shuffle(order)
+                values = epoch_fn(epoch, order)
+                if guard is not None:
+                    guard.check_epoch(values[0], epoch)
+            except (NumericalError, InjectedFault):
+                if snapshot is None or not guard.admit_rollback():
+                    raise
+                snapshot.restore(module, optimizer, rng, order, columns)
+                guard.decay_lr(optimizer)
+                continue
+            for column, value in zip(columns.values(), values, strict=True):
+                column.append(value)
+            epoch += 1
+            if checkpoint is not None:
+                checkpoint.save(TrainState.capture(
+                    epoch, module, optimizer, rng, order, columns))
     return history

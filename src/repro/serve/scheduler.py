@@ -40,96 +40,23 @@ Deterministic testing: pass ``start=False`` plus a manually advanced
 of the clock, with no background thread racing the assertions.
 
 While any scheduler is live, numpy's bundled OpenBLAS runs on one
-thread. Serving's matrix products are small (a flush-sized batch
-against the pool), so a second BLAS thread adds no speed; it wakes for
-each product and spins until its timeout, which cost about 25 ms of CPU
-per request. The count is process-wide in OpenBLAS, so the pin is held
-for the life of the schedulers, not toggled per call: the first one
-pins it and the last :meth:`BatchScheduler.close` restores the previous
-count. Training builds no scheduler and keeps the default pool.
+thread: each scheduler takes a :mod:`repro.utils.blas` hold for its
+life, as training does for its epochs, so the first hold pins the count
+and the last :meth:`BatchScheduler.close` restores the previous one.
 """
 
 from __future__ import annotations
 
 import contextlib
-import ctypes
-import functools
 import threading
 import time
 from collections import deque
-from pathlib import Path
 from typing import Callable, Sequence
-
-import numpy as np
 
 from repro import obs
 from repro.data.schema import Paper
 from repro.serve.index import BatchQueryResult, ServingIndex
-
-
-@functools.cache
-def _openblas() -> "tuple[Callable[[], int], Callable[[int], None]] | None":
-    """(get, set) of numpy's bundled OpenBLAS thread count, or None when
-    the library (``numpy.libs/libscipy_openblas64_*.so``) or its
-    symbols are not there."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    try:
-        lib = ctypes.CDLL(str(next(libs.glob("libscipy_openblas64_*.so"))))
-        get = lib.scipy_openblas_get_num_threads64_
-        set_ = lib.scipy_openblas_set_num_threads64_
-    except (StopIteration, OSError, AttributeError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
-
-
-_blas_lock = threading.Lock()
-_blas_pins = 0
-#: The count the last release restores; None while unpinned or where no
-#: OpenBLAS was found.
-_blas_restore: int | None = None
-
-
-def _pin_blas() -> None:
-    """Take one hold on single-threaded BLAS; the first hold pins it."""
-    global _blas_pins, _blas_restore
-    with _blas_lock:
-        blas = _openblas()
-        if _blas_pins == 0 and blas is not None:
-            _blas_restore = blas[0]()
-            blas[1](1)
-        _blas_pins += 1
-
-
-def _release_blas() -> None:
-    """Drop one hold; the last restores the count the first one saw."""
-    global _blas_pins, _blas_restore
-    with _blas_lock:
-        _blas_pins -= 1
-        if _blas_pins == 0 and _blas_restore is not None:
-            _openblas()[1](_blas_restore)
-            _blas_restore = None
-
-
-@contextlib.contextmanager
-def single_threaded_blas():
-    """Run the body with numpy's OpenBLAS on one thread.
-
-    Takes the same hold a live :class:`BatchScheduler` takes, so holds
-    nest and the last one released restores the previous count.
-    """
-    _pin_blas()
-    try:
-        yield
-    finally:
-        _release_blas()
-
-
-def blas_threads() -> int | None:
-    """The live OpenBLAS thread count, or None where none was found."""
-    blas = _openblas()
-    return None if blas is None else blas[0]()
+from repro.utils.blas import blas_threads, pin_blas, release_blas
 
 
 class SheddingGovernor:
@@ -312,7 +239,7 @@ class BatchScheduler:
         self._shed_count = 0
         self._shed_by_reason: dict[str, int] = {}
         index.attach_scheduler(self)
-        _pin_blas()
+        pin_blas()
         self._thread: threading.Thread | None = None
         if start:
             self._thread = threading.Thread(
@@ -594,7 +521,7 @@ class BatchScheduler:
             while self.pump():
                 pass
         self._index.detach_scheduler(self)
-        _release_blas()
+        release_blas()
 
     def __enter__(self) -> "BatchScheduler":
         return self

@@ -9,7 +9,7 @@ from repro.core.nprec import NPRecModel
 from repro.core.nprec.model import ContentRows
 from repro.data import load_acm
 from repro.graph import attach_paper_to_network, build_academic_network
-from repro.nn import softmax
+from repro.nn import Tensor, gcn_aggregate, no_grad, softmax
 
 
 @pytest.fixture(scope="module")
@@ -84,28 +84,7 @@ class TestBlocksAndGates:
                                    b.interest_vectors(ids).data)
 
 
-class TestStackedLayerCache:
-    def test_repeat_batch_returns_memoized_stack(self, graph_and_text):
-        graph, text, _, train, _ = graph_and_text
-        model = NPRecModel(graph, text, dim=8, neighbor_k=4, depth=1, seed=0)
-        indices = np.asarray([model.graph.index_of("paper", train[0].id),
-                              model.graph.index_of("paper", train[1].id)])
-        first = model._stacked_layers(indices, "two_way")
-        second = model._stacked_layers(indices, "two_way")
-        assert all(a is b for a, b in zip(first, second))
-        # a different view is a different cache entry
-        other = model._stacked_layers(indices, "influence")
-        assert other[0] is not first[0]
-
-    def test_cache_is_bounded(self, graph_and_text):
-        graph, text, _, train, _ = graph_and_text
-        model = NPRecModel(graph, text, dim=8, neighbor_k=4, depth=1, seed=0)
-        model.LAYER_CACHE_SIZE = 4
-        paper_ids = [model.graph.index_of("paper", p.id) for p in train[:10]]
-        for i in paper_ids:
-            model._stacked_layers(np.asarray([i]), "two_way")
-        assert len(model._layer_cache) == 4
-
+class TestFieldMatrix:
     def test_aggregation_unchanged_by_caching(self, graph_and_text):
         graph, text, _, train, _ = graph_and_text
         ids = [p.id for p in train[:3]]
@@ -114,17 +93,65 @@ class TestStackedLayerCache:
         again = warm.interest_vectors(ids).data
         assert np.array_equal(baseline, again)
 
+    def test_fields_sampled_once_in_first_visit_order(self, graph_and_text):
+        graph, text, _, train, _ = graph_and_text
+        model = NPRecModel(graph, text, dim=8, neighbor_k=3, depth=2, seed=0)
+        a, b, c = (graph.index_of("paper", p.id) for p in train[:3])
+        rows = model._fields(np.asarray([b, a, b]), "interest")
+        assert rows.shape == (3, 1 + 3 + 9)
+        assert np.array_equal(rows[:, 0], [b, a, b])
+        assert np.array_equal(rows[0], rows[2])
+        # b was drawn first, then a: the sampler's order is the batch's.
+        fresh = NPRecModel(graph, text, dim=8, neighbor_k=3, depth=2, seed=0)
+        fresh._fields(np.asarray([b]), "interest")
+        assert np.array_equal(fresh._fields(np.asarray([a]), "interest")[0],
+                              rows[1])
+        again = model._fields(np.asarray([c, a]), "interest")
+        assert np.array_equal(again[1], rows[1])
+        arrays, _ = model.extra_state()
+        assert np.array_equal(arrays["interest_nodes"], sorted([a, b, c]))
+        assert arrays["influence_nodes"].size == 0
+        assert arrays["interest_hop2"].shape == (3, 9)
+        assert arrays["influence_hop2"].shape == (0, 9)
+
+    def test_extra_state_round_trip(self, graph_and_text):
+        graph, text, _, train, _ = graph_and_text
+        ids = [p.id for p in train[:5]]
+        model = NPRecModel(graph, text, dim=8, neighbor_k=3, depth=2, seed=1)
+        model.score_pairs(ids, ids[::-1])
+        arrays, meta = model.extra_state()
+        other = NPRecModel(graph, text, dim=8, neighbor_k=3, depth=2, seed=9)
+        other.load_state_dict(model.state_dict())
+        other.load_extra_state(arrays, meta)
+        for view in ("interest", "influence"):
+            assert np.array_equal(other._field_matrix[view],
+                                  model._field_matrix[view])
+        more = [p.id for p in train[5:9]]
+        assert np.array_equal(other.score_pairs(more, ids[:4]).data,
+                              model.score_pairs(more, ids[:4]).data)
+
 
 def _per_fold_aggregate(model, paper_indices, view):
-    """The per-fold aggregation NPRecModel used before each hop's base
-    vectors and attention were computed once: every fold recomputes the
-    centre and neighbour base vectors and the attention it needs."""
+    """The reference aggregation, composed from autograd primitives: every
+    fold recomputes the centre and neighbour base vectors and the
+    attention it needs, and each hop's rows gather the embedding table."""
     indices = np.asarray(paper_indices, dtype=int)
     batch, k, d = indices.shape[0], model.neighbor_k, model.dim
-    layers = model._stacked_layers(indices, view)
+    fields = model._fields(indices, view)
+    sizes = [k**h for h in range(model.depth + 1)]
+    ends = np.cumsum(sizes)
+    layers = [fields[:, end - size:end].reshape(-1)
+              for size, end in zip(sizes, ends)]
     weight_stack = (model.interest_layers if view == "interest"
                     else model.influence_layers)
-    base_vectors = model._base_vectors
+
+    def base_vectors(layer):
+        base = (model.embeddings(layer)
+                * Tensor(model._nonpaper_mask[layer][:, None]))
+        if model.use_text:
+            base = base + model.text_proj(Tensor(model._text_matrix[layer]))
+        return base
+
     values = [base_vectors(layer) for layer in layers]
     for i in range(model.depth):
         folded = []
@@ -144,37 +171,23 @@ def _per_fold_aggregate(model, paper_indices, view):
 
 
 class TestAggregationEquivalence:
-    """Aggregating each hop once is the per-fold aggregation, reordered."""
+    """The fused gcn_aggregate op is the composed reference, reordered:
+    values within 1e-12 and every parameter gradient within 1e-10."""
 
     @staticmethod
     def _forward_backward(model, aggregate, indices, view):
         model.zero_grad()
-        out = aggregate(model, indices, view)
+        out = aggregate(model, np.asarray(indices), view)
         weights = np.random.default_rng(1).normal(size=out.shape)
         (out * weights).sum().backward()
         return out.data, {name: p.grad for name, p in model.named_parameters()}
 
-    @pytest.mark.parametrize("view", ["interest", "influence"])
-    @pytest.mark.parametrize("depth", [1, 2, 3])
-    def test_matches_per_fold_reference(self, graph_and_text, view, depth,
-                                        monkeypatch):
-        graph, text, _, train, _ = graph_and_text
-        model = NPRecModel(graph, text, dim=8, neighbor_k=3, depth=depth,
-                           influence_citations=True, seed=depth)
-        indices = [graph.index_of("paper", p.id) for p in train[:6]]
-
+    def _check(self, model, indices, view, depth, use_text=True):
         reference, reference_grads = self._forward_backward(
             model, _per_fold_aggregate, indices, view)
-
-        calls = []
-        original = model._base_vectors
-        monkeypatch.setattr(model, "_base_vectors",
-                            lambda layer: calls.append(1) or original(layer))
         out, grads = self._forward_backward(
             model, NPRecModel._aggregate, indices, view)
-
-        assert len(calls) == depth + 1
-        assert np.array_equal(out, reference)
+        np.testing.assert_allclose(out, reference, rtol=0, atol=1e-12)
         assert grads.keys() == reference_grads.keys()
         touched = 0
         for name, grad in grads.items():
@@ -183,9 +196,61 @@ class TestAggregationEquivalence:
             if grad is not None:
                 touched += 1
                 np.testing.assert_allclose(grad, expected, rtol=1e-10,
+                                           atol=1e-10 * np.abs(expected).max(),
                                            err_msg=name)
         # embeddings, text_proj and every layer of the view's stack
-        assert touched == 2 + 2 * depth
+        assert touched == int(use_text) + 1 + 2 * depth
+
+    @pytest.mark.parametrize("view", ["interest", "influence"])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_matches_per_fold_reference(self, graph_and_text, view, depth):
+        graph, text, _, train, _ = graph_and_text
+        model = NPRecModel(graph, text, dim=8, neighbor_k=3, depth=depth,
+                           influence_citations=True, seed=depth)
+        indices = [graph.index_of("paper", p.id) for p in train[:6]]
+        # A repeated centre shares its rows with its first occurrence.
+        self._check(model, indices + indices[:2], view, depth)
+
+    @pytest.mark.parametrize("view", ["interest", "influence"])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_matches_reference_without_text(self, graph_and_text, view,
+                                            depth):
+        graph, _, _, train, _ = graph_and_text
+        model = NPRecModel(graph, None, dim=8, neighbor_k=3, depth=depth,
+                           use_text=False, influence_citations=True,
+                           seed=depth)
+        indices = [graph.index_of("paper", p.id) for p in train[:6]]
+        self._check(model, indices, view, depth, use_text=False)
+
+    @pytest.mark.parametrize("view", ["interest", "influence"])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_matches_reference_for_a_batch_of_one(self, graph_and_text,
+                                                  view, depth):
+        # The ingest case: one new paper's rows.
+        graph, text, _, _, new = graph_and_text
+        model = NPRecModel(graph, text, dim=8, neighbor_k=3, depth=depth,
+                           seed=depth)
+        self._check(model, [graph.index_of("paper", new[0].id)], view, depth)
+
+    def test_no_grad_forward_matches(self, graph_and_text):
+        graph, text, _, train, _ = graph_and_text
+        model = NPRecModel(graph, text, dim=8, neighbor_k=3, depth=2, seed=0)
+        indices = np.asarray([graph.index_of("paper", p.id)
+                              for p in train[:4]])
+        recorded = model._aggregate(indices, "influence")
+        with no_grad():
+            plain = model._aggregate(indices, "influence")
+        assert plain._parents == () and not plain.requires_grad
+        assert np.array_equal(plain.data, recorded.data)
+
+    def test_rejects_fields_of_the_wrong_width(self, graph_and_text):
+        graph, text, _, train, _ = graph_and_text
+        model = NPRecModel(graph, text, dim=8, neighbor_k=3, depth=2, seed=0)
+        layer = model.interest_layers[0]
+        with pytest.raises(ValueError, match="needs 13"):
+            gcn_aggregate(np.zeros((2, 12), dtype=int), 3,
+                          model.embeddings.weight, model._nonpaper_mask,
+                          [layer.weight] * 2, [layer.bias] * 2)
 
 
 class _DenseRows:

@@ -1,5 +1,8 @@
 """Unit and gradient-check tests for the autograd Tensor engine."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -260,6 +263,48 @@ class TestGradOwnership:
         np.testing.assert_array_equal(a.grad, [1.0, 1.0])
         Adam([b], lr=0.5, weight_decay=0.1).step()
         np.testing.assert_array_equal(a.grad, [1.0, 1.0])
+
+
+class TestGraphFreedAtBackward:
+    def test_intermediate_dies_without_the_cyclic_collector(self):
+        p = parameter(np.array([1.0, -2.0, 3.0]))
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            hidden = (p * 2.0).tanh()
+            alive = weakref.ref(hidden)
+            loss = (hidden * hidden).sum()
+            del hidden
+            assert alive() is not None  # the loss's graph still holds it
+            loss.backward()
+            assert alive() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+        expected = 2 * np.tanh(2 * p.data) * (1 - np.tanh(2 * p.data) ** 2) * 2
+        np.testing.assert_allclose(p.grad, expected)
+
+    def test_second_backward_through_a_freed_graph_raises(self):
+        p = parameter(np.array([1.0, 2.0]))
+        loss = (p * p).sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="freed"):
+            loss.backward()
+        np.testing.assert_allclose(p.grad, [2.0, 4.0])
+
+    def test_shared_subgraph_used_by_a_later_graph_raises(self):
+        p = parameter(np.array([3.0]))
+        shared = p * 2.0
+        (shared * 1.0).sum().backward()
+        with pytest.raises(RuntimeError, match="freed"):
+            (shared * 5.0).sum().backward()
+
+    def test_leaves_keep_their_gradient_and_stay_trainable(self):
+        p = parameter(np.array([1.0]))
+        (p * 3.0).sum().backward()
+        (p * 3.0).sum().backward()
+        np.testing.assert_allclose(p.grad, [6.0])
+        assert p.requires_grad and p._backward_fn is None
 
 
 class TestConcatStack:

@@ -78,8 +78,6 @@ class TestFlattenAndClassify:
         assert runs.classify("serve.query.latency:p99") == "lower"
         assert runs.classify("serve.ingest.latency:p50") == "lower"
         assert runs.classify("serve.degraded{reason=x}:value") == "lower"
-        assert runs.classify("nprec.train.accuracy:value") == "higher"
-        assert runs.classify("sem.twin.rule_agreement:value") == "higher"
         # The ANN gate: losing recall or scanning more rows regresses.
         assert runs.classify("ann.recall_at_10{nprobe=8,pool=50000}:value") \
             == "higher"
@@ -94,6 +92,10 @@ class TestFlattenAndClassify:
         assert runs.classify("span.experiment.table3:mean") == "lower"
         # Structural gauges are informational.
         assert runs.classify("graph.nodes:value") is None
+        # Training progress is a span attribute, never a snapshot key, so
+        # only recall reads as higher-is-better.
+        assert runs.classify("nprec.train.grad_steps:value") is None
+        assert runs.classify("serve.queries:value") is None
 
     def test_timing_keys(self):
         assert runs.is_timing("serve.query.latency:p99")

@@ -1,20 +1,23 @@
-"""Serving runs BLAS on one thread while a scheduler is live.
+"""Serving and training run BLAS on one thread.
 
 The first :class:`BatchScheduler` pins numpy's bundled OpenBLAS to one
 thread and the last one to close restores the previous count; a second
-``close()`` releases nothing. Where no OpenBLAS is found the pin does
-nothing. Answers do not depend on the thread count: ids and scores are
-bit-identical pinned and unpinned, on the exact and full-probe IVF
-paths.
+``close()`` releases nothing. Training holds the same pin for its
+epochs and restores the count afterwards. Where no OpenBLAS is found the
+pin does nothing. Answers do not depend on the thread count: ids and
+scores are bit-identical pinned and unpinned, on the exact and
+full-probe IVF paths.
 """
 
 import numpy as np
 import pytest
 
-import repro.serve.scheduler as scheduler_module
+import repro.utils.blas as blas_module
+from repro.nn import Adam, Linear, Tensor
+from repro.resilience.checkpoint import run_epochs
 from repro.serve import BatchScheduler, ServingIndex
 from repro.serve.ann import pooled_scores
-from repro.serve.scheduler import blas_threads, single_threaded_blas
+from repro.utils.blas import blas_threads, single_threaded_blas
 
 #: The process's count before any test could pin it (read at collection).
 DEFAULT_THREADS = blas_threads()
@@ -41,9 +44,9 @@ class FakeBlas:
 @pytest.fixture
 def no_holds(monkeypatch):
     """No live hold, and the real count at its default for the test."""
-    monkeypatch.setattr(scheduler_module, "_blas_pins", 0)
-    monkeypatch.setattr(scheduler_module, "_blas_restore", None)
-    blas = scheduler_module._openblas()
+    monkeypatch.setattr(blas_module, "_blas_pins", 0)
+    monkeypatch.setattr(blas_module, "_blas_restore", None)
+    blas = blas_module._openblas()
     if blas is None:
         yield
         return
@@ -59,7 +62,7 @@ def no_holds(monkeypatch):
 @pytest.fixture
 def fake_blas(monkeypatch, no_holds):
     fake = FakeBlas()
-    monkeypatch.setattr(scheduler_module, "_openblas",
+    monkeypatch.setattr(blas_module, "_openblas",
                         lambda: (fake.get, fake.set))
     return fake
 
@@ -133,23 +136,79 @@ class TestPinLifetime:
         assert fake_blas.threads == 4
 
 
+class _History:
+    def __init__(self):
+        self.losses = []
+
+
+class TestTrainingPin:
+    @staticmethod
+    def _train(epochs, during):
+        layer = Linear(2, 1, rng=0)
+        optimizer = Adam(layer.parameters(), lr=0.1)
+        x = Tensor(np.ones((4, 2)))
+
+        def epoch_fn(epoch, order):
+            during.append(blas_threads())
+            optimizer.zero_grad()
+            loss = (layer(x) ** 2).sum()
+            loss.backward()
+            optimizer.step()
+            return (loss.item(),)
+
+        return run_epochs(epoch_fn, _History(), module=layer,
+                          optimizer=optimizer, epochs=epochs, n_examples=4,
+                          seed=0)
+
+    @needs_openblas
+    def test_epochs_run_on_one_thread_and_restore_the_count(self, no_holds):
+        during = []
+        history = self._train(3, during)
+        assert during == [1, 1, 1]
+        assert len(history.losses) == 3
+        assert blas_threads() == DEFAULT_THREADS
+
+    def test_pins_once_and_restores_after_a_failed_epoch(self, fake_blas):
+        during = []
+
+        def failing(epoch, order):
+            during.append(fake_blas.threads)
+            raise ValueError("boom")
+
+        with pytest.raises(ValueError):
+            run_epochs(failing, _History(), module=Linear(2, 1, rng=0),
+                       optimizer=Adam(Linear(2, 1, rng=0).parameters()),
+                       epochs=2, n_examples=4, seed=0)
+        assert during == [1]
+        assert fake_blas.sets == [1, 4]
+
+    def test_training_under_a_live_scheduler_keeps_its_pin(
+            self, fake_blas, artifact, pool, serve_task):
+        index = _index(artifact, pool, serve_task)
+        scheduler = BatchScheduler(index, start=False)
+        self._train(2, [])
+        assert fake_blas.threads == 1
+        scheduler.close()
+        assert fake_blas.sets == [1, 4]
+
+
 class TestNoLibrary:
     def test_lookup_finds_nothing_outside_a_numpy_install(self, monkeypatch,
                                                           tmp_path):
-        monkeypatch.setattr(scheduler_module.np, "__file__",
+        monkeypatch.setattr(blas_module.np, "__file__",
                             str(tmp_path / "numpy" / "__init__.py"))
-        assert scheduler_module._openblas.__wrapped__() is None
+        assert blas_module._openblas.__wrapped__() is None
 
     def test_pin_does_nothing_without_a_library(self, monkeypatch, no_holds,
                                                 artifact, pool, serve_task):
-        monkeypatch.setattr(scheduler_module, "_openblas", lambda: None)
+        monkeypatch.setattr(blas_module, "_openblas", lambda: None)
         index = _index(artifact, pool, serve_task)
         scheduler = BatchScheduler(index, start=False)
         assert scheduler.stats()["blas_threads"] is None
         assert index.health(probe=False)["checks"]["scheduler"][
             "blas_threads"] is None
         scheduler.close()
-        assert scheduler_module._blas_pins == 0
+        assert blas_module._blas_pins == 0
         monkeypatch.undo()
         # The real count was never touched.
         assert blas_threads() == DEFAULT_THREADS
@@ -185,7 +244,7 @@ class TestPinnedAnswersBitIdentical:
         interest = rng.normal(size=(8, 128))
         rows = rng.normal(size=(773, 128))
         default = pooled_scores(interest, rows, 0.7)
-        set_ = scheduler_module._openblas()[1]
+        set_ = blas_module._openblas()[1]
         set_(1)
         single = pooled_scores(interest, rows, 0.7)
         assert single.tobytes() == default.tobytes()
