@@ -43,6 +43,11 @@ def _unit_row(vector: np.ndarray) -> np.ndarray:
     return vector / norm if norm > 0 else vector
 
 
+def _join(blocks: list[Tensor]) -> Tensor:
+    """The column blocks of a row batch side by side."""
+    return blocks[0] if len(blocks) == 1 else concat(blocks, axis=1)
+
+
 class ContentRows:
     """The static lexical-content block as a CSR row store.
 
@@ -430,9 +435,25 @@ class NPRecModel(Module):
         """Influence representations v<-_q (Eq. 21 + text concat)."""
         return self._paper_vectors(paper_ids, "influence")
 
+    def _indices(self, paper_ids: Sequence[str]) -> np.ndarray:
+        return np.asarray([self.graph.index_of("paper", pid) for pid in paper_ids],
+                          dtype=int)
+
     def _paper_vectors(self, paper_ids: Sequence[str], view: str) -> Tensor:
-        indices = np.asarray([self.graph.index_of("paper", pid) for pid in paper_ids],
-                             dtype=int)
+        """Full rows: the learned blocks with the raw lexical block inserted
+        before the trained content projection (:attr:`content_columns`)."""
+        blocks, content_rows = self._learned_blocks(self._indices(paper_ids),
+                                                    view)
+        if content_rows is not None:
+            blocks.insert(-1, Tensor(content_rows * self.content_gate))
+        return _join(blocks)
+
+    def _learned_blocks(self, indices: np.ndarray,
+                        view: str) -> tuple[list[Tensor], np.ndarray | None]:
+        """The gated blocks that parameters reach (shared text, view text,
+        graph, trained content projection, in that order) and the dense
+        raw content rows gathered for the projection (None without a
+        content block)."""
         parts: list[Tensor] = []
         if self.use_text:
             assert self._text_matrix is not None
@@ -447,25 +468,38 @@ class NPRecModel(Module):
             parts.append(self._aggregate(indices, view))
         gated = [l2_normalize(part, axis=-1) * gate
                  for part, gate in zip(parts, self.block_gates)]
+        content_rows = None
         if self._content_matrix is not None:
-            content_rows = Tensor(self._content_matrix[indices])
-            gated.append(content_rows * self.content_gate)
-            trained = self.content_proj(content_rows).tanh()
+            content_rows = self._content_matrix[indices]
+            trained = self.content_proj(Tensor(content_rows)).tanh()
             gated.append(l2_normalize(trained, axis=-1)
                          * self.content_trained_gate)
-        if len(gated) == 1:
-            return gated[0]
-        return concat(gated, axis=1)
+        return gated, content_rows
 
     def score_pairs(self, citing_ids: Sequence[str], cited_ids: Sequence[str]) -> Tensor:
-        """Correlation logits ``y_hat(p, q)`` for aligned id lists (Eq. 22)."""
+        """Correlation logits ``y_hat(p, q)`` for aligned id lists (Eq. 22).
+
+        The inner product of the full interest and influence rows, plus
+        the influence head and the score bias. No parameter reaches the
+        raw lexical block, so its term ``content_gate**2 * <c_p, c_q>`` is
+        a constant per pair: it is computed without autograd from the
+        content rows gathered for the trained projection, and the graph
+        covers only the learned blocks.
+        """
         if len(citing_ids) != len(cited_ids):
             raise ValueError(
                 f"{len(citing_ids)} citing ids but {len(cited_ids)} cited ids"
             )
-        interest = self.interest_vectors(citing_ids)
-        influence = self.influence_vectors(cited_ids)
+        interest, citing_content = self._learned_blocks(
+            self._indices(citing_ids), "interest")
+        influence, cited_content = self._learned_blocks(
+            self._indices(cited_ids), "influence")
+        interest, influence = _join(interest), _join(influence)
         correlation = (interest * influence).sum(axis=1)
+        if citing_content is not None:
+            correlation = correlation + Tensor(
+                self.content_gate**2
+                * np.einsum("ij,ij->i", citing_content, cited_content))
         potential = self.influence_head(influence[:, :self._head_dim]).reshape(-1)
         return correlation + potential + self.score_bias
 

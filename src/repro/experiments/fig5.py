@@ -19,6 +19,7 @@ from repro.cluster import tsne
 from repro.core.nprec import NPRecConfig, NPRecRecommender
 from repro.data import load_acm
 from repro.experiments.common import ResultTable, register
+from repro.nn import no_grad
 from repro.utils.rng import as_generator
 
 
@@ -52,12 +53,13 @@ def run(scale: float = 1.0, seed: int = 0, split_year: int = 2014,
                      if p.year < split_year] for a in authors}
     content = np.stack([
         sem.fused_embeddings(papers_of[a]).mean(axis=0) for a in authors])
-    interest = np.stack([
-        model.interest_vectors([p.id for p in papers_of[a]]).data.mean(axis=0)
-        for a in authors])
-    influence = np.stack([
-        model.influence_vectors([p.id for p in papers_of[a]]).data.mean(axis=0)
-        for a in authors])
+    with no_grad():
+        interest = np.stack([
+            model.interest_vectors([p.id for p in papers_of[a]]).data.mean(axis=0)
+            for a in authors])
+        influence = np.stack([
+            model.influence_vectors([p.id for p in papers_of[a]]).data.mean(axis=0)
+            for a in authors])
     views = {"content": content, "interest": interest, "influence": influence}
     if compute_tsne:
         for matrix in views.values():
@@ -95,11 +97,12 @@ def run(scale: float = 1.0, seed: int = 0, split_year: int = 2014,
 
     # Paper-level neighbourhood comparison for the shift column.
     sample = train[: min(len(train), 120)]
-    paper_views = {
-        "content": sem.fused_embeddings(sample),
-        "interest": model.interest_vectors([p.id for p in sample]).data,
-        "influence": model.influence_vectors([p.id for p in sample]).data,
-    }
+    with no_grad():
+        paper_views = {
+            "content": sem.fused_embeddings(sample),
+            "interest": model.interest_vectors([p.id for p in sample]).data,
+            "influence": model.influence_vectors([p.id for p in sample]).data,
+        }
     content_neighbours = _top_neighbours(paper_views["content"], 10)
 
     for view_name, matrix in views.items():

@@ -29,6 +29,7 @@ from repro.core.sem import SEMConfig, SubspaceEmbeddingMethod
 from repro.data import load_acm, load_scopus
 from repro.experiments import run_experiment
 from repro.experiments.table1 import DISCIPLINE_COLUMNS
+from repro.nn import no_grad
 from repro.text.sequence_labeler import SUBSPACE_NAMES
 from repro.viz import grouped_bars_svg, save_svg, scatter_svg
 
@@ -102,16 +103,17 @@ def render_fig5(out: pathlib.Path, scale: float, seed: int,
                       for a in authors], dtype=float)
     # colour authors by citedness quartile (the paper marks the top bin)
     quartiles = np.digitize(cited, np.quantile(cited, [0.25, 0.5, 0.75]))
-    views = {
-        "content": np.stack([sem.fused_embeddings(papers_of[a]).mean(axis=0)
-                             for a in authors]),
-        "interest": np.stack([
-            model.interest_vectors([p.id for p in papers_of[a]]).data.mean(axis=0)
-            for a in authors]),
-        "influence": np.stack([
-            model.influence_vectors([p.id for p in papers_of[a]]).data.mean(axis=0)
-            for a in authors]),
-    }
+    with no_grad():
+        views = {
+            "content": np.stack([sem.fused_embeddings(papers_of[a]).mean(axis=0)
+                                 for a in authors]),
+            "interest": np.stack([
+                model.interest_vectors([p.id for p in papers_of[a]]).data.mean(axis=0)
+                for a in authors]),
+            "influence": np.stack([
+                model.influence_vectors([p.id for p in papers_of[a]]).data.mean(axis=0)
+                for a in authors]),
+        }
     written = []
     for name, matrix in views.items():
         coords = tsne(matrix, n_iter=200, seed=seed)

@@ -71,27 +71,43 @@ class Adam(Optimizer):
         self.weight_decay = weight_decay
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
+        #: Two scratch arrays per parameter for the update's intermediates.
+        self._scratch = [(np.empty_like(p.data), np.empty_like(p.data))
+                         for p in self.params]
         self._t = 0
 
     def step(self) -> None:
-        """Apply one Adam update using accumulated gradients."""
+        """Apply one Adam update using accumulated gradients.
+
+        Every intermediate is written into this optimiser's scratch
+        arrays and the parameter is updated in place, with the same
+        operations in the same order as
+        ``param - lr * (m / b1) / (sqrt(v / b2) + eps)``, so the result is
+        bit-identical to it. ``.grad`` is only read.
+        """
         self._t += 1
         beta1, beta2 = self.betas
         bias1 = 1.0 - beta1**self._t
         bias2 = 1.0 - beta2**self._t
-        for param, m, v in zip(self.params, self._m, self._v):
+        for param, m, v, (a, b) in zip(self.params, self._m, self._v,
+                                       self._scratch):
             if param.grad is None:
                 continue
             grad = param.grad
             if self.weight_decay:
                 grad = grad + self.weight_decay * param.data
             m *= beta1
-            m += (1.0 - beta1) * grad
+            m += np.multiply(grad, 1.0 - beta1, out=a)
             v *= beta2
-            v += (1.0 - beta2) * grad**2
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.square(grad, out=a)
+            v += np.multiply(a, 1.0 - beta2, out=a)
+            np.divide(m, bias1, out=a)
+            a *= self.lr
+            np.divide(v, bias2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            param.data -= a
 
     def state_dict(self) -> dict:
         """Copy of the optimiser state: step count, lr, first/second moments.

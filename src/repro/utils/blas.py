@@ -9,10 +9,13 @@ its timeout, which doubled the CPU of a training fit and cost about
 so it is pinned by holds that nest instead of being toggled per call:
 the first hold sets one thread and the last release restores the count
 the first one saw. Training holds one for its epochs
-(:func:`repro.resilience.checkpoint.run_epochs`) and every live
-:class:`~repro.serve.scheduler.BatchScheduler` holds one for its life.
-Results do not depend on the count; where no OpenBLAS is found the
-holds do nothing.
+(:func:`repro.resilience.checkpoint.run_epochs`), JTIE's profile-text
+fit one for its training loop
+(:meth:`repro.baselines.neural.JTIERecommender.fit`, where a second
+thread cost about 60% more CPU for a wall time within the run-to-run
+spread), and every live :class:`~repro.serve.scheduler.BatchScheduler`
+holds one for its life. Results do not depend on the count; where no
+OpenBLAS is found the holds do nothing.
 """
 
 from __future__ import annotations

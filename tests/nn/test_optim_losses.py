@@ -60,6 +60,53 @@ class TestOptim:
         np.testing.assert_allclose(p.data, [1.0])
 
 
+def reference_adam_step(params, grads, m, v, t, lr, betas, eps,
+                        weight_decay):
+    """Adam's update written with temporaries, as it was before the
+    scratch arrays; returns the new parameter arrays."""
+    beta1, beta2 = betas
+    bias1, bias2 = 1.0 - beta1**t, 1.0 - beta2**t
+    out = []
+    for data, grad, m_i, v_i in zip(params, grads, m, v):
+        if weight_decay:
+            grad = grad + weight_decay * data
+        m_i *= beta1
+        m_i += (1.0 - beta1) * grad
+        v_i *= beta2
+        v_i += (1.0 - beta2) * grad**2
+        m_hat = m_i / bias1
+        v_hat = v_i / bias2
+        out.append(data - lr * m_hat / (np.sqrt(v_hat) + eps))
+    return out
+
+
+class TestAdamArithmetic:
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_bit_identical_to_the_reference_update(self, weight_decay):
+        rng = np.random.default_rng(0)
+        shapes = [(7, 5), (5,), (1,)]
+        params = [parameter(rng.normal(size=s)) for s in shapes]
+        opt = Adam(params, lr=0.03, weight_decay=weight_decay)
+        data = [p.data.copy() for p in params]
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        for t in range(1, 8):
+            grads = [rng.normal(size=s) * 10.0**rng.integers(-6, 3)
+                     for s in shapes]
+            for param, grad in zip(params, grads):
+                param.grad = grad
+            kept = [g.copy() for g in grads]
+            opt.step()
+            data = reference_adam_step(data, grads, m, v, t, opt.lr,
+                                       opt.betas, opt.eps, weight_decay)
+            for i, param in enumerate(params):
+                assert np.array_equal(param.data, data[i])
+                assert np.array_equal(opt._m[i], m[i])
+                assert np.array_equal(opt._v[i], v[i])
+                # .grad belongs to the graph: the step only reads it.
+                assert np.array_equal(param.grad, kept[i])
+
+
 class TestLosses:
     def test_bce_matches_reference(self):
         logits = Tensor([0.0, 2.0, -2.0])

@@ -3,7 +3,8 @@
 The first :class:`BatchScheduler` pins numpy's bundled OpenBLAS to one
 thread and the last one to close restores the previous count; a second
 ``close()`` releases nothing. Training holds the same pin for its
-epochs and restores the count afterwards. Where no OpenBLAS is found the
+epochs, and JTIE's profile-text fit for its training loop, and each
+restores the count afterwards. Where no OpenBLAS is found the
 pin does nothing. Answers do not depend on the thread count: ids and
 scores are bit-identical pinned and unpinned, on the exact and
 full-probe IVF paths.
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import repro.utils.blas as blas_module
+from repro.baselines import neural
 from repro.nn import Adam, Linear, Tensor
 from repro.resilience.checkpoint import run_epochs
 from repro.serve import BatchScheduler, ServingIndex
@@ -189,6 +191,37 @@ class TestTrainingPin:
         self._train(2, [])
         assert fake_blas.threads == 1
         scheduler.close()
+        assert fake_blas.sets == [1, 4]
+
+
+class TestProfileTextPin:
+    """JTIE's profile-text fit holds one thread for its training loop."""
+
+    @staticmethod
+    def _fit(monkeypatch, serve_task, read):
+        during = []
+        real = neural.bilinear_gradients
+
+        def recording(*args):
+            during.append(read())
+            real(*args)
+
+        monkeypatch.setattr(neural, "bilinear_gradients", recording)
+        neural.JTIERecommender(seed=0, epochs=1).fit(
+            serve_task.corpus, serve_task.train_papers)
+        return during
+
+    @needs_openblas
+    def test_fit_runs_on_one_thread_and_restores_the_count(
+            self, no_holds, monkeypatch, serve_task):
+        during = self._fit(monkeypatch, serve_task, blas_threads)
+        assert during and set(during) == {1}
+        assert blas_threads() == DEFAULT_THREADS
+
+    def test_pins_once_and_restores_once(self, fake_blas, monkeypatch,
+                                         serve_task):
+        during = self._fit(monkeypatch, serve_task, fake_blas.get)
+        assert during and set(during) == {1}
         assert fake_blas.sets == [1, 4]
 
 
