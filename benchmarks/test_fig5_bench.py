@@ -7,7 +7,7 @@ from repro.experiments import run_experiment
 
 def test_fig5(benchmark):
     table = benchmark.pedantic(
-        lambda: run_experiment("fig5", scale=0.6, seed=0, compute_tsne=True),
+        lambda: run_experiment("fig5", scale=0.6, seed=0),
         rounds=1, iterations=1,
     )
     save_result(table, "fig5")

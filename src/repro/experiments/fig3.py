@@ -10,13 +10,13 @@ that discipline's innovation focus.
 Right 3 panels: GMM clustering of one ACM field's papers per subspace;
 papers cluster differently across subspaces (reported here as the
 fraction of paper pairs whose co-clustering status differs between
-subspaces, plus 2-D t-SNE coordinates for plotting).
+subspaces; :mod:`repro.experiments.figures` draws the t-SNE panels).
 """
 
 from __future__ import annotations
 
 from repro.analysis import outlier_citation_study
-from repro.cluster import select_components_bic, tsne
+from repro.cluster import select_components_bic
 from repro.core.sem import SEMConfig, SubspaceEmbeddingMethod
 from repro.data import load_acm, load_scopus
 from repro.experiments.common import ResultTable, register
@@ -25,11 +25,11 @@ from repro.text.sequence_labeler import SUBSPACE_NAMES
 
 
 @register("fig3")
-def run(scale: float = 1.0, seed: int = 0, n_papers: int = 80,
-        compute_tsne: bool = True) -> list[ResultTable]:
+def run(scale: float = 1.0, seed: int = 0,
+        n_papers: int = 80) -> list[ResultTable]:
     """Reproduce both halves of Fig. 3."""
     scatter = _scatter_study(scale, seed, n_papers)
-    clustering = _clustering_study(scale, seed, n_papers, compute_tsne)
+    clustering = _clustering_study(scale, seed, n_papers)
     return [scatter, clustering]
 
 
@@ -54,8 +54,8 @@ def _scatter_study(scale: float, seed: int, n_papers: int) -> ResultTable:
     return table
 
 
-def _clustering_study(scale: float, seed: int, n_papers: int,
-                      compute_tsne: bool) -> ResultTable:
+def _clustering_study(scale: float, seed: int,
+                      n_papers: int) -> ResultTable:
     corpus = load_acm(scale=scale, seed=seed if seed else None)
     field = "Information Systems"
     papers = corpus.by_field(field)[:n_papers]
@@ -69,8 +69,6 @@ def _clustering_study(scale: float, seed: int, n_papers: int,
         matrix = sem.subspace_matrix(papers, k)
         mixture = select_components_bic(matrix, max_components=5, seed=seed)
         labels.append(mixture.predict(matrix))
-        if compute_tsne:
-            tsne(matrix, n_iter=120, seed=seed)  # plotting coordinates
 
     table = ResultTable(
         title=f"Figure 3 (right): GMM clustering disagreement on ACM '{field}'",

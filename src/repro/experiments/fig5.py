@@ -7,15 +7,15 @@ authors cluster in influence space, and a paper's content-space
 neighbourhood differs from its interest/influence neighbourhoods.
 
 This reproduction computes the same embeddings and reports the
-statistics those plots support (plus 2-D t-SNE coordinates for actual
-plotting). All statistics are cosine-based so the views are comparable.
+statistics those plots support; :mod:`repro.experiments.figures` draws
+the t-SNE maps. All statistics are cosine-based so the views are
+comparable.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster import tsne
 from repro.core.nprec import NPRecConfig, NPRecRecommender
 from repro.data import load_acm
 from repro.experiments.common import ResultTable, register
@@ -32,8 +32,7 @@ def _cosine_matrix(matrix: np.ndarray) -> np.ndarray:
 
 @register("fig5")
 def run(scale: float = 1.0, seed: int = 0, split_year: int = 2014,
-        min_papers: int = 3, top_cited: int = 10,
-        compute_tsne: bool = True) -> ResultTable:
+        min_papers: int = 3, top_cited: int = 10) -> ResultTable:
     """Reproduce the Fig. 5 statistics."""
     corpus = load_acm(scale=scale, seed=seed if seed else None)
     train, new = corpus.split_by_year(split_year)
@@ -61,9 +60,6 @@ def run(scale: float = 1.0, seed: int = 0, split_year: int = 2014,
             model.influence_vectors([p.id for p in papers_of[a]]).data.mean(axis=0)
             for a in authors])
     views = {"content": content, "interest": interest, "influence": influence}
-    if compute_tsne:
-        for matrix in views.values():
-            tsne(matrix, n_iter=120, seed=seed)  # plotting coordinates
 
     index = {a: i for i, a in enumerate(authors)}
     coauthor_pairs: set[tuple[int, int]] = set()

@@ -25,8 +25,8 @@ or the benchmark's synthetic pools).
 Serving ranks through two functions here:
 :func:`batch_exact_top_k` for the exact strategy and
 :meth:`IVFIndex.gather` + :func:`rank_candidates` for IVF (gathered
-under the serving lock, scored outside it). Both rest on
-:func:`pooled_scores` — the ``mix * max + (1 - mix) * mean``
+under the serving lock, scored outside it). Both score a block as
+:func:`pooled_scores` does — the ``mix * max + (1 - mix) * mean``
 correlation pooling over the user's interest vectors, also used for
 coarse centroid ranking — so every path agrees bit for bit on common
 input. :func:`exact_top_k` (one query) and :meth:`IVFIndex.search`
@@ -34,7 +34,10 @@ input. :func:`exact_top_k` (one query) and :meth:`IVFIndex.search`
 the recall benchmark compare serving against. Both exact rankers run
 one blockwise loop (:func:`_blockwise_top_k`): a bounded heap per query
 with an ``argpartition`` prescreen, so only the ≤k plausible candidates
-per block touch the Python heap.
+per block touch the Python heap. The exact and candidate rankers
+prepare each query once (:func:`_block_scores`): its interest rows are
+split once and its content term comes from one CSR product over the
+rows it ranks, so the block loop only multiplies the dense heads.
 
 This module depends on no model or obs code beyond the
 :class:`~repro.core.nprec.model.ContentRows` type: it ranks raw row
@@ -48,7 +51,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -140,26 +143,45 @@ def _parts(rows: "Rows | _Parts",
     return np.delete(rows, columns, axis=1), rows[:, columns].T
 
 
+def _lexical(interest: "Rows | _Parts", rows: SplitRows,
+             positions: "np.ndarray | None" = None
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """(head, content term) of *interest* against split *rows*.
+
+    *interest* is split in *rows*' columns (:func:`_parts`) and its
+    content block scored against the non-zeros of *rows* (or of the rows
+    at *positions*) with one CSR product: the ``(n_rows, n_interest)``
+    content part of ``interest @ rows.T``, transposed. A CSR product
+    computes each row on its own, so a row's term does not depend on
+    which rows share the product.
+    """
+    head, content_t = _parts(interest, rows)
+    content = (rows.content if positions is None
+               else rows.content.take(positions))
+    return head, sparse.csr_matrix(
+        (content.data, content.indices, content.indptr),
+        shape=content.shape) @ content_t
+
+
 def _pairwise(left: Rows, right: Rows) -> np.ndarray:
     """``left @ right.T`` with a content block scored from its CSR side.
 
     Opposite a :class:`SplitRows`, a plain ndarray is a block of full
-    rows; two plain ndarrays multiply as they are. The CSR product
-    ``csr @ dense`` computes each sparse row's outputs on their own, so a
-    row's score bits do not depend on which block or candidate chunk
-    holds it.
+    rows; two plain ndarrays multiply as they are.
     """
     if isinstance(right, SplitRows):
-        head, content_t = _parts(left, right)
-        content = right.content
+        head, lexical = _lexical(left, right)
         pairwise = head @ right.head.T
-        pairwise += (sparse.csr_matrix(
-            (content.data, content.indices, content.indptr),
-            shape=content.shape) @ content_t).T
+        pairwise += lexical.T
         return pairwise
     if isinstance(left, SplitRows):
         return _pairwise(right, left).T
     return left @ right.T
+
+
+def _pool(pairwise: np.ndarray, mix: float) -> np.ndarray:
+    """``mix * max + (1 - mix) * mean`` of *pairwise* over its rows."""
+    return mix * pairwise.max(axis=0) + (1.0 - mix) * pairwise.mean(axis=0)
 
 
 def pooled_scores(interest: Rows, rows: Rows, mix: float) -> np.ndarray:
@@ -171,26 +193,35 @@ def pooled_scores(interest: Rows, rows: Rows, mix: float) -> np.ndarray:
     side may be a :class:`SplitRows`; the content block is then scored
     sparsely (see :func:`_pairwise`).
     """
-    pairwise = _pairwise(interest, rows)
-    return mix * pairwise.max(axis=0) + (1.0 - mix) * pairwise.mean(axis=0)
+    return _pool(_pairwise(interest, rows), mix)
 
 
-def _chunked_scores(interest: Rows, matrix: Rows,
-                    positions: np.ndarray, mix: float,
-                    block_size: int) -> np.ndarray:
-    """Pooled scores for *positions*, in ``block_size`` chunks.
+def _block_scores(interest: Rows, matrix: Rows, mix: float,
+                  block_size: int, positions: "np.ndarray | None" = None
+                  ) -> Iterator[np.ndarray]:
+    """One query's pooled scores, ``block_size`` rows at a time.
 
-    Chunking mirrors the exact path's contiguous blocks: when
-    *positions* is every row in order, each chunk gathers the same
-    values at the same shape the exact path slices, so the matmul
-    rounds identically and the two paths produce the same score bits.
+    The blocks are *matrix*'s contiguous row ranges, or chunks of
+    *positions*. Opposite split rows the query is prepared once
+    (:func:`_lexical`), so a block only multiplies the dense heads and
+    adds its slice of the content term. The head product keeps the
+    block's shape, so each block's scores equal :func:`pooled_scores`
+    on that block bit for bit.
     """
-    scores = np.empty(positions.shape[0], dtype=np.float64)
-    for start in range(0, positions.shape[0], block_size):
-        chunk = positions[start:start + block_size]
-        scores[start:start + chunk.shape[0]] = pooled_scores(
-            interest, matrix[chunk], mix)
-    return scores
+    n = matrix.shape[0] if positions is None else positions.shape[0]
+    split = isinstance(matrix, SplitRows)
+    if split:
+        head, lexical = _lexical(interest, matrix, positions)
+    for start in range(0, n, block_size):
+        stop = start + block_size
+        block = slice(start, stop) if positions is None \
+            else positions[start:stop]
+        if not split:
+            yield pooled_scores(interest, matrix[block], mix)
+            continue
+        pairwise = head @ matrix.head[block].T
+        pairwise += lexical[start:stop].T
+        yield _pool(pairwise, mix)
 
 
 def _feed_heap(heap: list[tuple[float, int]], scores: np.ndarray,
@@ -230,24 +261,28 @@ def _blockwise_top_k(interests: "list[Rows]", matrix: Rows,
                      ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(positions, scores) of each query's top-k rows, best first.
 
-    The one exact ranker. Each pool block is sliced once and scored
-    against every query with its own ``pooled_scores`` call, so a
-    query's result does not depend on its batch — bit for bit, which
-    the batched serving path's equivalence guarantee rests on. Memory
-    stays ``O(block_size * dim + k)`` per query regardless of pool
-    size. Ties between equal scores resolve toward the lower row
-    position, matching the stable mergesort ordering of the offline
-    ranker.
+    The one exact ranker. Each query is scored on its own, block by
+    block (:func:`_block_scores`), so its result does not depend on its
+    batch — bit for bit, which the batched serving path's equivalence
+    guarantee rests on. Memory per query is one block's pairwise
+    scores, the ``k``-entry heap and, opposite split rows, the
+    ``n_rows * n_interest`` content term (over a 773-row pool, 7 × 773
+    doubles for a 7-row profile and 0.9 MB for a 148-row one). Ties
+    between equal scores resolve toward the lower row position,
+    matching the stable mergesort ordering of the offline ranker.
     """
     for k in ks:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-    heaps: list[list[tuple[float, int]]] = [[] for _ in interests]
-    for start in range(0, matrix.shape[0], block_size):
-        block = matrix[start:start + block_size]
-        for heap, interest, k in zip(heaps, interests, ks):
-            _feed_heap(heap, pooled_scores(interest, block, mix), start, k)
-    return [_drain_heap(heap) for heap in heaps]
+    ranked = []
+    for interest, k in zip(interests, ks):
+        heap: list[tuple[float, int]] = []
+        for start, scores in zip(
+                range(0, matrix.shape[0], block_size),
+                _block_scores(interest, matrix, mix, block_size)):
+            _feed_heap(heap, scores, start, k)
+        ranked.append(_drain_heap(heap))
+    return ranked
 
 
 def exact_top_k(interest: Rows, matrix: Rows, k: int, *,
@@ -280,13 +315,17 @@ def rank_candidates(interest: Rows, matrix: Rows,
     set gathered earlier (the serving path gathers under the serving
     lock and scores outside it). *candidates* must be sorted
     ascending. Exact-path score arithmetic and tie-breaking: descending
-    score, ties toward the lower pool position.
+    score, ties toward the lower pool position. Candidates are scored in
+    ``block_size`` chunks that mirror the exact path's blocks: when they
+    are every row in order, each chunk gathers the values the exact path
+    slices at the same shape, so the two paths give the same score bits.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if candidates.shape[0] == 0:
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-    scores = _chunked_scores(interest, matrix, candidates, mix, block_size)
+    scores = np.concatenate(list(_block_scores(interest, matrix, mix,
+                                               block_size, candidates)))
     order = np.lexsort((candidates, -scores))[:k]
     return candidates[order], scores[order]
 

@@ -3,9 +3,10 @@
 :class:`ServingIndex` is the query-side half of :mod:`repro.serve`. It
 holds a *candidate pool* of papers with their influence representations
 precomputed, plus precomputed interest profiles for registered users,
-and answers top-K queries with a bounded heap over fixed-size blocks —
-memory stays ``O(block_size * dim + K)`` per query regardless of pool
-size (the ROADMAP's production-scale serving condition).
+and answers top-K queries with a bounded heap over fixed-size blocks.
+Besides one block's scores and the heap, a query holds one
+``n_pool * n_interest`` array, its content-block term over the whole
+pool (0.9 MB for a 148-row profile against 773 papers).
 
 Pool rows and profiles are :class:`~repro.serve.ann.SplitRows`: the
 model's learned blocks as a dense head and its gated lexical content
@@ -13,7 +14,7 @@ block as a CSR :class:`~repro.core.nprec.model.ContentRows` store (a
 model without a content block gives plain head-only arrays). The pool's
 head lives in a capacity-doubling buffer and its content store grows
 the same way, so an ingest appends one row to each. Every path scores
-through :func:`repro.serve.ann.pooled_scores`, which reads the content
+with :mod:`repro.serve.ann`'s pooled correlation, which reads the content
 block's non-zeros instead of its zeros.
 
 Scoring matches :meth:`NPRecRecommender._rank`'s correlation term —
@@ -26,7 +27,7 @@ There is one rank path: :meth:`ServingIndex.batch_top_k`. Serial
 :meth:`ServingIndex.top_k` is a batch of one, and the micro-batching
 scheduler (:mod:`repro.serve.scheduler`) feeds it larger batches. The
 path snapshots pool state under ``_serve_lock`` and scores with the
-lock released.
+lock released, on one BLAS thread (:mod:`repro.utils.blas`).
 
 Retrieval is a pluggable strategy: ``index="exact"`` (the default, and
 the correctness oracle) scores every pool row blockwise;
@@ -82,6 +83,7 @@ from repro.graph.builder import attach_paper_to_network
 from repro.nn import no_grad
 from repro.resilience import faults
 from repro.resilience.retry import Backoff, retry
+from repro.utils.blas import single_threaded_blas
 # exact_top_k is unused here; bench/tests/test_tracing.py expects it bound.
 from repro.serve.ann import (IVFIndex, Rows, SplitRows,  # noqa: F401
                              batch_exact_top_k, exact_top_k,
@@ -905,6 +907,7 @@ class ServingIndex:
         return BatchQueryResult(ids=ids, scores=None, pool_version=version,
                                 cache="shed", degraded_reason="shed")
 
+    @single_threaded_blas()
     def batch_top_k(self, requests: "Sequence[tuple]"
                     ) -> list[BatchQueryResult]:
         """Answer several ``(user, k)`` requests in one coalesced pass.
@@ -920,12 +923,12 @@ class ServingIndex:
            including the snapshot of the id list that phase 2 maps
            positions through.
         2. **Score** (lock *released*): pure-numpy ranking over the
-           influence snapshot — one blockwise pass shared by every
-           exact job (:func:`repro.serve.ann.batch_exact_top_k`),
-           per-job candidate scoring for IVF. Concurrent ingestion and
-           other batches proceed while this runs; scores are
-           bit-identical to ranking each request alone because per-query
-           matmul shapes are preserved.
+           influence snapshot — one call for every exact job
+           (:func:`repro.serve.ann.batch_exact_top_k`), per-job
+           candidate scoring for IVF; each job's interest rows are split
+           once. Concurrent ingestion and other batches proceed while
+           this runs; scores are bit-identical to ranking each request
+           alone because per-query matmul shapes are preserved.
         3. **Publish** (re-locked): fill the LRU cache — skipped when
            the pool version moved under the batch (the results are
            still *valid* for the stamped version, just not cacheable)
@@ -933,7 +936,10 @@ class ServingIndex:
 
         Per-request validation errors land in
         :attr:`BatchQueryResult.error`; the rest of the batch is
-        unaffected.
+        unaffected. The call holds single-threaded BLAS
+        (:func:`repro.utils.blas.single_threaded_blas`) from entry to
+        every exit; products that other threads run meanwhile give the
+        same bits on one thread.
         """
         results: list[BatchQueryResult | None] = [None] * len(requests)
         jobs: "OrderedDict[tuple, _BatchJob]" = OrderedDict()

@@ -2,20 +2,25 @@
 
 numpy's bundled OpenBLAS keeps a pool of worker threads for its matrix
 products. The products in this code base are small (a training batch's
-GCN folds, a flush-sized batch against the serving pool), so a second
+GCN folds, a query's interest rows against a pool block), so a second
 thread buys little wall time: it wakes for each product and spins until
-its timeout, which doubled the CPU of a training fit and cost about
-25 ms of CPU per served request. The count is process-wide in OpenBLAS,
-so it is pinned by holds that nest instead of being toggled per call:
-the first hold sets one thread and the last release restores the count
-the first one saw. Training holds one for its epochs
+its timeout, which doubled the CPU of a training fit and of an exact
+query, and cost about 25 ms of CPU per served request. The count is
+process-wide in OpenBLAS, so it is pinned by holds that nest: the first
+hold sets one thread and the last release restores the count the first
+one saw. Training holds one for its epochs
 (:func:`repro.resilience.checkpoint.run_epochs`), JTIE's profile-text
 fit one for its training loop
 (:meth:`repro.baselines.neural.JTIERecommender.fit`, where a second
 thread cost about 60% more CPU for a wall time within the run-to-run
-spread), and every live :class:`~repro.serve.scheduler.BatchScheduler`
-holds one for its life. Results do not depend on the count; where no
-OpenBLAS is found the holds do nothing.
+spread), every live :class:`~repro.serve.scheduler.BatchScheduler` one
+for its life, and every
+:meth:`~repro.serve.index.ServingIndex.batch_top_k` call one for its
+length (nested in a live scheduler's, it never reaches the library).
+Ingest, artifact load and user registration hold none. While a hold is
+live, other threads' products run on one thread too: each comes out
+whole, though for some shapes OpenBLAS rounds differently on one thread
+than on several. Where no OpenBLAS is found the holds do nothing.
 """
 
 from __future__ import annotations

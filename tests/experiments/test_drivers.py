@@ -28,8 +28,7 @@ class TestDriversRun:
         assert [r[0] for r in table.rows] == ["SHPE", "Doc2Vec", "BERT", "SEM"]
 
     def test_fig3(self):
-        tables = run_experiment("fig3", scale=0.25, seed=0, n_papers=30,
-                                compute_tsne=False)
+        tables = run_experiment("fig3", scale=0.25, seed=0, n_papers=30)
         scatter, clustering = tables
         assert len(scatter.rows) == 9   # 3 disciplines x 3 subspaces
         assert len(clustering.rows) == 3
@@ -73,7 +72,7 @@ class TestDriversRun:
         assert isinstance(table.cell("NPRec", "H=1"), float)
 
     def test_fig5(self):
-        table = run_experiment("fig5", scale=0.3, seed=0, compute_tsne=False)
+        table = run_experiment("fig5", scale=0.3, seed=0)
         assert [r[0] for r in table.rows] == ["content", "interest", "influence"]
         assert table.cell("content", "neighbourhood shift") == 0.0
 

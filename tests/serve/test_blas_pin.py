@@ -2,20 +2,32 @@
 
 The first :class:`BatchScheduler` pins numpy's bundled OpenBLAS to one
 thread and the last one to close restores the previous count; a second
-``close()`` releases nothing. Training holds the same pin for its
-epochs, and JTIE's profile-text fit for its training loop, and each
-restores the count afterwards. Where no OpenBLAS is found the
-pin does nothing. Answers do not depend on the thread count: ids and
-scores are bit-identical pinned and unpinned, on the exact and
-full-probe IVF paths.
+``close()`` releases nothing. Every :meth:`ServingIndex.batch_top_k`
+call takes one hold of its own and releases it on every exit, so a
+query scores on one thread with or without a scheduler. Training holds
+the same pin for its epochs, and JTIE's profile-text fit for its
+training loop, and each restores the count afterwards. Where no
+OpenBLAS is found the pin does nothing. Serving answers are
+bit-identical with and without a scheduler, on the exact and
+full-probe IVF paths. Holds toggled while another thread multiplies
+never tear a product: each one comes out as it does on one thread or
+on the default pool.
 """
+
+import contextlib
+import dataclasses
+import threading
+import time
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
+import repro.serve.index as index_module
 import repro.utils.blas as blas_module
 from repro.baselines import neural
 from repro.nn import Adam, Linear, Tensor
+from repro.resilience import faults
 from repro.resilience.checkpoint import run_epochs
 from repro.serve import BatchScheduler, ServingIndex
 from repro.serve.ann import pooled_scores
@@ -136,6 +148,191 @@ class TestPinLifetime:
         assert fake_blas.threads == 1
         scheduler.close()
         assert fake_blas.threads == 4
+
+
+class TestQueryHold:
+    """``batch_top_k`` holds one thread for exactly the length of a call."""
+
+    @pytest.fixture
+    def holds(self, monkeypatch, fake_blas):
+        """Counts of holds taken and released."""
+        counts = {"pin": 0, "release": 0}
+        pin, release = blas_module.pin_blas, blas_module.release_blas
+
+        def counting_pin():
+            counts["pin"] += 1
+            pin()
+
+        def counting_release():
+            counts["release"] += 1
+            release()
+
+        monkeypatch.setattr(blas_module, "pin_blas", counting_pin)
+        monkeypatch.setattr(blas_module, "release_blas", counting_release)
+        return counts
+
+    # case -> (threads seen while scoring, what the answer must show)
+    CASES = {
+        "miss": ([1], lambda r: r.cache == "miss" and len(r.ids) == 5),
+        "cache_hit": ([], lambda r: r.cache == "hit"),
+        "unknown_user": ([], lambda r: isinstance(r.error, KeyError)),
+        "empty_pool": ([], lambda r: r.cache == "miss" and r.ids == []),
+        "query_fault": ([], lambda r: r.degraded_reason == "query_fault"),
+        "scoring_error": ([1], None),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_one_hold_per_call_released_on_every_exit(
+            self, holds, fake_blas, monkeypatch, artifact, pool, serve_task,
+            case):
+        index = _index(artifact, [] if case == "empty_pool" else pool,
+                       serve_task)
+        user = serve_task.users[0].author_id
+        if case == "cache_hit":
+            index.batch_top_k([(user, 5)])
+            holds.update(pin=0, release=0)
+            fake_blas.sets.clear()
+        during = []
+        score = index_module.batch_exact_top_k
+
+        def scoring(*args, **kwargs):
+            during.append(fake_blas.threads)
+            if case == "scoring_error":
+                raise RuntimeError("scoring failed")
+            return score(*args, **kwargs)
+
+        monkeypatch.setattr(index_module, "batch_exact_top_k", scoring)
+        request = ("nobody", 5) if case == "unknown_user" else (user, 5)
+        seen, check = self.CASES[case]
+        with (faults.inject("serve.query:1.0") if case == "query_fault"
+              else contextlib.nullcontext()):
+            if check is None:
+                with pytest.raises(RuntimeError, match="scoring failed"):
+                    index.batch_top_k([request])
+            else:
+                assert check(index.batch_top_k([request])[0])
+        assert during == seen
+        assert holds == {"pin": 1, "release": 1}
+        assert fake_blas.sets == [1, 4]
+        assert blas_module._blas_pins == 0
+
+    def test_register_and_ingest_take_no_hold(self, holds, fake_blas,
+                                              artifact, pool, serve_task):
+        index = _index(artifact, pool[:5], serve_task)
+        index.add_paper(dataclasses.replace(pool[6], id="hold-ingest",
+                                            references=(), citation_count=0))
+        assert holds == {"pin": 0, "release": 0}
+        assert fake_blas.sets == []
+
+    @needs_openblas
+    def test_query_and_ingest_threads_without_a_scheduler(
+            self, no_holds, artifact, pool, serve_task):
+        index = _index(artifact, pool, serve_task)
+        users = [u.author_id for u in serve_task.users]
+        fresh = [dataclasses.replace(pool[i], id=f"hold-race-{i}",
+                                     references=(), citation_count=0)
+                 for i in range(4)]
+        records, positions, failures = [], [], []
+        ingested = threading.Event()
+
+        def query():
+            try:
+                rounds = 0
+                while rounds < 2 or not ingested.is_set():
+                    for user in users:
+                        result = index.batch_top_k([(user, 10)])[0]
+                        records.append((result.pool_version, user,
+                                        result.ids, result.scores))
+                    rounds += 1
+            except Exception as exc:  # pragma: no cover - diagnostics
+                failures.append(exc)
+
+        def ingest():
+            try:
+                for paper in fresh:
+                    positions.append(index.add_paper(paper))
+            except Exception as exc:  # pragma: no cover - diagnostics
+                failures.append(exc)
+            finally:
+                ingested.set()
+
+        threads = [threading.Thread(target=query),
+                   threading.Thread(target=ingest)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert blas_threads() == DEFAULT_THREADS
+        assert blas_module._blas_pins == 0
+
+        # The serial oracle: a replica takes the same ingests one by one
+        # and answers every query at the pool version it was stamped with.
+        replica = _index(artifact, pool, serve_task)
+        by_version = defaultdict(list)
+        for version, user, ids, scores in records:
+            by_version[version].append((user, ids, scores))
+        assert len(by_version) > 1, "the query never overlapped an ingest"
+
+        def check_current():
+            for user, ids, scores in by_version.pop(replica.pool_version,
+                                                    ()):
+                replica.invalidate()
+                want = replica.batch_top_k([(user, 10)])[0]
+                assert want.ids == ids
+                if scores is not None:  # None: a cache hit
+                    assert want.scores.tobytes() == scores.tobytes()
+
+        check_current()
+        for paper, position in zip(fresh, positions):
+            assert replica.add_paper(paper) == position
+            check_current()
+        assert not by_version
+        live, oracle = index._influence, replica._influence
+        assert live.head.tobytes() == oracle.head.tobytes()
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(live.content, name),
+                                  getattr(oracle.content, name))
+
+
+@needs_openblas
+class TestHoldsBesideRunningProducts:
+    """Holds toggled on one thread while another thread multiplies."""
+
+    def test_products_come_out_whole_and_nothing_crashes(self, no_holds):
+        rng = np.random.default_rng(0)
+        # 257 x 257 is a shape whose bits differ between one thread and
+        # the default pool, so a product torn between counts would show.
+        a, b = rng.normal(size=(257, 257)), rng.normal(size=(257, 257))
+        with single_threaded_blas():
+            single = (a @ b).tobytes()
+        default = (a @ b).tobytes()
+        products, failures = [], []
+        stop = threading.Event()
+
+        def multiply():
+            try:
+                while not stop.is_set():
+                    products.append((a @ b).tobytes() in (single, default))
+            except Exception as exc:  # pragma: no cover - diagnostics
+                failures.append(exc)
+
+        worker = threading.Thread(target=multiply)
+        worker.start()
+        deadline = time.monotonic() + 60
+        try:
+            while len(products) < 200 and time.monotonic() < deadline:
+                with single_threaded_blas():
+                    pass
+        finally:
+            stop.set()
+            worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert failures == []
+        assert len(products) >= 200
+        assert all(products), "a product matched neither thread count"
+        assert blas_threads() == DEFAULT_THREADS
 
 
 class _History:

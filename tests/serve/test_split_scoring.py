@@ -15,9 +15,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from scipy import sparse
+
 from repro import obs
 from repro.core.nprec.model import ContentRows
 from repro.serve import ServingIndex, WriteAheadLog
+from repro.serve import ann
 from repro.serve.ann import (IVFIndex, SplitRows, batch_exact_top_k,
                              pooled_scores, rank_candidates)
 
@@ -28,6 +31,30 @@ def reference_pooled_scores(interest, rows, mix):
     """Pooled scores of dense full *rows* against dense *interest*."""
     pairwise = interest @ rows.T
     return mix * pairwise.max(axis=0) + (1.0 - mix) * pairwise.mean(axis=0)
+
+
+def per_block_scores(interest, rows, mix, block_size, positions=None):
+    """Split scores of *rows* (or of the rows at *positions*) computed
+    block by block, each block on its own.
+
+    A block is a slice of *rows*, or a gather of a chunk of *positions*,
+    and builds its own CSR matrix of its content rows: the per-block
+    scoring the prepared-query rankers replaced.
+    """
+    content_t = interest.content[np.arange(len(interest))].T
+    n = rows.shape[0] if positions is None else positions.shape[0]
+    scores = []
+    for start in range(0, n, block_size):
+        block = (rows[start:start + block_size] if positions is None
+                 else rows[positions[start:start + block_size]])
+        content = block.content
+        pairwise = interest.head @ block.head.T
+        pairwise += (sparse.csr_matrix(
+            (content.data, content.indices, content.indptr),
+            shape=content.shape) @ content_t).T
+        scores.append(mix * pairwise.max(axis=0)
+                      + (1.0 - mix) * pairwise.mean(axis=0))
+    return np.concatenate(scores)
 
 
 @pytest.fixture
@@ -185,6 +212,89 @@ class TestSplitScores:
                              index.batch_top_k(requests)):
             assert got.ids == want.ids
             assert got.scores.tobytes() == want.scores.tobytes()
+
+
+class TestPreparedQueries:
+    """The exact and candidate rankers prepare each query once.
+
+    A pool of 85 rows in blocks of 7 is 13 blocks. Each query's interest
+    rows are split once and its content term comes from one CSR product,
+    and the scores equal the per-block reference bit for bit.
+    """
+
+    BLOCK = 7
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Calls of the interest split and of the CSR constructor."""
+        calls = {"split": 0, "csr": 0}
+        split, csr = ann._parts, sparse.csr_matrix
+
+        def counting_split(*args):
+            calls["split"] += 1
+            return split(*args)
+
+        def counting_csr(*args, **kwargs):
+            calls["csr"] += 1
+            return csr(*args, **kwargs)
+
+        monkeypatch.setattr(ann, "_parts", counting_split)
+        monkeypatch.setattr(ann.sparse, "csr_matrix", counting_csr)
+        return calls
+
+    def _profiles(self, index, serve_task):
+        return [index._profiles[u.author_id][1] for u in serve_task.users]
+
+    def test_exact_ranker_splits_each_query_once(self, index, serve_task,
+                                                 counted):
+        rows = index._influence
+        assert -(-rows.shape[0] // self.BLOCK) >= 3
+        mix = index._recommender.config.max_pool_mix
+        profiles = self._profiles(index, serve_task)
+        batch_exact_top_k(profiles, rows, [10] * len(profiles), mix=mix,
+                          block_size=self.BLOCK)
+        assert counted == {"split": len(profiles), "csr": len(profiles)}
+
+    def test_candidate_ranker_splits_each_query_once(self, index,
+                                                     serve_task, counted):
+        rows = index._influence
+        mix = index._recommender.config.max_pool_mix
+        candidates = np.arange(0, rows.shape[0], 2)
+        assert -(-candidates.shape[0] // self.BLOCK) >= 3
+        profiles = self._profiles(index, serve_task)
+        for profile in profiles:
+            rank_candidates(profile, rows, candidates, 10, mix=mix,
+                            block_size=self.BLOCK)
+        assert counted == {"split": len(profiles), "csr": len(profiles)}
+
+    def test_exact_scores_equal_the_per_block_reference(self, index,
+                                                        serve_task):
+        rows = index._influence
+        mix = index._recommender.config.max_pool_mix
+        n = rows.shape[0]
+        for profile in self._profiles(index, serve_task):
+            want = per_block_scores(profile, rows, mix, self.BLOCK)
+            ((positions, scores),) = batch_exact_top_k(
+                [profile], rows, [n], mix=mix, block_size=self.BLOCK)
+            order = np.lexsort((np.arange(n), -want))
+            assert np.array_equal(positions, order)
+            assert scores.tobytes() == want[order].tobytes()
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_candidate_scores_equal_the_per_block_reference(
+            self, index, serve_task, stride):
+        rows = index._influence
+        mix = index._recommender.config.max_pool_mix
+        candidates = np.arange(1, rows.shape[0], stride)
+        for profile in self._profiles(index, serve_task):
+            want = per_block_scores(profile, rows, mix, self.BLOCK,
+                                    candidates)
+            positions, scores = rank_candidates(
+                profile, rows, candidates, candidates.shape[0], mix=mix,
+                block_size=self.BLOCK)
+            order = np.lexsort((candidates, -want))
+            assert np.array_equal(positions, candidates[order])
+            assert scores.tobytes() == want[order].tobytes()
 
 
 class TestSplitStoreDurability:
