@@ -58,6 +58,32 @@ class TfIdfIndex:
         self.idf_ = idf
         return self
 
+    @classmethod
+    def from_terms(cls, terms: Sequence[str], idf: np.ndarray) -> "TfIdfIndex":
+        """The index over *terms* in id order with weights *idf*, as
+        :attr:`terms` and ``idf_`` of a fitted index give them: its
+        transform equals that index's bit for bit."""
+        idf = np.asarray(idf, dtype=np.float64)
+        if idf.shape != (len(terms),):
+            raise ValueError(f"{len(terms)} terms but idf of shape {idf.shape}")
+        index = cls(max_features=len(terms))
+        index.vocabulary_ = Vocabulary.from_tokens(terms)
+        index.idf_ = idf
+        return index
+
+    @property
+    def terms(self) -> list[str]:
+        """The :attr:`dim` terms a transform reads, in id order."""
+        if self.vocabulary_ is None:
+            raise RuntimeError("TfIdfIndex.fit must be called first")
+        return self.vocabulary_.decode(range(self.dim))
+
+    def head(self, n: int) -> "TfIdfIndex":
+        """The index over the first *n* terms. Ids are frequency-ordered
+        and a term's idf depends only on its own document frequency, so
+        this equals a refit with ``max_features=n`` on the same papers."""
+        return TfIdfIndex.from_terms(self.terms[:n], self.idf_[:n])
+
     @property
     def dim(self) -> int:
         """Vector dimensionality (vocabulary size, capped)."""

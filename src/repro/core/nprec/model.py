@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from repro.graph.hetero import HeterogeneousGraph
 from repro.graph.sampling import sample_multi_hop
@@ -72,6 +73,8 @@ class ContentRows:
         self.width = int(width)
         #: Spare-capacity buffers behind the three arrays, once grown.
         self._spare: dict[str, np.ndarray] = {}
+        #: The scipy matrix over the three arrays (see csr).
+        self._csr: sparse.csr_matrix | None = None
 
     @classmethod
     def from_rows(cls, rows: Iterable[np.ndarray | None],
@@ -134,6 +137,7 @@ class ContentRows:
         self.data = self._grow("data", values)
         self.indices = self._grow("indices", columns)
         self.indptr = self._grow("indptr", ends)
+        self._csr = None
 
     def _grow(self, name: str, tail: np.ndarray) -> np.ndarray:
         """The array *name* followed by *tail*, written past its filled
@@ -148,6 +152,14 @@ class ContentRows:
             self._spare[name] = buffer
         buffer[n:n + m] = tail
         return buffer[:n + m]
+
+    def csr(self) -> sparse.csr_matrix:
+        """The store as a scipy CSR matrix, built (and validated) once per
+        set of arrays: appends rebind the arrays and drop it."""
+        if self._csr is None:
+            self._csr = sparse.csr_matrix(
+                (self.data, self.indices, self.indptr), shape=self.shape)
+        return self._csr
 
     def snapshot(self) -> "ContentRows":
         """A store over the current arrays; later appends do not show in it."""

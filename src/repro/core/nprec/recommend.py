@@ -30,7 +30,8 @@ from repro.graph.builder import build_academic_network
 from repro.nn import no_grad
 from repro.utils.rng import as_generator
 
-#: TF-IDF vocabulary cap of the content block (serving's fallback shares it).
+#: Term cap of the one TF-IDF vocabulary (content block, profile text,
+#: serving's fallback).
 CONTENT_FEATURES = 3000
 
 
@@ -107,15 +108,15 @@ class NPRecRecommender(Recommender):
                 if cfg.use_text:
                     fused = self.sem.fused_embeddings(everyone)
                     text_vectors = {p.id: fused[i] for i, p in enumerate(everyone)}
+                # The one TF-IDF vocabulary: the content block reads it,
+                # the profile-text module its first terms, and serving
+                # (ingest, fallback) loads it from the artifact.
+                self.content_tfidf_ = TfIdfIndex(
+                    max_features=CONTENT_FEATURES).fit(train_papers)
                 content_vectors: dict[str, np.ndarray] | None = None
-                self.content_tfidf_ = None
                 if cfg.use_content_similarity and cfg.use_text:
-                    tfidf = TfIdfIndex(max_features=CONTENT_FEATURES).fit(
-                        train_papers)
-                    content_vectors = {p.id: tfidf.transform(p) for p in everyone}
-                    # Kept for serving: incremental ingestion must embed
-                    # new papers with the *fit-time* vocabulary.
-                    self.content_tfidf_ = tfidf
+                    content_vectors = {p.id: self.content_tfidf_.transform(p)
+                                       for p in everyone}
 
             # 2. Heterogeneous network: metadata for everyone, citations only
             #    among historical papers (new papers are citation cold-start).
@@ -154,7 +155,8 @@ class NPRecRecommender(Recommender):
             if cfg.profile_text_weight > 0:
                 with obs.trace("nprec.fit.profile_text"):
                     self._profile_text = JTIERecommender(
-                        seed=int(rng.integers(2**31)))
+                        seed=int(rng.integers(2**31)),
+                        vocabulary=self.content_tfidf_)
                     self._profile_text.fit(corpus, train_papers, new_papers)
         return self
 

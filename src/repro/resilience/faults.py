@@ -52,6 +52,7 @@ KNOWN_SITES: dict[str, str] = {
     "serve.wal.append": "crash before the write-ahead log records an ingest",
     "serve.wal.replay": "transient failure reapplying one recovered record",
     "serve.swap.load": "failure loading a candidate artifact for hot swap",
+    "snapshot.swap": "crash between a snapshot swap's two renames",
 }
 
 

@@ -8,32 +8,38 @@ writes every payload and the manifest into the hidden sibling
 ``.<name>.backup``, renames the staging directory over the target and
 deletes the backup. No file is ever rewritten in place, so a crash
 leaves the old snapshot or the new one; :func:`recover`, which every
-read and write runs first, moves a stranded backup back. Serving
+read and write runs first, moves a stranded backup back. The two
+renames and every rollback hold one lock per target, across threads
+and processes (:func:`_swap_lock`), so a reader never takes a swap in
+flight for a crashed one. Serving
 artifacts and training checkpoints are snapshots; :func:`atomic_write`
 is the single-file form of the recipe.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
 import shutil
 import threading
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Mapping
+from typing import Any, BinaryIO, Callable, Iterator, Mapping
 
 import numpy as np
 
 from repro.errors import ArtifactError, SchemaVersionError
+from repro.resilience import faults
 
 MANIFEST_NAME = "manifest.json"
 
 #: Writes one payload file's bytes to an open binary handle.
 Payload = Callable[[BinaryIO], Any]
 
-# Held across a swap's two renames and by every rollback, so a reader in
-# this process never takes a swap in flight for a crashed one.
+# Serialises _swap_lock's holders within this process; the flock
+# serialises processes.
 _SWAP_LOCK = threading.Lock()
 
 
@@ -87,11 +93,37 @@ def _siblings(target: Path) -> tuple[Path, Path]:
             target.with_name(f".{target.name}.backup"))
 
 
+@contextmanager
+def _swap_lock(target: Path) -> Iterator[None]:
+    """Hold *target*'s swap lock: ``flock`` on the sibling
+    ``.<name>.lock``, which the holder deletes on release. A waiter that
+    then wins the lock on the deleted file retries on a fresh one, so
+    two holders never overlap and no lock file outlives its swap."""
+    path = target.with_name(f".{target.name}.lock")
+    with _SWAP_LOCK:
+        while True:
+            fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            try:
+                if os.path.samestat(os.fstat(fd), os.stat(path)):
+                    break
+            except FileNotFoundError:
+                pass
+            os.close(fd)
+        try:
+            yield
+        finally:
+            path.unlink(missing_ok=True)
+            os.close(fd)
+
+
 def recover(target: str | os.PathLike) -> None:
     """Roll back a swap that a crash cut between its two renames."""
     target = Path(target)
     backup = _siblings(target)[1]
-    with _SWAP_LOCK:
+    if not backup.is_dir() or target.exists():
+        return  # nothing stranded: reads take no lock
+    with _swap_lock(target):
         if backup.is_dir() and not target.exists():
             try:
                 os.replace(backup, target)
@@ -150,9 +182,10 @@ def write_snapshot(target: str | os.PathLike, payloads: Mapping[str, Payload],
            json_payload({**manifest, "files": dict(sorted(files.items()))}))
     for directory in [stage, *(p for p in stage.rglob("*") if p.is_dir())]:
         _fsync_dir(directory)
-    with _SWAP_LOCK:
+    with _swap_lock(target):
         if target.exists():
             os.replace(target, backup)
+            faults.maybe_fail("snapshot.swap")
         os.replace(stage, target)
     _fsync_dir(target.parent)
     shutil.rmtree(backup, ignore_errors=True)

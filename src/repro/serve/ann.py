@@ -54,7 +54,6 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Union
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.nprec.model import ContentRows
 
@@ -153,14 +152,13 @@ def _lexical(interest: "Rows | _Parts", rows: SplitRows,
     at *positions*) with one CSR product: the ``(n_rows, n_interest)``
     content part of ``interest @ rows.T``, transposed. A CSR product
     computes each row on its own, so a row's term does not depend on
-    which rows share the product.
+    which rows share the product. The whole store's CSR matrix is built
+    once (:meth:`ContentRows.csr`); a gathered one, once per query.
     """
     head, content_t = _parts(interest, rows)
     content = (rows.content if positions is None
                else rows.content.take(positions))
-    return head, sparse.csr_matrix(
-        (content.data, content.indices, content.indptr),
-        shape=content.shape) @ content_t
+    return head, content.csr() @ content_t
 
 
 def _pairwise(left: Rows, right: Rows) -> np.ndarray:

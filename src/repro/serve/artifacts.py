@@ -6,6 +6,9 @@ An artifact is a directory::
     config.json              NPRecConfig + SEMConfig + model architecture
     graph.json               heterogeneous network (indices + adjacency order)
     papers.json              training papers + author affiliations
+    vocabulary.npz           the one TF-IDF vocabulary: its terms in id
+                             order and their idf (content block, profile
+                             text and serving's fallback all read it)
     sem/encoder.json|.npz    frozen sentence-encoder statistics + rotation
     sem/network.npz          subspace fusion network (nn.serialization)
     sem/rules.npz            expert-rule fusion weights + normalisation
@@ -25,13 +28,15 @@ An artifact is a directory::
 
 Everything that decides a ranking is persisted **exactly** — float64
 arrays through ``.npz``, graph adjacency in insertion order, the sampled
-receptive fields, and the bit-generator state of the field sampler — so
-a reloaded recommender reproduces ``rank()`` bit for bit, including for
-papers whose receptive fields were never sampled before the save.
+receptive fields, the bit-generator state of the field sampler, and the
+TF-IDF vocabulary that embeds ingested papers and profile text — so a
+reloaded recommender reproduces ``rank()`` bit for bit, including for
+papers whose receptive fields were never sampled before the save, and
+loading refits nothing.
 
-``manifest.json`` carries a SHA-256 per file and a schema version (4
-since the never-enabled novelty-score payload was dropped; see
-``SCHEMA_VERSION``); :func:`load_pipeline` refuses loudly
+``manifest.json`` carries a SHA-256 per file and a schema version (5
+since the TF-IDF vocabulary is stored; see ``SCHEMA_VERSION``);
+:func:`load_pipeline` refuses loudly
 (``ArtifactError`` / ``SchemaVersionError``) rather than deserialising
 a corrupt or foreign-versioned directory.
 
@@ -51,6 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
+from repro.baselines.content import TfIdfIndex
 from repro.baselines.neural import JTIERecommender
 from repro.core.nprec.model import ContentRows, NPRecModel
 from repro.core.nprec.recommend import NPRecConfig, NPRecRecommender
@@ -76,7 +82,9 @@ from repro.text.sequence_labeler import SequenceLabeler
 #: v3: the content block is stored as CSR arrays, so v2 artifacts must be re-saved.
 #: v4: the never-enabled novelty-score payload and its config weight are
 #: gone, so v3 artifacts must be re-saved.
-SCHEMA_VERSION = 4
+#: v5: the TF-IDF vocabulary is stored (``vocabulary.npz``) instead of
+#: refitted at load, so v4 artifacts must be re-saved.
+SCHEMA_VERSION = 5
 
 KIND = "nprec-pipeline"
 POOL_FILE = "pool/pool.json"
@@ -203,7 +211,7 @@ def _pipeline_payloads(rec: NPRecRecommender, corpus: Corpus | None,
                        author_affiliations: dict[str, str] | None
                        ) -> dict[str, staging.Payload]:
     """Every payload file of a fitted pipeline, by relative path."""
-    if rec.model is None or rec.sem is None:
+    if rec.model is None or rec.sem is None or rec.content_tfidf_ is None:
         raise NotFittedError("cannot save an unfitted NPRecRecommender")
     affiliations: dict[str, str] = dict(author_affiliations or {})
     if corpus is not None:
@@ -216,6 +224,10 @@ def _pipeline_payloads(rec: NPRecRecommender, corpus: Corpus | None,
             "train_papers": [paper_to_dict(p)
                              for p in rec._train_by_id.values()],
             "author_affiliations": affiliations,
+        }),
+        "vocabulary.npz": staging.npz_payload({
+            "terms": np.asarray(rec.content_tfidf_.terms),
+            "idf": rec.content_tfidf_.idf_,
         }),
     }
     payloads.update(_sem_payloads(rec.sem))
@@ -514,9 +526,12 @@ def _rebuild(root: Path, manifest: dict) -> NPRecRecommender:
     graph = HeterogeneousGraph.from_payload(_read_json(root / "graph.json"))
     rec.model = _load_model(graph, config_payload["model"], root / "model")
     rec._train_by_id = {p.id: p for p in train_papers}
+    vocabulary = _load_npz(root / "vocabulary.npz")
+    rec.content_tfidf_ = TfIdfIndex.from_terms(vocabulary["terms"].tolist(),
+                                               vocabulary["idf"])
     if config_payload.get("has_profile_text"):
         rec._profile_text = _load_profile_text(root / "profile_text",
-                                               train_papers)
+                                               rec.content_tfidf_)
     obs.count("serve.artifact.loaded")
     return rec
 
@@ -606,14 +621,11 @@ def _load_model(graph: HeterogeneousGraph, arch: dict,
 
 
 def _load_profile_text(root: Path,
-                       train_papers: list) -> JTIERecommender:
-    from repro.baselines.content import TfIdfIndex
-
+                       vocabulary: TfIdfIndex) -> JTIERecommender:
     meta = _read_json(root / "meta.json")
     module = JTIERecommender(text_dim=int(meta["text_dim"]), seed=0)
-    # The TF-IDF transform is a pure function of the (persisted) training
-    # papers, so refitting reproduces the fit-time vocabulary exactly.
-    module._tfidf = TfIdfIndex(max_features=module.text_dim * 20).fit(train_papers)
+    # The head of the stored vocabulary, as the fit read it.
+    module._tfidf = vocabulary.head(module.text_dim * 20)
     module._venue_rate = {k: float(v) for k, v in meta["venue_rate"].items()}
     module._author_h = {k: float(v) for k, v in meta["author_h"].items()}
     arrays = _load_npz(root / "weights.npz")
@@ -621,7 +633,8 @@ def _load_profile_text(root: Path,
     if dim != module._tfidf.dim + 3:
         raise ArtifactError(
             f"profile-text vocabulary drift: persisted bilinear expects "
-            f"{dim} features, refit TF-IDF produced {module._tfidf.dim + 3}")
+            f"{dim} features, the stored vocabulary gives "
+            f"{module._tfidf.dim + 3}")
     module.bilinear_ = Linear(dim, arrays["bilinear.weight"].shape[0],
                               bias=False, rng=0)
     module.bilinear_.weight.data = arrays["bilinear.weight"].copy()

@@ -210,6 +210,9 @@ class ServingIndex:
         self._head_buffer: np.ndarray | None = None
         self._pool_content: ContentRows | None = None
         self._pool_count = 0
+        #: ``(pool version, rows)``: the last `_influence` snapshot, so
+        #: its content store's CSR matrix is built once per version.
+        self._pool_rows: "tuple[int, Rows] | None" = None
         self.index_kind = index
         self.nprobe = nprobe
         self._n_lists = n_lists
@@ -310,14 +313,16 @@ class ServingIndex:
     @property
     def _influence(self) -> Rows | None:
         """The pool rows' filled prefix (None when empty): a snapshot that
-        later appends do not change."""
+        later appends do not change, one per pool version."""
         if self._pool_count == 0:
             return None
-        head = self._head_buffer[:self._pool_count]
-        if self._pool_content is None:
-            return head
-        return SplitRows(head, self._pool_content.snapshot(),
-                         self._recommender.model.content_columns.start)
+        if self._pool_rows is None or self._pool_rows[0] != self._pool_version:
+            rows = self._head_buffer[:self._pool_count]
+            if self._pool_content is not None:
+                rows = SplitRows(rows, self._pool_content.snapshot(),
+                                 self._recommender.model.content_columns.start)
+            self._pool_rows = (self._pool_version, rows)
+        return self._pool_rows[1]
 
     @property
     def ann(self) -> IVFIndex | None:
@@ -682,13 +687,16 @@ class ServingIndex:
             self._pool_version = max(self._pool_version,
                                      donor._pool_version) + 1
 
+    @single_threaded_blas()
     def register_user(self, user_id: str, user_papers: Sequence[Paper]) -> None:
         """Precompute and store the interest profile of one user.
 
         Queries for *user_id* then skip the per-query interest forward
         pass. A profile containing papers the model has never seen is
         stored without an interest matrix — queries for that user serve
-        through the TF-IDF fallback (counted as degraded).
+        through the TF-IDF fallback (counted as degraded). The call
+        holds single-threaded BLAS (:mod:`repro.utils.blas`), so a
+        registration sweep leaves no second thread spinning after it.
         """
         papers = list(user_papers)
         if not papers:
@@ -789,20 +797,14 @@ class ServingIndex:
             self._recommender.model.influence_vectors(paper_ids).data)
 
     def _content_tfidf(self) -> TfIdfIndex:
-        """The index's one TF-IDF vocabulary, fitted on first use: the
-        content block's (a pure function of the persisted train papers,
-        so a refit after load reproduces it) or, fully degraded, the pool's."""
-        rec = self._recommender
-        tfidf = self._pool_tfidf if rec is None else rec.content_tfidf_
-        if tfidf is None:
-            corpus = (self._papers if rec is None
-                      else list(rec._train_by_id.values()))
-            tfidf = TfIdfIndex(max_features=CONTENT_FEATURES).fit(corpus)
-            if rec is None:
-                self._pool_tfidf = tfidf
-            else:
-                rec.content_tfidf_ = tfidf
-        return tfidf
+        """The index's one TF-IDF vocabulary: the model's, stored with
+        it, or, fully degraded, the pool's, fitted on first use."""
+        if self._recommender is not None:
+            return self._recommender.content_tfidf_
+        if self._pool_tfidf is None:
+            self._pool_tfidf = TfIdfIndex(
+                max_features=CONTENT_FEATURES).fit(self._papers)
+        return self._pool_tfidf
 
     # ------------------------------------------------------------------
     # Retrieval

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 UNK_TOKEN = "<unk>"
 
@@ -47,6 +47,18 @@ class Vocabulary:
         for document in documents:
             vocab.update(document)
         return vocab.build()
+
+    @classmethod
+    def from_tokens(cls, tokens: Sequence[str]) -> "Vocabulary":
+        """A frozen vocabulary whose ids are the positions of *tokens*
+        (``tokens[0]`` is the unknown token), as :meth:`decode` lists
+        them; it holds no frequency counts."""
+        if not tokens or tokens[0] != UNK_TOKEN:
+            raise ValueError(f"tokens must start with {UNK_TOKEN!r}")
+        vocab = cls()
+        vocab._id_to_token = list(tokens)
+        vocab._token_to_id = {token: i for i, token in enumerate(tokens)}
+        return vocab
 
     # ------------------------------------------------------------------
     def encode(self, tokens: Iterable[str]) -> list[int]:

@@ -15,9 +15,10 @@ fit one for its training loop
 thread cost about 60% more CPU for a wall time within the run-to-run
 spread), every live :class:`~repro.serve.scheduler.BatchScheduler` one
 for its life, and every
-:meth:`~repro.serve.index.ServingIndex.batch_top_k` call one for its
+:meth:`~repro.serve.index.ServingIndex.batch_top_k` and
+:meth:`~repro.serve.index.ServingIndex.register_user` call one for its
 length (nested in a live scheduler's, it never reaches the library).
-Ingest, artifact load and user registration hold none. While a hold is
+Ingest and artifact load hold none. While a hold is
 live, other threads' products run on one thread too: each comes out
 whole, though for some shapes OpenBLAS rounds differently on one thread
 than on several. Where no OpenBLAS is found the holds do nothing.

@@ -122,6 +122,27 @@ class TestContentIndex:
         assert 3 in top
         assert weights.sum() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("n", [40, 400])
+    def test_head_equals_a_refit(self, task, n):
+        # The first n terms of a wide vocabulary are what an n-term fit
+        # on the same papers gives, and rebuilding an index from its
+        # stored terms and idf changes no transform.
+        papers = list(task.train_papers)
+        wide = TfIdfIndex(max_features=3000).fit(papers)
+        refit = TfIdfIndex(max_features=n).fit(papers)
+        rebuilt = TfIdfIndex.from_terms(wide.terms, wide.idf_)
+        for got, want in ((wide.head(n), refit), (rebuilt, wide)):
+            assert got.terms == want.terms
+            for paper in papers + list(task.new_papers):
+                assert (got.transform(paper).tobytes()
+                        == want.transform(paper).tobytes())
+
+    def test_from_terms_validation(self):
+        with pytest.raises(ValueError, match="terms but idf"):
+            TfIdfIndex.from_terms(["<unk>", "graph"], np.zeros(3))
+        with pytest.raises(ValueError, match="start with"):
+            TfIdfIndex.from_terms(["graph"], np.zeros(1))
+
     def test_validation(self, task):
         with pytest.raises(ValueError):
             TfIdfIndex().fit([])

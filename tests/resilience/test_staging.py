@@ -1,5 +1,12 @@
 """The staged snapshot writer: whole-directory swaps, carried checksums."""
 
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ArtifactError, SchemaVersionError
@@ -106,3 +113,57 @@ def test_recover_yields_to_a_swap_that_another_process_finished(
     monkeypatch.undo()
     staging.verify(target, "test", 1)
     assert (target / "a.json").read_text() == '"new"'
+
+
+_PAUSED_WRITER = """
+import sys, time
+from pathlib import Path
+from repro.resilience import faults, staging
+
+target, paused, go = map(Path, sys.argv[1:4])
+
+def pause(site):
+    # Hold the writer between its two renames until the test says go.
+    if site == "snapshot.swap":
+        paused.touch()
+        while not go.exists():
+            time.sleep(0.01)
+
+faults.maybe_fail = pause
+staging.write_snapshot(target, {"a.json": staging.json_payload("new")},
+                       {"schema_version": 1, "kind": "test"})
+"""
+
+
+def test_a_reader_waits_for_another_process_s_swap(tmp_path):
+    """Another process's writer stops between its renames (at the
+    ``snapshot.swap`` fault site) while this process reads: the read's
+    rollback check waits for the swap, so it neither restores the old
+    snapshot nor makes the writer's second rename fail."""
+    target = _write(tmp_path / "snap", {"a.json": "old"})
+    paused, go = tmp_path / "paused", tmp_path / "go"
+    src = Path(staging.__file__).resolve().parents[2]
+    writer = subprocess.Popen(
+        [sys.executable, "-c", _PAUSED_WRITER, str(target), str(paused),
+         str(go)], env={**os.environ, "PYTHONPATH": str(src)})
+    try:
+        deadline = time.monotonic() + 60
+        while not paused.exists():
+            assert writer.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        assert not target.exists()  # the swap is between its renames
+        reader = threading.Thread(target=staging.recover, args=(target,))
+        reader.start()
+        reader.join(0.3)
+        assert reader.is_alive()  # waiting on the writer's lock
+        go.touch()
+        reader.join(60)
+        assert writer.wait(60) == 0
+    finally:
+        go.touch()
+        writer.wait(60)
+    manifest = staging.verify(target, "test", 1)
+    assert (target / "a.json").read_text() == '"new"'
+    assert sorted(manifest["files"]) == ["a.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["go", "paused",
+                                                          "snap"]

@@ -7,7 +7,9 @@ import shutil
 import numpy as np
 import pytest
 
+from repro.baselines.content import TfIdfIndex
 from repro.core.nprec import NPRecRecommender
+from repro.core.nprec.recommend import CONTENT_FEATURES
 from repro.core.nprec.model import ContentRows
 from repro.errors import ArtifactError, NotFittedError, SchemaVersionError
 from repro.serve import (
@@ -110,16 +112,27 @@ class TestFailureModes:
         with pytest.raises(SchemaVersionError, match="schema version"):
             load_pipeline(directory)
 
+    @staticmethod
+    def _assert_refused(artifact, tmp_path, version):
+        directory = _copy(artifact[0], tmp_path)
+        manifest = json.loads((directory / "manifest.json").read_text())
+        manifest["schema_version"] = version
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SchemaVersionError,
+                           match=f"schema version {version}"):
+            load_pipeline(directory)
+
     def test_v3_artifact_is_refused(self, artifact, tmp_path):
         # v4 dropped the novelty payload and its config field: a v3
         # directory must be re-saved, never half-read.
-        assert SCHEMA_VERSION == 4
-        directory = _copy(artifact[0], tmp_path)
-        manifest = json.loads((directory / "manifest.json").read_text())
-        manifest["schema_version"] = 3
-        (directory / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(SchemaVersionError, match="schema version 3"):
-            load_pipeline(directory)
+        assert SCHEMA_VERSION == 5
+        self._assert_refused(artifact, tmp_path, 3)
+
+    def test_v4_artifact_is_refused(self, artifact, tmp_path):
+        # v5 stores the TF-IDF vocabulary instead of refitting it: a v4
+        # directory has none to load.
+        assert SCHEMA_VERSION == 5
+        self._assert_refused(artifact, tmp_path, 4)
 
     def test_schema_error_is_artifact_error(self):
         # Callers catching the broad class also see version mismatches.
@@ -219,6 +232,45 @@ class TestManifest:
                    for p in directory.rglob("*")
                    if p.is_file() and p.name != "manifest.json"}
         assert files == on_disk
+
+
+class TestStoredVocabulary:
+    """The one TF-IDF vocabulary is stored and loaded, never refitted."""
+
+    @pytest.mark.parametrize("width", [CONTENT_FEATURES, 960])
+    def test_stored_transform_equals_a_refit(self, artifact, serve_task,
+                                             fitted_recommender, width):
+        train = list(serve_task.train_papers)
+        refit = TfIdfIndex(max_features=width).fit(train)
+        reloaded = load_pipeline(artifact[0])
+        if width == CONTENT_FEATURES:
+            stored = [reloaded.content_tfidf_]
+        else:  # the profile-text module reads the first 960 terms
+            stored = [reloaded._profile_text._tfidf,
+                      fitted_recommender._profile_text._tfidf]
+        for tfidf in stored:
+            assert tfidf.dim == refit.dim <= width
+            assert np.array_equal(tfidf.idf_, refit.idf_)
+            for paper in train + list(serve_task.new_papers):
+                assert (tfidf.transform(paper).tobytes()
+                        == refit.transform(paper).tobytes()), paper.id
+
+    def test_compact_then_reload_keeps_the_vocabulary(self, artifact,
+                                                      serve_task, tmp_path):
+        directory = _copy(artifact[0], tmp_path)
+        pool = list(serve_task.new_papers)
+        live = ServingIndex.from_artifact(
+            directory, papers=pool,
+            wal=WriteAheadLog(tmp_path / "ingest.wal"))
+        live.add_paper(dataclasses.replace(pool[0], id="vocab-0",
+                                           references=(), citation_count=0))
+        live.compact()
+        manifest = json.loads((directory / "manifest.json").read_text())
+        assert "vocabulary.npz" in manifest["files"]
+        before = load_pipeline(artifact[0]).content_tfidf_
+        after = load_pipeline(directory).content_tfidf_
+        assert after.terms == before.terms
+        assert after.idf_.tobytes() == before.idf_.tobytes()
 
 
 class TestSparseContentLayout:

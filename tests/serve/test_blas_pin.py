@@ -6,7 +6,8 @@ thread and the last one to close restores the previous count; a second
 call takes one hold of its own and releases it on every exit, so a
 query scores on one thread with or without a scheduler. Training holds
 the same pin for its epochs, and JTIE's profile-text fit for its
-training loop, and each restores the count afterwards. Where no
+training loop, and each restores the count afterwards; so does every
+:meth:`ServingIndex.register_user` call, while ingest takes none. Where no
 OpenBLAS is found the pin does nothing. Serving answers are
 bit-identical with and without a scheduler, on the exact and
 full-probe IVF paths. Holds toggled while another thread multiplies
@@ -93,6 +94,14 @@ def _index(artifact, pool, serve_task, **kwargs):
     return index
 
 
+def _forget(fake_blas, holds=None):
+    """Drop what registration recorded (one hold per call): the tests
+    count the holds that come after it."""
+    fake_blas.sets.clear()
+    if holds is not None:
+        holds.update(pin=0, release=0)
+
+
 class TestPinLifetime:
     @needs_openblas
     @pytest.mark.parametrize("first_closed", [0, 1])
@@ -111,6 +120,7 @@ class TestPinLifetime:
     def test_pins_once_and_restores_once(self, fake_blas, artifact, pool,
                                          serve_task):
         index = _index(artifact, pool, serve_task)
+        _forget(fake_blas)
         with BatchScheduler(index, start=False):
             with BatchScheduler(index, start=False):
                 assert fake_blas.threads == 1
@@ -120,6 +130,7 @@ class TestPinLifetime:
     def test_double_close_does_not_release_twice(self, fake_blas, artifact,
                                                  pool, serve_task):
         index = _index(artifact, pool, serve_task)
+        _forget(fake_blas)
         first = BatchScheduler(index, start=False)
         second = BatchScheduler(index, start=False)
         first.close()
@@ -132,6 +143,7 @@ class TestPinLifetime:
     def test_context_manager_shares_the_schedulers_hold(
             self, fake_blas, artifact, pool, serve_task):
         index = _index(artifact, pool, serve_task)
+        _forget(fake_blas)
         with single_threaded_blas():
             scheduler = BatchScheduler(index, start=False)
             assert fake_blas.threads == 1
@@ -187,6 +199,7 @@ class TestQueryHold:
             case):
         index = _index(artifact, [] if case == "empty_pool" else pool,
                        serve_task)
+        _forget(fake_blas, holds)
         user = serve_task.users[0].author_id
         if case == "cache_hit":
             index.batch_top_k([(user, 5)])
@@ -216,9 +229,19 @@ class TestQueryHold:
         assert fake_blas.sets == [1, 4]
         assert blas_module._blas_pins == 0
 
-    def test_register_and_ingest_take_no_hold(self, holds, fake_blas,
+    def test_register_takes_one_hold_per_call(self, holds, fake_blas,
                                               artifact, pool, serve_task):
         index = _index(artifact, pool[:5], serve_task)
+        users = len(serve_task.users)
+        assert holds == {"pin": users, "release": users}
+        assert fake_blas.sets == [1, 4] * users
+        assert blas_module._blas_pins == 0
+        assert len(index._profiles) == users
+
+    def test_ingest_takes_no_hold(self, holds, fake_blas, artifact, pool,
+                                  serve_task):
+        index = _index(artifact, pool[:5], serve_task)
+        _forget(fake_blas, holds)
         index.add_paper(dataclasses.replace(pool[6], id="hold-ingest",
                                             references=(), citation_count=0))
         assert holds == {"pin": 0, "release": 0}
@@ -384,6 +407,7 @@ class TestTrainingPin:
     def test_training_under_a_live_scheduler_keeps_its_pin(
             self, fake_blas, artifact, pool, serve_task):
         index = _index(artifact, pool, serve_task)
+        _forget(fake_blas)
         scheduler = BatchScheduler(index, start=False)
         self._train(2, [])
         assert fake_blas.threads == 1

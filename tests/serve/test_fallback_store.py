@@ -158,23 +158,27 @@ class TestIncrementalStore:
 
 
 class TestOneVocabulary:
-    def test_model_index_fits_once_and_never_densifies(self, artifact, pool,
-                                                       serve_task,
-                                                       count_calls):
-        rec = load_pipeline(artifact[0])
-        count_calls.update(fit=0, transform_many=0)
-        index = ServingIndex(rec, papers=pool)
-        assert count_calls["fit"] == 0  # nothing at load
+    def test_model_index_never_fits_and_never_densifies(self, artifact,
+                                                        pool, serve_task,
+                                                        count_calls):
+        # The vocabulary is the artifact's: load, registration, queries,
+        # fallback probes and ingests fit none.
+        index = ServingIndex.from_artifact(artifact[0], papers=pool)
+        user = serve_task.users[0]
+        index.register_user(user.author_id, list(user.train_papers))
+        index.top_k(user.author_id, k=10)
         _probe(index, pool[0], "first")
         for i, template in enumerate(serve_task.train_papers[:4]):
             index.add_paper(_clone(template, f"count-{i}"))
             _probe(index, template, i)
             index.shed_rank([_clone(template, f"shed-{i}")], k=5)
         assert index.health()["checks"]["fallback"]["ok"]
-        assert count_calls == {"fit": 1, "transform_many": 0}
+        assert not index.degraded
+        assert count_calls == {"fit": 0, "transform_many": 0}
         # The fallback vocabulary is the content block's.
+        rec = index._recommender
         assert index._content_tfidf() is rec.content_tfidf_
-        assert rec.content_tfidf_.max_features == CONTENT_FEATURES
+        assert rec.content_tfidf_.dim <= CONTENT_FEATURES
 
     def test_degraded_index_fits_once_on_the_pool(self, pool, serve_task,
                                                   count_calls):

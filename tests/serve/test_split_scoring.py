@@ -219,7 +219,9 @@ class TestPreparedQueries:
 
     A pool of 85 rows in blocks of 7 is 13 blocks. Each query's interest
     rows are split once and its content term comes from one CSR product,
-    and the scores equal the per-block reference bit for bit.
+    and the scores equal the per-block reference bit for bit. The pool's
+    CSR matrix is built once for every query; a gathered candidate
+    store's, once per query.
     """
 
     BLOCK = 7
@@ -239,7 +241,7 @@ class TestPreparedQueries:
             return csr(*args, **kwargs)
 
         monkeypatch.setattr(ann, "_parts", counting_split)
-        monkeypatch.setattr(ann.sparse, "csr_matrix", counting_csr)
+        monkeypatch.setattr(sparse, "csr_matrix", counting_csr)
         return calls
 
     def _profiles(self, index, serve_task):
@@ -247,13 +249,26 @@ class TestPreparedQueries:
 
     def test_exact_ranker_splits_each_query_once(self, index, serve_task,
                                                  counted):
-        rows = index._influence
+        rows = index._influence[:]  # a fresh store: no CSR matrix built
         assert -(-rows.shape[0] // self.BLOCK) >= 3
         mix = index._recommender.config.max_pool_mix
         profiles = self._profiles(index, serve_task)
-        batch_exact_top_k(profiles, rows, [10] * len(profiles), mix=mix,
-                          block_size=self.BLOCK)
-        assert counted == {"split": len(profiles), "csr": len(profiles)}
+        for _ in range(2):
+            batch_exact_top_k(profiles, rows, [10] * len(profiles), mix=mix,
+                              block_size=self.BLOCK)
+        assert counted == {"split": 2 * len(profiles), "csr": 1}
+
+    def test_pool_csr_is_built_once_per_pool_version(self, index,
+                                                     serve_task, counted):
+        user = serve_task.users[0]
+        for k in (5, 6, 7):  # distinct keys: each query ranks
+            index.top_k(user.author_id, k=k)
+        assert counted["csr"] == 1
+        index.add_paper(dataclasses.replace(
+            serve_task.train_papers[0], id="csr-version", references=(),
+            citation_count=0))
+        index.top_k(user.author_id, k=5)
+        assert counted["csr"] == 2
 
     def test_candidate_ranker_splits_each_query_once(self, index,
                                                      serve_task, counted):
