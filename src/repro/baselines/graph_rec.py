@@ -29,7 +29,7 @@ from repro.data.schema import Paper
 from repro.errors import NotFittedError
 from repro.graph.builder import build_academic_network
 from repro.graph.hetero import HeterogeneousGraph
-from repro.graph.sampling import sample_neighbors
+from repro.graph.sampling import neighbour_table
 from repro.nn import (
     Adam,
     Embedding,
@@ -65,28 +65,18 @@ class _KGCNNet(Module):
         self._nonpaper = np.ones(graph.num_entities)
         for index in graph.entities_of_type("paper"):
             self._nonpaper[index] = 0.0
-        self._fields: dict[int, np.ndarray] = {}
-        self._field_rng = as_generator(int(generator.integers(2**31)))
+        # One fixed row of K neighbours per entity (the all-relations view).
+        self._table = neighbour_table(graph, neighbor_k, "all",
+                                      int(generator.integers(2**31)))
 
     def _base(self, indices: np.ndarray) -> Tensor:
         embedded = self.entities(indices) * Tensor(self._nonpaper[indices][:, None])
         return embedded + self.content_proj(Tensor(self._content[indices])).tanh()
 
-    def _neighbours(self, index: int) -> np.ndarray:
-        field = self._fields.get(index)
-        if field is None:
-            field = sample_neighbors(self.graph, index, self.neighbor_k,
-                                     view="all", rng=self._field_rng)
-            if field.size == 0:
-                field = np.full(self.neighbor_k, index, dtype=int)
-            self._fields[index] = field
-        return field
-
     def item_vectors(self, paper_indices: np.ndarray) -> Tensor:
         """Aggregated item representations, shape ``(B, dim)``."""
         k = self.neighbor_k
-        neighbours = np.concatenate([self._neighbours(int(i))
-                                     for i in paper_indices])
+        neighbours = self._table[paper_indices].reshape(-1)
         centre = self._base(paper_indices)
         neigh = self._base(neighbours)
         scores = (centre.reshape(len(paper_indices), 1, self.dim)

@@ -12,8 +12,8 @@ paper. The correlation score is the inner product of p's interest vector
 and q's influence vector (Eq. 22), trained with the cross-entropy loss of
 Eq. 23 in :mod:`repro.core.nprec.trainer`.
 
-Aggregation is the sampled fixed-size scheme of KGCN: each node draws K
-neighbours per hop (resampled per model instance, deterministic by seed),
+Aggregation is the sampled fixed-size scheme of KGCN: each entity holds
+one fixed row of K neighbours per view (drawn once from the model seed),
 and attention weights are softmax-normalised dot products between the
 centre's and neighbours' base embeddings (Eq. 16). The whole H-hop
 aggregation is one hand-differentiated op,
@@ -28,7 +28,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.graph.hetero import HeterogeneousGraph
-from repro.graph.sampling import sample_multi_hop
+from repro.graph.sampling import neighbour_table, receptive_fields
 from repro.nn import (Embedding, Linear, Module, Tensor, concat, gcn_aggregate,
                       l2_normalize)
 from repro.nn.tensor import parameter
@@ -47,6 +47,26 @@ def _unit_row(vector: np.ndarray) -> np.ndarray:
 def _join(blocks: list[Tensor]) -> Tensor:
     """The column blocks of a row batch side by side."""
     return blocks[0] if len(blocks) == 1 else concat(blocks, axis=1)
+
+
+def _append_rows(prefix: np.ndarray, tail: np.ndarray,
+                 spare: dict[str, np.ndarray], name: str) -> np.ndarray:
+    """*prefix* followed by the rows of *tail*, written past prefix's
+    filled rows in the buffer ``spare[name]`` (doubled when full).
+
+    A reader holding the old *prefix* keeps a consistent array: rows
+    below its length are never written again.
+    """
+    n, m = prefix.shape[0], tail.shape[0]
+    buffer = spare.get(name)
+    if buffer is None or prefix.base is not buffer \
+            or buffer.shape[0] < n + m:
+        buffer = np.empty((max(2 * n, n + m),) + prefix.shape[1:],
+                          dtype=prefix.dtype)
+        buffer[:n] = prefix
+        spare[name] = buffer
+    buffer[n:n + m] = tail
+    return buffer[:n + m]
 
 
 class ContentRows:
@@ -134,24 +154,11 @@ class ContentRows:
                 ends: np.ndarray) -> None:
         """Append rows given as their non-zeros and cumulative row ends."""
         ends = self.indptr[-1] + ends
-        self.data = self._grow("data", values)
-        self.indices = self._grow("indices", columns)
-        self.indptr = self._grow("indptr", ends)
+        self.data = _append_rows(self.data, values, self._spare, "data")
+        self.indices = _append_rows(self.indices, columns, self._spare,
+                                    "indices")
+        self.indptr = _append_rows(self.indptr, ends, self._spare, "indptr")
         self._csr = None
-
-    def _grow(self, name: str, tail: np.ndarray) -> np.ndarray:
-        """The array *name* followed by *tail*, written past its filled
-        prefix in this store's spare buffer (doubled when full)."""
-        prefix = getattr(self, name)
-        n, m = prefix.shape[0], tail.shape[0]
-        buffer = self._spare.get(name)
-        if buffer is None or prefix.base is not buffer \
-                or buffer.shape[0] < n + m:
-            buffer = np.empty(max(2 * n, n + m), dtype=prefix.dtype)
-            buffer[:n] = prefix
-            self._spare[name] = buffer
-        buffer[n:n + m] = tail
-        return buffer[:n + m]
 
     def csr(self) -> sparse.csr_matrix:
         """The store as a scipy CSR matrix, built (and validated) once per
@@ -237,7 +244,10 @@ class NPRecModel(Module):
         stored L2-normalised in a :class:`ContentRows` store; or such a
         store itself, used as it is (the artifact load path).
     seed:
-        Controls embedding init and neighbourhood sampling.
+        Controls embedding init and the neighbour tables (``table_seed``).
+    neighbour_tables:
+        ``{view: (n_entities, neighbor_k) table}`` used as given (the
+        artifact load path); drawn from the graph when None.
     """
 
     def __init__(self, graph: HeterogeneousGraph,
@@ -247,7 +257,8 @@ class NPRecModel(Module):
                  influence_citations: bool = False,
                  block_gates: tuple[float, ...] | None = None,
                  content_vectors: dict[str, np.ndarray] | ContentRows | None = None,
-                 seed: int | np.random.Generator | None = 0) -> None:
+                 seed: int | np.random.Generator | None = 0,
+                 neighbour_tables: dict[str, np.ndarray] | None = None) -> None:
         if not use_text and not use_network:
             raise ValueError("at least one of use_text/use_network must be enabled")
         if neighbor_k < 1 or depth < 1:
@@ -369,60 +380,36 @@ class NPRecModel(Module):
             self.content_proj = Linear(self._content_matrix.shape[1], dim,
                                        bias=False, rng=int(rng.integers(2**31)))
 
-        # Receptive fields, one matrix per view: row i holds entity i's
-        # field hop by hop (1 + K + ... + K^H indices), or -1 in column 0
-        # while it is not sampled yet. Rows are sampled lazily, in the
-        # order aggregation first visits them.
-        self._field_width = sum(neighbor_k**h for h in range(depth + 1))
-        self._field_matrix = {view: self._unsampled(graph.num_entities)
-                              for view in _VIEWS}
-        self._field_rng = as_generator(int(rng.integers(2**31)))
+        # One fixed row of K neighbours per entity and view, so that an
+        # entity's receptive field never depends on what was read before.
+        self.table_seed = int(rng.integers(2**31))
+        if neighbour_tables is None:
+            neighbour_tables = {view: self._draw_rows(view, None)
+                                for view in _VIEWS}
+        self._tables = {view: np.asarray(neighbour_tables[view], np.int64)
+                        for view in _VIEWS}
+        if any(table.shape != (graph.num_entities, neighbor_k)
+               for table in self._tables.values()):
+            raise ValueError("neighbour tables do not match the graph's "
+                             f"{graph.num_entities} entities and K={neighbor_k}")
+        #: Spare-capacity buffers behind the per-entity arrays.
+        self._spare: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Receptive fields
     # ------------------------------------------------------------------
-    def _unsampled(self, rows: int) -> np.ndarray:
-        return np.full((rows, self._field_width), -1, dtype=np.int64)
+    def _draw_rows(self, view: str, entities: np.ndarray | None) -> np.ndarray:
+        """Table rows of *entities* (all when None) for *view*."""
+        graph_view = view
+        if view == "influence" and not self.influence_citations:
+            graph_view = "two_way"
+        return neighbour_table(self.graph, self.neighbor_k, graph_view,
+                               self.table_seed, entities)
 
     def _fields(self, indices: np.ndarray, view: str) -> np.ndarray:
         """The ``(len(indices), 1 + K + ... + K^H)`` receptive-field rows
-        of *indices* under *view*, sampling missing ones in batch order."""
-        matrix = self._field_matrix[view]
-        sample_view = view
-        if view == "influence" and not self.influence_citations:
-            sample_view = "two_way"
-        for index in indices[matrix[indices, 0] < 0]:
-            if matrix[index, 0] < 0:  # not sampled earlier in this batch
-                matrix[index] = np.concatenate(sample_multi_hop(
-                    self.graph, int(index), self.neighbor_k, self.depth,
-                    view=sample_view, rng=self._field_rng))
-        return matrix[indices]
-
-    def extra_state(self) -> tuple[dict[str, np.ndarray], dict]:
-        """The receptive fields sampled so far (``{view}_nodes`` and one
-        ``(nodes, k**hop)`` matrix ``{view}_hop{hop}`` per hop) and the
-        sampler's RNG state. Fields are drawn lazily, in the order training
-        first visits each node, so resuming bit-identically needs both."""
-        arrays: dict[str, np.ndarray] = {}
-        ends = np.cumsum([self.neighbor_k**h for h in range(self.depth + 1)])
-        for view in _VIEWS:
-            matrix = self._field_matrix[view]
-            nodes = np.flatnonzero(matrix[:, 0] >= 0)
-            arrays[f"{view}_nodes"] = nodes.astype(np.int64)
-            for hop, end in enumerate(ends):
-                arrays[f"{view}_hop{hop}"] = matrix[
-                    nodes, end - self.neighbor_k**hop:end]
-        return arrays, {"field_rng": self._field_rng.bit_generator.state}
-
-    def load_extra_state(self, arrays: dict[str, np.ndarray],
-                         meta: dict) -> None:
-        for view in _VIEWS:
-            matrix = self._unsampled(self.graph.num_entities)
-            matrix[arrays[f"{view}_nodes"]] = np.concatenate(
-                [arrays[f"{view}_hop{hop}"] for hop in range(self.depth + 1)],
-                axis=1)
-            self._field_matrix[view] = matrix
-        self._field_rng.bit_generator.state = meta["field_rng"]
+        of *indices* under *view*."""
+        return receptive_fields(self._tables[view], indices, self.depth)
 
     def _aggregate(self, indices: np.ndarray, view: str) -> Tensor:
         """H-hop aggregation of *indices* under *view*: ``(B, dim)``."""
@@ -547,7 +534,8 @@ class NPRecModel(Module):
         extends every per-entity array to the grown entity count — zero
         base embeddings for the new entities (matching the "stay near
         zero" design of untrained metadata nodes), the paper's fused SEM
-        text vector, and its lexical content row — then imputes the
+        text vector, its lexical content row and the new entities'
+        neighbour-table rows — then imputes the
         paper's base embedding from its metadata neighbours exactly as
         :meth:`induct_new_papers` does at fit time. No training happens.
 
@@ -578,30 +566,33 @@ class NPRecModel(Module):
             raise ValueError("model has a content block; content_vector required")
 
         table = self.embeddings.weight
-        table.data = np.vstack([table.data, np.zeros((added, self.dim))])
+        table.data = _append_rows(table.data, np.zeros((added, self.dim)),
+                                  self._spare, "embeddings")
         table.zero_grad()
         self.embeddings.num_embeddings = new_n
 
         mask = np.ones(added)
         mask[paper_index - old_n] = 0.0  # papers carry no id embedding
-        self._nonpaper_mask = np.concatenate([self._nonpaper_mask, mask])
+        self._nonpaper_mask = _append_rows(self._nonpaper_mask, mask,
+                                           self._spare, "nonpaper_mask")
 
         if self.use_text:
             assert self._text_matrix is not None and text_vector is not None
             rows = np.zeros((added, self._text_matrix.shape[1]))
             rows[paper_index - old_n] = np.asarray(text_vector, dtype=np.float64)
-            self._text_matrix = np.vstack([self._text_matrix, rows])
+            self._text_matrix = _append_rows(self._text_matrix, rows,
+                                             self._spare, "text")
         if self._content_matrix is not None:
             assert content_vector is not None
             content_rows: list[np.ndarray | None] = [None] * added
             content_rows[paper_index - old_n] = _unit_row(content_vector)
             self._content_matrix.append(content_rows)
 
-        for view, matrix in self._field_matrix.items():
-            if matrix.shape[0] < new_n:  # capacity doubling
-                grown = self._unsampled(max(2 * matrix.shape[0], new_n))
-                grown[:matrix.shape[0]] = matrix
-                self._field_matrix[view] = grown
+        entities = np.arange(old_n, new_n)
+        for view in _VIEWS:
+            self._tables[view] = _append_rows(
+                self._tables[view], self._draw_rows(view, entities),
+                self._spare, view)
         self.induct_new_papers([self.graph.key_of(paper_index).id])
         return added
 

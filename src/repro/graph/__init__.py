@@ -8,11 +8,11 @@ from repro.graph.hetero import (
     EntityKey,
     HeterogeneousGraph,
 )
-from repro.graph.sampling import sample_multi_hop, sample_neighbors
+from repro.graph.sampling import neighbour_table, receptive_fields
 
 __all__ = [
     "HeterogeneousGraph", "EntityKey",
     "ENTITY_TYPES", "RELATION_TYPES", "ONE_WAY_RELATIONS",
     "build_academic_network", "attach_paper_to_network",
-    "sample_neighbors", "sample_multi_hop",
+    "neighbour_table", "receptive_fields",
 ]

@@ -94,15 +94,6 @@ class Module:
         for name, tensor in own.items():
             tensor.data = staged[name].copy()
 
-    def extra_state(self) -> tuple[dict[str, np.ndarray], dict]:
-        """A copy of the non-parameter state a bit-identical resume needs,
-        as ``(arrays, JSON-able dict)``; none by default."""
-        return {}, {}
-
-    def load_extra_state(self, arrays: dict[str, np.ndarray],
-                         meta: dict) -> None:
-        """Restore from copies of what :meth:`extra_state` returned."""
-
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 

@@ -4,8 +4,8 @@ A checkpoint directory holds one subdirectory per snapshot::
 
     <root>/
         epoch-0001/
-            state.npz       model weights + extra arrays, Adam moments, order
-            meta.json       epoch, Adam t/lr, RNG state, history, extra, schema
+            state.npz       model weights, Adam moments, order
+            meta.json       epoch, Adam t/lr, RNG state, history, schema
             manifest.json   sha256 per file
         epoch-0002/
         ...
@@ -17,7 +17,7 @@ previous set plus one complete new snapshot — never a truncated one.
 Retention keeps the newest *keep_last* snapshots.
 
 A :class:`TrainState` captures everything a trainer's epoch loop
-consumes — model ``state_dict`` and ``extra_state``, Adam
+consumes — model ``state_dict``, Adam
 moments/step/lr, the shuffle RNG's ``bit_generator.state``, the
 (persistently shuffled) epoch order array, and the per-epoch history
 columns — which is exactly the set needed for a resumed run to be
@@ -48,13 +48,13 @@ from repro.utils.blas import single_threaded_blas
 from repro.utils.rng import SeedLike, as_generator
 
 #: On-disk checkpoint layout version; mismatches refuse to load.
-#: v2 adds the model's extra state, without which NPRec cannot resume
-#: bit-identically in a new process.
-CHECKPOINT_SCHEMA_VERSION = 2
+#: v2 added the model's extra state (NPRec's lazily sampled fields and
+#: their RNG); v3 drops it again, since NPRec's neighbour tables are drawn
+#: from its seed at construction and resume needs only ``state_dict``.
+CHECKPOINT_SCHEMA_VERSION = 3
 
 _KIND = "train-checkpoint"
 _MODEL_PREFIX = "model."
-_EXTRA_PREFIX = "extra."
 _ADAM_M_PREFIX = "adam.m."
 _ADAM_V_PREFIX = "adam.v."
 _ORDER_KEY = "order"
@@ -75,7 +75,6 @@ class TrainState:
     rng_state: dict
     order: np.ndarray
     history: dict[str, list[float]]
-    extra: tuple[dict[str, np.ndarray], dict]
 
     @classmethod
     def capture(cls, epoch: int, module: Module, optimizer: Adam,
@@ -89,7 +88,6 @@ class TrainState:
             rng_state=copy.deepcopy(rng.bit_generator.state),
             order=np.asarray(order).copy(),
             history={name: list(column) for name, column in history.items()},
-            extra=module.extra_state(),
         )
 
     def restore(self, module: Module, optimizer: Adam,
@@ -102,7 +100,6 @@ class TrainState:
                 f"examples but the current run has {order.shape[0]}; resume "
                 "requires the identical training set")
         module.load_state_dict(self.model_state)
-        module.load_extra_state(*self.extra)
         optimizer.load_state_dict(self.optimizer_state)
         rng.bit_generator.state = copy.deepcopy(self.rng_state)
         order[:] = self.order
@@ -156,8 +153,6 @@ class CheckpointManager:
             arrays[f"{_ADAM_M_PREFIX}{i}"] = m
         for i, v in enumerate(state.optimizer_state["v"]):
             arrays[f"{_ADAM_V_PREFIX}{i}"] = v
-        for name, value in state.extra[0].items():
-            arrays[f"{_EXTRA_PREFIX}{name}"] = value
         arrays[_ORDER_KEY] = np.asarray(state.order, dtype=np.int64)
         meta = {
             "schema_version": CHECKPOINT_SCHEMA_VERSION,
@@ -167,7 +162,6 @@ class CheckpointManager:
                      "n_params": len(state.optimizer_state["m"])},
             "rng_state": state.rng_state,
             "history": state.history,
-            "extra": state.extra[1],
         }
         final = staging.write_snapshot(
             self._slot(state.epoch),
@@ -216,9 +210,6 @@ class CheckpointManager:
             order=arrays[_ORDER_KEY],
             history={name: [float(x) for x in column]
                      for name, column in meta["history"].items()},
-            extra=({name[len(_EXTRA_PREFIX):]: value
-                    for name, value in arrays.items()
-                    if name.startswith(_EXTRA_PREFIX)}, meta["extra"]),
         )
 
     def latest(self) -> TrainState | None:

@@ -13,8 +13,7 @@ Guarantees:
 
 * round trip is exact — ``load_pipeline(save_pipeline(r)).rank(...)``
   equals ``r.rank(...)`` bit for bit (weights, graph adjacency order,
-  sampled receptive fields, and the field-sampler RNG state are all
-  persisted);
+  and the neighbour tables with their seed are all persisted);
 * artifacts fail loudly — checksum or schema-version mismatches raise
   :class:`repro.errors.ArtifactError` / ``SchemaVersionError`` — and
   every save is one staged snapshot, so a crash leaves the old or new;

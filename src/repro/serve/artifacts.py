@@ -16,8 +16,7 @@ An artifact is a directory::
     model/weights.npz        NPRecModel parameters (state_dict)
     model/static.npz         text + mask matrices, content block as CSR
                              (content_data / content_indices / content_indptr)
-    model/fields.npz         sampled receptive fields per paper and view
-    model/field_rng.json     neighbourhood-sampler RNG state
+    model/neighbours.npz     the interest and influence neighbour tables
     profile_text/meta.json|weights.npz
                              JTIE profile-text module (only when trained)
     ann/ivf.npz|.json        IVF coarse quantizer over a serving pool
@@ -27,15 +26,14 @@ An artifact is a directory::
                              save_compacted)
 
 Everything that decides a ranking is persisted **exactly** — float64
-arrays through ``.npz``, graph adjacency in insertion order, the sampled
-receptive fields, the bit-generator state of the field sampler, and the
-TF-IDF vocabulary that embeds ingested papers and profile text — so a
-reloaded recommender reproduces ``rank()`` bit for bit, including for
-papers whose receptive fields were never sampled before the save, and
-loading refits nothing.
+arrays through ``.npz``, graph adjacency in insertion order, the
+neighbour tables and the seed that draws rows for ingested entities, and
+the TF-IDF vocabulary that embeds ingested papers and profile text — so
+a reloaded recommender reproduces ``rank()`` bit for bit, and loading
+draws and refits nothing.
 
-``manifest.json`` carries a SHA-256 per file and a schema version (5
-since the TF-IDF vocabulary is stored; see ``SCHEMA_VERSION``);
+``manifest.json`` carries a SHA-256 per file and a schema version (6
+since the neighbour tables are stored; see ``SCHEMA_VERSION``);
 :func:`load_pipeline` refuses loudly
 (``ArtifactError`` / ``SchemaVersionError``) rather than deserialising
 a corrupt or foreign-versioned directory.
@@ -84,7 +82,9 @@ from repro.text.sequence_labeler import SequenceLabeler
 #: gone, so v3 artifacts must be re-saved.
 #: v5: the TF-IDF vocabulary is stored (``vocabulary.npz``) instead of
 #: refitted at load, so v4 artifacts must be re-saved.
-SCHEMA_VERSION = 5
+#: v6: the neighbour tables (``model/neighbours.npz``) replace the lazily
+#: sampled fields and their sampler state, so v5 artifacts must be re-saved.
+SCHEMA_VERSION = 6
 
 KIND = "nprec-pipeline"
 POOL_FILE = "pool/pool.json"
@@ -246,6 +246,7 @@ def _config_payload(rec: NPRecRecommender) -> dict:
             "dim": model.dim,
             "neighbor_k": model.neighbor_k,
             "depth": model.depth,
+            "table_seed": model.table_seed,
             "use_text": model.use_text,
             "use_network": model.use_network,
             "influence_citations": model.influence_citations,
@@ -303,13 +304,10 @@ def _model_payloads(model: NPRecModel) -> dict[str, staging.Payload]:
         static["content_data"] = content.data
         static["content_indices"] = content.indices
         static["content_indptr"] = content.indptr
-    fields, meta = model.extra_state()
     return {
         "model/weights.npz": staging.npz_payload(model.state_dict()),
         "model/static.npz": staging.npz_payload(static),
-        "model/fields.npz": staging.npz_payload(fields),
-        "model/field_rng.json": staging.json_payload(
-            {"state": meta["field_rng"]}),
+        "model/neighbours.npz": staging.npz_payload(model._tables),
     }
 
 
@@ -346,8 +344,8 @@ def load_pipeline(directory: str | os.PathLike) -> NPRecRecommender:
     Verifies the manifest (schema version + per-file SHA-256) before
     touching any payload, then reconstructs the recommender exactly:
     ``rank()`` on the returned object is bit-identical to the original,
-    and the field-sampler RNG resumes mid-stream so even papers first
-    ranked *after* the round trip sample identical receptive fields.
+    and papers ingested after the round trip draw the neighbour-table
+    rows the original would.
 
     Raises
     ------
@@ -595,17 +593,20 @@ def _load_model(graph: HeterogeneousGraph, arch: dict,
             raise ArtifactError(
                 "content model without persisted content arrays") from None
 
-    # The content store is passed as persisted: the constructor takes it
-    # as it is, with no dense detour and no re-normalisation.
+    # The content store and the neighbour tables are passed as persisted:
+    # the constructor takes them as they are, with no dense detour, no
+    # re-normalisation and no draw.
     model = NPRecModel(
         graph, text_vectors, dim=int(arch["dim"]),
         neighbor_k=int(arch["neighbor_k"]), depth=int(arch["depth"]),
         use_text=bool(arch["use_text"]), use_network=bool(arch["use_network"]),
         influence_citations=bool(arch["influence_citations"]),
-        content_vectors=content, seed=0)
+        content_vectors=content, seed=0,
+        neighbour_tables=_load_npz(root / "neighbours.npz"))
     # Overwrite every other derived array with the exact persisted bytes:
     # the constructor re-draws init weights, which is not guaranteed
     # bit-stable across numpy builds.
+    model.table_seed = int(arch["table_seed"])
     model.block_gates = [float(g) for g in arch["block_gates"]]
     model.content_gate = float(arch["content_gate"])
     model.content_trained_gate = float(arch["content_trained_gate"])
@@ -613,10 +614,6 @@ def _load_model(graph: HeterogeneousGraph, arch: dict,
     if text_matrix is not None:
         model._text_matrix = text_matrix
     model.load_state_dict(_load_npz(root / "weights.npz"))
-
-    model.load_extra_state(
-        _load_npz(root / "fields.npz"),
-        {"field_rng": _read_json(root / "field_rng.json")["state"]})
     return model
 
 

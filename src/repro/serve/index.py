@@ -542,9 +542,9 @@ class ServingIndex:
         checksummed record to *wal* — fsync'd **before** the mutation is
         applied or acknowledged — so a restarted process can call
         ``attach_wal`` on the same log file and reproduce the
-        never-crashed process' pool bit for bit (the artifact persists
-        the field-sampler RNG state, and replay drives the exact same
-        ingestion call sequence).
+        never-crashed process' pool bit for bit: replay drives the same
+        ingests in order, and a row depends only on the fixed neighbour
+        tables, not on which users registered or which queries ran.
 
         Recovery drops torn-tail records (see
         :meth:`repro.serve.wal.WriteAheadLog.recover`); replay applies

@@ -16,8 +16,9 @@ closes that hole with the classic recipe:
 * **ordered replay** — :meth:`ServingIndex.attach_wal` replays the
   recovered records through the normal ingestion path in append order,
   so a restarted process reproduces the never-crashed process' pool
-  (and, because the artifact persists the field-sampler RNG state,
-  reproduces its ``top_k`` bit for bit);
+  (and, because a receptive field is a gather over fixed neighbour
+  tables, its ``top_k`` bit for bit, whatever registrations and queries
+  ran in between);
 * **compaction** — :meth:`ServingIndex.compact` re-saves the artifact
   (baking the WAL-covered mutations into the durable model + a
   ``pool/pool.json`` snapshot of the serving pool) and truncates the

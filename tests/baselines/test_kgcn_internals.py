@@ -37,11 +37,17 @@ class TestKGCNNet:
         logits = net(np.zeros(6, dtype=int), paper_idx)
         assert logits.shape == (6,)
 
-    def test_receptive_fields_cached(self, setup):
+    def test_receptive_fields_cached(self, setup, monkeypatch):
+        # Every field is one row of the table drawn at construction (the
+        # all-relations view), so vectors depend on no call order.
         net, paper_idx = setup
-        first = net._neighbours(int(paper_idx[0]))
-        second = net._neighbours(int(paper_idx[0]))
-        np.testing.assert_array_equal(first, second)
+        assert net._table.shape == (net.graph.num_entities, 4)
+        assert all(set(row.tolist()) <= set(net.graph.all_neighbors(i) or [i])
+                   for i, row in enumerate(net._table))
+        first = net.item_vectors(paper_idx).data
+        monkeypatch.setattr("repro.baselines.graph_rec.neighbour_table",
+                            lambda *args: pytest.fail("drew a table"))
+        np.testing.assert_array_equal(net.item_vectors(paper_idx).data, first)
 
     def test_different_users_different_scores(self, setup):
         net, paper_idx = setup

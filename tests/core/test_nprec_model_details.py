@@ -8,7 +8,8 @@ import pytest
 from repro.core.nprec import NPRecModel
 from repro.core.nprec.model import ContentRows
 from repro.data import load_acm
-from repro.graph import attach_paper_to_network, build_academic_network
+from repro.graph import (HeterogeneousGraph, attach_paper_to_network,
+                         build_academic_network, neighbour_table)
 from repro.nn import Tensor, gcn_aggregate, no_grad, softmax
 
 
@@ -93,42 +94,118 @@ class TestFieldMatrix:
         again = warm.interest_vectors(ids).data
         assert np.array_equal(baseline, again)
 
-    def test_fields_sampled_once_in_first_visit_order(self, graph_and_text):
+    @pytest.mark.parametrize("view", ["interest", "influence"])
+    def test_subset_rows_equal_full_draw(self, graph_and_text, view):
         graph, text, _, train, _ = graph_and_text
         model = NPRecModel(graph, text, dim=8, neighbor_k=3, depth=2, seed=0)
-        a, b, c = (graph.index_of("paper", p.id) for p in train[:3])
-        rows = model._fields(np.asarray([b, a, b]), "interest")
-        assert rows.shape == (3, 1 + 3 + 9)
-        assert np.array_equal(rows[:, 0], [b, a, b])
-        assert np.array_equal(rows[0], rows[2])
-        # b was drawn first, then a: the sampler's order is the batch's.
-        fresh = NPRecModel(graph, text, dim=8, neighbor_k=3, depth=2, seed=0)
-        fresh._fields(np.asarray([b]), "interest")
-        assert np.array_equal(fresh._fields(np.asarray([a]), "interest")[0],
-                              rows[1])
-        again = model._fields(np.asarray([c, a]), "interest")
-        assert np.array_equal(again[1], rows[1])
-        arrays, _ = model.extra_state()
-        assert np.array_equal(arrays["interest_nodes"], sorted([a, b, c]))
-        assert arrays["influence_nodes"].size == 0
-        assert arrays["interest_hop2"].shape == (3, 9)
-        assert arrays["influence_hop2"].shape == (0, 9)
+        table = model._tables[view]
+        assert table.shape == (graph.num_entities, 3)
+        subset = np.asarray([graph.index_of("paper", p.id)
+                             for p in train[:7]][::-1] + [0, 5])
+        assert np.array_equal(model._draw_rows(view, subset), table[subset])
 
-    def test_extra_state_round_trip(self, graph_and_text):
-        graph, text, _, train, _ = graph_and_text
-        ids = [p.id for p in train[:5]]
-        model = NPRecModel(graph, text, dim=8, neighbor_k=3, depth=2, seed=1)
-        model.score_pairs(ids, ids[::-1])
-        arrays, meta = model.extra_state()
-        other = NPRecModel(graph, text, dim=8, neighbor_k=3, depth=2, seed=9)
-        other.load_state_dict(model.state_dict())
-        other.load_extra_state(arrays, meta)
+    @pytest.mark.parametrize("citations", [False, True])
+    def test_rows_lie_within_view_neighbours(self, graph_and_text, citations):
+        graph, text, _, _, _ = graph_and_text
+        model = NPRecModel(graph, text, dim=8, neighbor_k=4, depth=2,
+                           influence_citations=citations, seed=3)
+        views = {"interest": graph.interest_neighbors,
+                 "influence": (graph.influence_neighbors if citations
+                               else graph.two_way_neighbors)}
+        for view, neighbours_of in views.items():
+            for index, row in enumerate(model._tables[view]):
+                neighbours = neighbours_of(index)
+                assert set(row.tolist()) <= set(neighbours or [index])
+
+    def test_rows_without_replacement_when_degree_reaches_k(
+            self, graph_and_text):
+        graph, text, _, _, _ = graph_and_text
+        model = NPRecModel(graph, text, dim=8, neighbor_k=4, depth=2, seed=0)
+        checked = 0
+        for index, row in enumerate(model._tables["interest"]):
+            neighbours = graph.interest_neighbors(index)
+            if len(neighbours) >= 4:
+                for entity in set(row.tolist()):
+                    assert (row.tolist().count(entity)
+                            <= neighbours.count(entity))
+                checked += 1
+        assert checked > 100
+
+    def test_isolated_entity_row_is_itself(self):
+        lonely = HeterogeneousGraph()
+        lonely.add_entity("paper", "alone")
+        model = NPRecModel(lonely, {"alone": np.ones(10)}, dim=8,
+                           neighbor_k=3, depth=2, seed=0)
         for view in ("interest", "influence"):
-            assert np.array_equal(other._field_matrix[view],
-                                  model._field_matrix[view])
-        more = [p.id for p in train[5:9]]
-        assert np.array_equal(other.score_pairs(more, ids[:4]).data,
-                              model.score_pairs(more, ids[:4]).data)
+            assert model._tables[view].tolist() == [[0, 0, 0]]
+            assert np.all(model._fields(np.asarray([0]), view) == 0)
+
+    def test_attach_draws_rows_from_the_same_function(self):
+        corpus = load_acm(scale=0.2, seed=50)
+        train, new = corpus.split_by_year(2014)
+        graph = build_academic_network(
+            corpus, papers=train, citation_whitelist={p.id for p in train})
+        text = {p.id: np.full(10, 0.1) for p in train + new}
+        model = NPRecModel(graph, text, dim=8, neighbor_k=3, depth=2, seed=6)
+        before = dict(model._tables)
+        copies = {view: table.copy() for view, table in before.items()}
+        buffers = []
+        for paper in new[:3]:
+            old_n = graph.num_entities
+            index = attach_paper_to_network(graph, paper)
+            model.attach_paper(index, text_vector=text[paper.id])
+            fresh = np.arange(old_n, graph.num_entities)
+            for view, graph_view in (("interest", "interest"),
+                                     ("influence", "two_way")):
+                assert np.array_equal(
+                    model._tables[view][fresh],
+                    neighbour_table(graph, 3, graph_view, model.table_seed,
+                                    fresh))
+            buffers.append(model._tables["interest"].base)
+        n = graph.num_entities
+        for view, table in copies.items():
+            assert model._tables[view].shape == (n, 3)
+            # Rows drawn at fit time stay, and a reader of the old array
+            # sees it unchanged.
+            assert np.array_equal(model._tables[view][:table.shape[0]], table)
+            assert np.array_equal(before[view], table)
+        # Capacity doubling: one buffer serves every later attach.
+        assert buffers[0] is buffers[1] is buffers[2]
+        assert model.embeddings.weight.data.shape == (n, 8)
+        assert model._nonpaper_mask.shape == (n,)
+        assert model._text_matrix.shape == (n, 10)
+
+    def test_reverse_registration_order_is_bit_identical(self,
+                                                         graph_and_text):
+        # 20 users' interest rows, computed in order on one model and in
+        # reverse order on another: a row depends on its own fields only.
+        graph, text, content, train, _ = graph_and_text
+        users = [[p.id for p in train[3 * u:3 * u + 4]] for u in range(20)]
+        forward, backward = (NPRecModel(graph, text, dim=8, neighbor_k=4,
+                                        depth=2, content_vectors=content,
+                                        seed=11) for _ in range(2))
+        with no_grad():
+            rows = [forward.interest_vectors(ids).data for ids in users]
+            reversed_rows = [backward.interest_vectors(ids).data
+                             for ids in users[::-1]][::-1]
+        for got, want in zip(reversed_rows, rows):
+            assert got.tobytes() == want.tobytes()
+
+    def test_loaded_tables_are_used_as_given(self, graph_and_text,
+                                             monkeypatch):
+        graph, text, _, train, _ = graph_and_text
+        model = NPRecModel(graph, text, dim=8, neighbor_k=3, depth=2, seed=4)
+        monkeypatch.setattr("repro.core.nprec.model.neighbour_table",
+                            lambda *args: pytest.fail("drew a table"))
+        loaded = NPRecModel(graph, text, dim=8, neighbor_k=3, depth=2,
+                            seed=0, neighbour_tables=model._tables)
+        loaded.load_state_dict(model.state_dict())
+        ids = [p.id for p in train[:5]]
+        assert np.array_equal(loaded.score_pairs(ids, ids[::-1]).data,
+                              model.score_pairs(ids, ids[::-1]).data)
+        with pytest.raises(ValueError, match="neighbour tables do not match"):
+            NPRecModel(graph, text, dim=8, neighbor_k=4, depth=2, seed=0,
+                       neighbour_tables=model._tables)
 
 
 def _forward_backward(model, fn, *args):

@@ -11,8 +11,8 @@ from repro.graph import (
     EntityKey,
     HeterogeneousGraph,
     build_academic_network,
-    sample_multi_hop,
-    sample_neighbors,
+    neighbour_table,
+    receptive_fields,
 )
 
 
@@ -135,46 +135,51 @@ class TestSampling:
     def test_fixed_size_with_replacement(self):
         g = small_graph()
         p1 = g.index_of("paper", "p1")
-        sampled = sample_neighbors(g, p1, k=8, view="all", rng=0)
-        assert sampled.shape == (8,)  # only 4 distinct neighbours -> replacement
+        row = neighbour_table(g, 8, "all", seed=0, entities=[p1])[0]
+        assert row.shape == (8,)  # only 4 distinct neighbours -> replacement
+        assert set(row.tolist()) <= set(g.all_neighbors(p1))
 
     def test_isolated_node_empty(self):
+        # An entity without neighbours fills its row with itself.
         g = HeterogeneousGraph()
         g.add_entity("paper", "alone")
-        assert sample_neighbors(g, 0, k=4, rng=0).size == 0
+        assert neighbour_table(g, 4, "all", seed=0).tolist() == [[0] * 4]
 
     def test_views_differ(self):
         g = small_graph()
         p1 = g.index_of("paper", "p1")
         p2 = g.index_of("paper", "p2")
         p3 = g.index_of("paper", "p3")
-        interest = set(sample_neighbors(g, p1, k=20, view="interest", rng=0).tolist())
-        influence = set(sample_neighbors(g, p1, k=20, view="influence", rng=0).tolist())
+        interest = set(neighbour_table(g, 20, "interest", 0, [p1])[0].tolist())
+        influence = set(neighbour_table(g, 20, "influence", 0, [p1])[0].tolist())
         assert p2 in interest and p2 not in influence
         assert p3 in influence and p3 not in interest
 
     def test_invalid_view(self):
         g = small_graph()
         with pytest.raises(ValueError):
-            sample_neighbors(g, 0, k=2, view="sideways")
+            neighbour_table(g, 2, "sideways", seed=0)
 
     def test_multi_hop_shapes(self):
         g = small_graph()
         p1 = g.index_of("paper", "p1")
-        layers = sample_multi_hop(g, p1, k=3, hops=2, rng=0)
-        assert len(layers) == 3
-        assert layers[0].shape == (1,)
-        assert layers[1].shape == (3,)
-        assert layers[2].shape == (9,)
+        table = neighbour_table(g, 3, "all", seed=0)
+        fields = receptive_fields(table, [p1], hops=2)
+        assert fields.shape == (1, 1 + 3 + 9)
+        assert fields[0, 0] == p1
+        assert np.array_equal(fields[0, 1:4], table[p1])
+        # Hop 2 is the rows of hop 1's entities, in order.
+        assert np.array_equal(fields[0, 4:], table[table[p1]].reshape(-1))
 
     def test_multi_hop_isolated_self_fills(self):
         g = HeterogeneousGraph()
         g.add_entity("paper", "alone")
-        layers = sample_multi_hop(g, 0, k=2, hops=2, rng=0)
-        assert np.all(layers[1] == 0)
+        table = neighbour_table(g, 2, "all", seed=0)
+        assert np.all(receptive_fields(table, [0], hops=2) == 0)
 
     def test_deterministic_with_seed(self):
         g = small_graph()
-        a = sample_neighbors(g, 0, k=5, rng=42)
-        b = sample_neighbors(g, 0, k=5, rng=42)
+        a = neighbour_table(g, 5, "all", seed=42)
+        b = neighbour_table(g, 5, "all", seed=42)
         np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, neighbour_table(g, 5, "all", seed=43))

@@ -1,10 +1,8 @@
 """Shared serving fixtures: one fitted pipeline + one saved artifact.
 
 Fitting NPRec is the expensive part, so it happens once per session. The
-artifact fixture also captures the original recommender's rankings
-*immediately after saving* — the field-sampler RNG is persisted
-mid-stream, so round-trip comparisons must replay the exact same query
-sequence the original saw after the save.
+artifact fixture also captures the original recommender's rankings right
+after saving, for the round-trip comparisons.
 """
 
 import pytest

@@ -32,14 +32,13 @@ def _copy(artifact_dir, tmp_path):
 
 class TestRoundTrip:
     def test_rank_is_bit_identical(self, artifact):
-        # The loaded copy must replay the same query sequence the
-        # original ran after saving (field sampling advances a persisted
-        # RNG mid-stream).
+        # In the reverse of the original's query order: a ranking reads
+        # the stored neighbour tables, so order does not matter.
         directory, baseline = artifact
         reloaded = load_pipeline(directory)
         user = baseline["user"]
-        head = reloaded.rank(list(user.train_papers), user.candidate_set(20))
         full = reloaded.rank(list(user.train_papers), list(user.candidates))
+        head = reloaded.rank(list(user.train_papers), user.candidate_set(20))
         assert head == baseline["head"]
         assert full == baseline["full"]
 
@@ -66,6 +65,10 @@ class TestRoundTrip:
         assert reloaded.model.graph.to_payload() == \
             original.model.graph.to_payload()
         assert reloaded.model.block_gates == original.model.block_gates
+        assert reloaded.model.table_seed == original.model.table_seed
+        for view, table in reloaded.model._tables.items():
+            assert np.array_equal(
+                table, original.model._tables[view][:len(table)]), view
         assert reloaded.config == original.config
         assert sorted(reloaded._train_by_id) == sorted(original._train_by_id)
 
@@ -125,14 +128,20 @@ class TestFailureModes:
     def test_v3_artifact_is_refused(self, artifact, tmp_path):
         # v4 dropped the novelty payload and its config field: a v3
         # directory must be re-saved, never half-read.
-        assert SCHEMA_VERSION == 5
+        assert SCHEMA_VERSION == 6
         self._assert_refused(artifact, tmp_path, 3)
 
     def test_v4_artifact_is_refused(self, artifact, tmp_path):
         # v5 stores the TF-IDF vocabulary instead of refitting it: a v4
         # directory has none to load.
-        assert SCHEMA_VERSION == 5
+        assert SCHEMA_VERSION == 6
         self._assert_refused(artifact, tmp_path, 4)
+
+    def test_v5_artifact_is_refused(self, artifact, tmp_path):
+        # v6 stores the neighbour tables instead of the lazily sampled
+        # fields and their sampler state: a v5 directory has no tables.
+        assert SCHEMA_VERSION == 6
+        self._assert_refused(artifact, tmp_path, 5)
 
     def test_schema_error_is_artifact_error(self):
         # Callers catching the broad class also see version mismatches.

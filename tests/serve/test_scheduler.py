@@ -13,14 +13,11 @@ replay every response against a fresh replica index driven to the same
 pool version, proving no request was dropped, torn, or answered from a
 state that never existed.
 
-Determinism note: the model samples receptive fields lazily on first
-touch, from one shared RNG. The serial-oracle pass runs *first* (fixed
-sampling order), the cache is invalidated, and only then does the
-concurrent run start — recomputation of already-sampled state is pure,
-so batched answers must land on identical bits. The stress tests only
-query registered users (profiles precomputed at registration) and
-fully-unknown probes (degraded, no sampling), so ingest commits remain
-the only field draws and happen in mutator order under the lock.
+Determinism note: a receptive field is a gather over the model's fixed
+neighbour tables, so recomputing any row is pure and batched answers
+must land on identical bits whatever ran before. Ingest commits are the
+only table draws (the new entities' rows) and happen in mutator order
+under the lock.
 """
 
 import dataclasses

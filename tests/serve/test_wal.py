@@ -8,10 +8,10 @@ retrieval strategies (exact and IVF), for torn tails (a record cut
 mid-byte), and across compaction, rather than assuming the replay path
 and the live path stay in sync.
 
-Operation order matters in these tests: the artifact persists the
-field-sampler RNG state, so the oracle and the recovered run must issue
-the *same ingestion sequence* after loading — queries happen only after
-all ingests, identically in both runs.
+The oracle and the recovered run need not share a call sequence:
+receptive fields are gathers over the model's fixed neighbour tables, so
+registering a user or answering an ad-hoc query draws nothing, and the
+oracle may do either anywhere among its ingests.
 """
 
 import dataclasses
@@ -23,7 +23,7 @@ import pytest
 from repro import obs
 from repro.errors import InjectedFault, WALError
 from repro.resilience import faults
-from repro.serve import ServingIndex, WriteAheadLog
+from repro.serve import ServingIndex, WriteAheadLog, save_ann_index
 from repro.serve.wal import WALRecord
 
 
@@ -133,24 +133,54 @@ class TestWALFile:
 # ----------------------------------------------------------------------
 # Crash-recovery equivalence (the acceptance bar)
 # ----------------------------------------------------------------------
+#: Where the never-crashed oracle registers the user among its five
+#: ingests (``after`` all of them, ``before`` any, ``between`` the second
+#: and third), or ``query``: an ad-hoc profile query after the second
+#: ingest, then registration after the last.
+_CALL_ORDERS = [pytest.param(crash_after, order, id=f"{crash_after}{tag}")
+                for order, tag in [("after", ""), ("before", "-before"),
+                                   ("between", "-between"),
+                                   ("query", "-query")]
+                for crash_after in (1, 3)]
+
+
 class TestCrashRecovery:
     @pytest.mark.parametrize("strategy", ["exact", "ivf"])
-    @pytest.mark.parametrize("crash_after", [1, 3])
+    @pytest.mark.parametrize("crash_after,order", _CALL_ORDERS)
     def test_replay_is_bit_identical_to_never_crashing(
-            self, artifact, serve_task, tmp_path, strategy, crash_after):
+            self, artifact, serve_task, tmp_path, strategy, crash_after,
+            order):
         directory, _ = artifact
         fresh = _fresh_papers(serve_task, 5, f"{strategy}-{crash_after}")
         user = serve_task.users[0]
+        held = {p.id for p in user.train_papers}
+        ad_hoc = [p for p in serve_task.train_papers if p.id not in held][:5]
         kwargs = dict(papers=list(serve_task.new_papers), index=strategy)
+        if strategy == "ivf" and order == "query":
+            # Both processes adopt a persisted quantizer, as the daemon's
+            # do after warmup: without one, the first query fits it over
+            # the pool of that moment, so a query before the last ingest
+            # clusters a smaller pool than the restart does.
+            directory = tmp_path / "with-quantizer"
+            shutil.copytree(artifact[0], directory)
+            base = ServingIndex.from_artifact(directory, **kwargs)
+            save_ann_index(directory, base.build_ann_index(), base.paper_ids)
 
         # Oracle: the process that never crashed.
         oracle = ServingIndex.from_artifact(directory, **kwargs)
-        for paper in fresh:
-            oracle.add_paper(paper)
-        oracle.register_user(user.author_id, list(user.train_papers))
-        # One cold batch query: cache hits would return ids without the
-        # score vector, and the bar here is ids *and* score bits.
-        want = oracle.batch_top_k([(user.author_id, 10)])[0]
+        register = {"after": 5, "before": 0, "between": 2, "query": 5}[order]
+        for i, paper in enumerate(fresh + [None]):
+            if i == register:
+                oracle.register_user(user.author_id, list(user.train_papers))
+            if order == "query" and i == 2:
+                oracle.top_k(ad_hoc, k=5)
+            if paper is not None:
+                oracle.add_paper(paper)
+        # One cold batch query over the whole pool: cache hits would
+        # return ids without the score vector, and the bar here is every
+        # row's id *and* score bits.
+        k = oracle.num_papers
+        want = oracle.batch_top_k([(user.author_id, k)])[0]
         want_ids, want_bits = want.ids, want.scores.tobytes()
 
         # Durable run: crash after `crash_after` acknowledged ingests...
@@ -169,7 +199,7 @@ class TestCrashRecovery:
         for paper in fresh[crash_after:]:
             recovered.add_paper(paper)
         recovered.register_user(user.author_id, list(user.train_papers))
-        got = recovered.batch_top_k([(user.author_id, 10)])[0]
+        got = recovered.batch_top_k([(user.author_id, k)])[0]
         assert got.ids == want_ids
         assert got.scores.tobytes() == want_bits
 
