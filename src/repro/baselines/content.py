@@ -96,11 +96,11 @@ class TfIdfIndex:
         if self.vocabulary_ is None or self.idf_ is None:
             raise RuntimeError("TfIdfIndex.fit must be called first")
         vector = np.zeros(self.dim)
-        counts = Counter(self.vocabulary_.encode(self._tokens(paper)))
-        counts.pop(0, None)  # drop <unk>
-        for idx, count in counts.items():
-            if idx < self.dim:
-                vector[idx] = (1.0 + np.log(count)) * self.idf_[idx]
+        ids = np.asarray(self.vocabulary_.encode(self._tokens(paper)),
+                         dtype=np.int64)
+        ids = ids[(ids > 0) & (ids < self.dim)]  # drop <unk> and the cap
+        idx, counts = np.unique(ids, return_counts=True)
+        vector[idx] = (1.0 + np.log(counts)) * self.idf_[idx]
         norm = np.linalg.norm(vector)
         if norm > 0:
             vector /= norm

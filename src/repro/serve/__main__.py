@@ -105,8 +105,10 @@ def _add_scheduler_args(parser: argparse.ArgumentParser,
                         help="requests per batch flush (a full batch "
                              "flushes immediately)")
     parser.add_argument("--max-wait-ms", type=float, default=2.0,
-                        help="max milliseconds a lone request waits for "
-                             "batch co-riders before flushing")
+                        help="max milliseconds a request queued behind "
+                             "a running batch waits for co-riders before "
+                             "flushing; a request arriving idle flushes "
+                             "at once")
     parser.add_argument("--queue-depth", type=int, default=64,
                         help="admission-queue bound; overflow sheds to "
                              "the TF-IDF degraded path")

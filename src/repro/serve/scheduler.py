@@ -5,11 +5,16 @@ one, so concurrent callers each pay their own pass over the pool.
 :class:`BatchScheduler` coalesces concurrent queries into single
 batched matrix passes on the rank hot path (the ``BatchPairScorer``
 pattern applied to serving): requests admit into a bounded queue, a
-background flusher drains them in batches of up to ``max_batch`` —
-flushing early the moment a batch fills, and no later than
-``max_wait_ms`` after the oldest request arrived — and each batch runs
-through :meth:`ServingIndex.batch_top_k`, which releases the serving
-lock during the pure-numpy scoring phase. Batched answers are
+background flusher drains them in batches of up to ``max_batch``, and
+each batch runs through :meth:`ServingIndex.batch_top_k`, which
+releases the serving lock during the pure-numpy scoring phase.
+
+The flush rule is work-conserving. A request admitted while no batch
+is queued or in flight is due at once: nothing is running that
+co-riders could pile up behind, so lingering would only add latency.
+Requests that queue behind a running batch flush when ``max_batch`` of
+them are queued, or once the oldest has waited ``max_wait_ms``; this
+is where batches form under load. Batched answers are
 bit-identical to serial execution (ids *and* scores); the equivalence
 suite in ``tests/serve/test_scheduler.py`` proves it rather than
 assuming it.
@@ -31,8 +36,9 @@ Every shed is counted (``serve.shed{reason=...}``) and logged as an
 ``obs.event`` carrying the request's trace id; each flush is a
 ``serve.batch.flush`` span carrying the batch ``size`` and ``wait_max``,
 the oldest request's queue wait in seconds. ``health()``
-reports the attached scheduler's queue depth, in-flight batches, and
-shed rate, and turns unhealthy when the queue saturates.
+reports the attached scheduler's queue depth, in-flight batches,
+lingered batches and shed rate, and turns unhealthy when the queue
+saturates.
 
 Deterministic testing: pass ``start=False`` plus a manually advanced
 ``clock`` callable and drive flushes explicitly with
@@ -191,8 +197,10 @@ class BatchScheduler:
     max_batch:
         Requests per flush; a batch this full flushes immediately.
     max_wait_ms:
-        Ceiling on how long an admitted request waits for co-riders: a
-        lone request flushes once it has waited this long.
+        Ceiling on how long a request that queued behind a running
+        batch waits for co-riders: its batch flushes once the oldest
+        request has waited this long. A request admitted while no
+        batch is queued or in flight does not wait at all.
     queue_depth:
         Bound on admitted-but-unflushed requests; overflow sheds to the
         TF-IDF degraded path (``reason="queue_full"``).
@@ -233,8 +241,12 @@ class BatchScheduler:
         self._stopping = False
         self._quiesced = False
         self._in_flight = 0
+        #: True while the queue's head was admitted to an idle scheduler
+        #: (nothing queued, no batch in flight): its batch is due now.
+        self._idle_head = False
         self._submitted = 0
         self._batches = 0
+        self._lingered = 0
         self._fast_hits = 0
         self._shed_count = 0
         self._shed_by_reason: dict[str, int] = {}
@@ -286,8 +298,14 @@ class BatchScheduler:
                 raise RuntimeError("scheduler is closed")
             if len(self._queue) < self.queue_depth:
                 ticket = Ticket(user, k, self._clock())
+                # Bare int read: a batch taken off the queue is counted
+                # under this lock; one ending late only makes it linger.
+                if not self._queue and self._in_flight == 0:
+                    self._idle_head = True
                 self._queue.append(ticket)
-                self._cv.notify()
+                # All waiters: a submit parked by an earlier quiesce
+                # may be waiting too, and the flusher must not miss it.
+                self._cv.notify_all()
                 return ticket
         # Shed outside the condition lock: the TF-IDF fallback rank is
         # real work and must not block admissions or the flusher.
@@ -339,7 +357,11 @@ class BatchScheduler:
     def _wait_for_batch(self) -> "list[Ticket] | None":
         with self._cv:
             while self._queue or not self._stopping:
-                wait = self._due_in_locked() if self._queue else 0.05
+                if not self._queue:
+                    # Idle: submit, close and quiesce all notify.
+                    self._cv.wait()
+                    continue
+                wait = self._due_in_locked()
                 if wait <= 0:
                     return self._take_locked()
                 self._cv.wait(timeout=max(wait, 1e-4))
@@ -347,9 +369,10 @@ class BatchScheduler:
 
     def _due_in_locked(self) -> float:
         """Seconds until the queue's batch is due (<= 0: flush now): when
-        full, stopping, quiesced, or its oldest request waited max_wait."""
-        if (len(self._queue) >= self.max_batch or self._stopping
-                or self._quiesced):
+        its head arrived idle, or it is full, stopping or quiesced, or its
+        oldest request waited max_wait."""
+        if (self._idle_head or len(self._queue) >= self.max_batch
+                or self._stopping or self._quiesced):
             return 0.0
         return self.max_wait - (self._clock() - self._queue[0].enqueued)
 
@@ -364,16 +387,22 @@ class BatchScheduler:
             # queue and _execute starting on it.
             with self._stats_lock:
                 self._in_flight += 1
+                if not self._idle_head:
+                    self._lingered += 1
+            # Requests left in the queue now wait behind this batch.
+            self._idle_head = False
         return batch
 
     def pump(self) -> int:
         """Manual-mode flush: run one due batch, return its size.
 
-        Takes a batch only when the flush policy says one is due — the
+        Takes a batch only when the flush policy says one is due — its
+        first request was admitted while the scheduler was idle, the
         queue holds ``max_batch`` requests, the oldest has waited
         ``max_wait_ms``, or the scheduler is draining — so tests on a
         manual clock exercise the real policy, not a test-only shortcut.
-        Returns 0 when nothing is due.
+        A pumped batch runs inline, so a pump that empties the queue
+        leaves the scheduler idle. Returns 0 when nothing is due.
         """
         with self._cv:
             if not self._queue or self._due_in_locked() > 0:
@@ -411,7 +440,12 @@ class BatchScheduler:
     # Introspection and lifecycle
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """JSON-ready scheduler state (feeds ``health()``)."""
+        """JSON-ready scheduler state (feeds ``health()``).
+
+        ``lingered_batches`` counts the batches that waited for
+        co-riders: those whose first request queued behind a running
+        batch rather than arriving idle.
+        """
         with self._cv:
             depth = len(self._queue)
         with self._stats_lock:
@@ -420,6 +454,7 @@ class BatchScheduler:
             by_reason = dict(self._shed_by_reason)
             in_flight = self._in_flight
             batches = self._batches
+            lingered = self._lingered
             fast_hits = self._fast_hits
         return {
             "queue_depth": depth,
@@ -427,6 +462,7 @@ class BatchScheduler:
             "in_flight": in_flight,
             "submitted": submitted,
             "batches": batches,
+            "lingered_batches": lingered,
             "cache_fast_hits": fast_hits,
             "shed": shed,
             "shed_by_reason": by_reason,

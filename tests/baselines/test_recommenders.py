@@ -1,5 +1,7 @@
 """Tests for the recommendation baselines (shared contract + specifics)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,27 @@ class TestContentIndex:
             for paper in papers + list(task.new_papers):
                 assert (got.transform(paper).tobytes()
                         == want.transform(paper).tobytes())
+
+    @pytest.mark.parametrize("width", [50, 4000])
+    def test_transform_matches_a_token_count_loop(self, task, width):
+        # The reference counts tokens one by one; transform counts them
+        # with np.unique. Same bits, including the capped vocabulary
+        # (width 50 drops in-vocabulary ids past the cap).
+        index = TfIdfIndex(max_features=width).fit(list(task.train_papers))
+
+        def reference(paper):
+            vector = np.zeros(index.dim)
+            counts = Counter(index.vocabulary_.encode(index._tokens(paper)))
+            counts.pop(0, None)
+            for idx, count in counts.items():
+                if idx < index.dim:
+                    vector[idx] = (1.0 + np.log(count)) * index.idf_[idx]
+            norm = np.linalg.norm(vector)
+            return vector / norm if norm > 0 else vector
+
+        for paper in list(task.train_papers) + list(task.new_papers):
+            assert (index.transform(paper).tobytes()
+                    == reference(paper).tobytes())
 
     def test_from_terms_validation(self):
         with pytest.raises(ValueError, match="terms but idf"):

@@ -170,6 +170,59 @@ class TestBatchedEqualsSerial:
         assert stats["shed"] == 0
         assert stats["queue_depth"] == 0
 
+    @pytest.mark.parametrize("kind", ["exact", "ivf"])
+    def test_burst_behind_a_running_batch_still_batches(self, artifact,
+                                                        serve_task, kind):
+        # A request admitted idle flushes at once; a burst that arrives
+        # while its batch runs queues behind it and rides one batch.
+        pool = list(serve_task.new_papers)
+        index = _build_index(artifact, pool, kind)
+        requests = [(user, k) for user in _register(index, serve_task)
+                    for k in (3, 10)]
+        oracle = {request: _oracle(index, *request) for request in requests}
+        index.invalidate()
+        started, release = threading.Event(), threading.Event()
+
+        def held(batch):
+            started.set()
+            release.wait(30)
+            return ServingIndex.batch_top_k(index, batch)
+
+        index.batch_top_k = held
+        scheduler = BatchScheduler(index, max_batch=len(requests) - 1,
+                                   max_wait_ms=1000.0,
+                                   governor=SheddingGovernor(threshold=100.0))
+        try:
+            first = scheduler.submit(*requests[0])
+            assert started.wait(30)           # flushed without lingering
+            del index.batch_top_k
+            burst = [None] * (len(requests) - 1)
+
+            def submit(i):
+                burst[i] = scheduler.submit(*requests[i + 1])
+
+            threads = [threading.Thread(target=submit, args=(i,))
+                       for i in range(len(burst))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            release.set()
+            tickets = [first] + burst
+            for ticket in tickets:
+                ticket.result(timeout=60)
+            stats = scheduler.stats()
+        finally:
+            release.set()
+            scheduler.close()
+        # The burst filled max_batch behind the running batch: two
+        # flushes for eight requests, the second one lingered.
+        assert stats["batches"] == 2 and stats["lingered_batches"] == 1
+        for request, ticket in zip(requests, tickets):
+            ids, scores = oracle[request]
+            assert ticket.cache == "miss" and ticket.ids == ids
+            assert np.array_equal(np.asarray(ticket.scores), scores)
+
     def test_batch_of_duplicates_dedups_but_answers_all(self, artifact,
                                                         serve_task):
         pool = list(serve_task.new_papers)

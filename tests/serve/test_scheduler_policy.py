@@ -4,12 +4,15 @@ These tests run the scheduler in manual mode (``start=False`` + explicit
 :meth:`BatchScheduler.pump`) against a cheap degraded index, with a
 :class:`FakeClock` shared between the scheduler and its governor — the
 flush and shedding decisions become pure functions of the clock, so the
-policy (lone request flushes at max-wait, full batch flushes
-immediately, queue overflow sheds with a traced event, SLO burn sheds
-and recovers) is asserted exactly, with no background thread and no
-real sleeps.
+policy (a request admitted idle flushes at once, one queued behind a
+running batch flushes at max-wait or when its batch fills, queue
+overflow sheds with a traced event, SLO burn sheds and recovers) is
+asserted exactly. A running batch is held mid-flush in a second thread
+(:func:`_batch_in_flight`); nothing else runs in the background.
 """
 
+import contextlib
+import sys
 import threading
 import time
 
@@ -48,28 +51,92 @@ def _manual(index, clock, **kwargs):
     return BatchScheduler(index, clock=clock, start=False, **kwargs)
 
 
+@contextlib.contextmanager
+def _batch_in_flight(scheduler, index, user, k=1):
+    """Run the body while a batch is in flight: one request admitted
+    idle is pumped in a second thread, its scoring held on an event
+    until the body exits. Requests the body admits queue behind it."""
+    started, release = threading.Event(), threading.Event()
+
+    def held(requests):
+        started.set()
+        release.wait(5)
+        return ServingIndex.batch_top_k(index, requests)
+
+    index.batch_top_k = held
+    ticket = scheduler.submit(user, k)
+    flusher = threading.Thread(target=scheduler.pump)
+    flusher.start()
+    try:
+        assert started.wait(5)
+        del index.batch_top_k                 # later batches run unheld
+        assert scheduler.stats()["in_flight"] == 1
+        yield
+    finally:
+        release.set()
+        flusher.join(5)
+    assert ticket.result(timeout=1).done
+
+
 class TestFlushPolicy:
-    def test_lone_request_flushes_at_max_wait(self, index, users):
+    def test_idle_lone_request_is_due_at_once(self, index, users):
         clock = FakeClock()
         scheduler = _manual(index, clock, max_batch=8, max_wait_ms=5.0)
         ticket = scheduler.submit(users[0], 5)
-        assert scheduler.pump() == 0          # not due yet
+        # Nothing queued or in flight when it arrived: no co-rider can
+        # be gathering behind a running batch, so it does not linger.
+        assert scheduler.pump() == 1
+        assert clock() == 0.0
+        assert ticket.result(timeout=1).ids == index.top_k(users[0], 5)
+        assert scheduler.stats()["lingered_batches"] == 0
+        scheduler.close()
+
+    def test_lone_request_flushes_at_max_wait(self, index, users):
+        clock = FakeClock()
+        scheduler = _manual(index, clock, max_batch=8, max_wait_ms=5.0)
+        with _batch_in_flight(scheduler, index, users[1]):
+            ticket = scheduler.submit(users[0], 5)
+            assert scheduler.pump() == 0      # not due yet
+        # The running batch finishing does not make it due either.
+        assert scheduler.pump() == 0
         clock.advance(0.004)
         assert scheduler.pump() == 0          # 4ms < max_wait
         clock.advance(0.001)
         assert scheduler.pump() == 1          # exactly max-wait-ms old
         assert ticket.result(timeout=1).ids == index.top_k(users[0], 5)
+        assert scheduler.stats()["lingered_batches"] == 1
         scheduler.close()
 
     def test_full_batch_flushes_immediately(self, index, users):
         clock = FakeClock()
         scheduler = _manual(index, clock, max_batch=3, max_wait_ms=1000.0)
-        tickets = [scheduler.submit(users[i % len(users)], 5 + i)
-                   for i in range(3)]
-        # No clock advance at all: the batch is full, so it is due now.
-        assert scheduler.pump() == 3
+        with _batch_in_flight(scheduler, index, users[0]):
+            tickets = [scheduler.submit(users[i % len(users)], 5 + i)
+                       for i in range(3)]
+            # No clock advance at all: the batch is full, so it is due
+            # now although it queued behind a running batch.
+            assert scheduler.pump() == 3
         for ticket in tickets:
             assert ticket.result(timeout=1).done
+        assert scheduler.stats()["lingered_batches"] == 1
+        scheduler.close()
+
+    def test_flush_that_empties_the_queue_returns_to_idle(self, index,
+                                                          users):
+        clock = FakeClock()
+        scheduler = _manual(index, clock, max_batch=8, max_wait_ms=5.0)
+        with _batch_in_flight(scheduler, index, users[1]):
+            scheduler.submit(users[0], 5)
+        clock.advance(0.005)
+        assert scheduler.pump() == 1          # the linger rule's flush
+        assert scheduler.stats()["in_flight"] == 0
+        # Queue empty, nothing in flight: the next request is due at
+        # once again, and does not count as lingered.
+        ticket = scheduler.submit(users[2], 5)
+        assert scheduler.pump() == 1
+        assert ticket.result(timeout=1).done
+        check = index.health(probe=False)["checks"]["scheduler"]
+        assert check["batches"] == 3 and check["lingered_batches"] == 1
         scheduler.close()
 
     def test_overflow_beyond_max_batch_stays_queued(self, index, users):
@@ -176,9 +243,7 @@ class TestShedding:
         assert not governor.burning()
         normal = scheduler.submit(users[0], 11)
         assert not normal.done and not normal.shed
-        clock.advance(0.006)  # past max-wait (0.005 exact can round under
-        # the threshold after the accumulated advances above)
-        assert scheduler.pump() == 1
+        assert scheduler.pump() == 1          # admitted idle: due at once
         assert normal.result(timeout=1).ids == index.top_k(users[0], 11)
         assert scheduler.stats()["shed_by_reason"] == {"slo_burn": 1}
         scheduler.close()
@@ -240,7 +305,8 @@ class TestLifecycle:
     def test_close_drains_pending_tickets(self, index, users):
         clock = FakeClock()
         scheduler = _manual(index, clock, max_batch=8, max_wait_ms=1000.0)
-        tickets = [scheduler.submit(users[i], 4) for i in range(3)]
+        with _batch_in_flight(scheduler, index, users[0]):
+            tickets = [scheduler.submit(users[i], 4) for i in range(3)]
         assert scheduler.pump() == 0          # nothing due...
         scheduler.close()                     # ...until close drains
         for ticket in tickets:
@@ -285,6 +351,56 @@ class TestLifecycle:
         assert isinstance(outcome[0], RuntimeError)
         assert "closed" in str(outcome[0])
 
+    def test_close_joins_promptly_after_an_idle_stretch(self, index,
+                                                       users):
+        scheduler = BatchScheduler(index, max_batch=8, max_wait_ms=2.0)
+        ticket = scheduler.submit(users[0], 5).result(timeout=5)
+        assert ticket.ids == index.top_k(users[0], 5)
+        time.sleep(0.2)                       # the flusher blocks, idle
+        started = time.monotonic()
+        scheduler.close()
+        assert time.monotonic() - started < 1.0
+        assert not scheduler._thread.is_alive()
+
+    def test_no_request_is_stranded_under_contention(self, index, users):
+        # The idle flusher waits with no timeout, so a lost wake-up
+        # would strand a queued request for good: many submitters, a
+        # short switch interval, and every ticket must still resolve.
+        scheduler = BatchScheduler(index, max_batch=4, max_wait_ms=1.0,
+                                   queue_depth=256,
+                                   governor=SheddingGovernor(threshold=100.0))
+        tickets, failures = [], []
+
+        def client(tid):
+            try:
+                for i in range(25):
+                    tickets.append(scheduler.submit(users[(tid + i) % 3],
+                                                    1 + (tid * 25 + i) % 40))
+                    if i % 5 == 0:
+                        time.sleep(0.001)     # idle gaps between bursts
+            except Exception as exc:  # pragma: no cover - diagnostics
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client, args=(tid,))
+                       for tid in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            for ticket in tickets:
+                ticket.result(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+            scheduler.close()
+        assert failures == [] and len(tickets) == 200
+        stats = scheduler.stats()
+        assert stats["queue_depth"] == 0 and stats["in_flight"] == 0
+        assert 0 <= stats["lingered_batches"] <= stats["batches"]
+
     def test_context_manager_and_validation(self, index, users):
         with BatchScheduler(index, max_batch=2, max_wait_ms=2.0) as scheduler:
             assert index.scheduler is scheduler
@@ -300,7 +416,8 @@ class TestQuiesce:
     def test_barrier_drains_queued_requests_first(self, index, users):
         clock = FakeClock()
         scheduler = _manual(index, clock, max_batch=8, max_wait_ms=1000.0)
-        tickets = [scheduler.submit(users[i], 4) for i in range(3)]
+        with _batch_in_flight(scheduler, index, users[0]):
+            tickets = [scheduler.submit(users[i], 4) for i in range(3)]
         assert scheduler.pump() == 0          # not due under normal policy
         with scheduler.quiesce(timeout=5):
             # Entering the barrier made the queue due and drained it
