@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from repro.graph.hetero import HeterogeneousGraph
 from repro.graph.sampling import neighbour_table, receptive_fields
@@ -35,6 +34,26 @@ from repro.nn.tensor import parameter
 from repro.utils.rng import as_generator
 
 _VIEWS = ("interest", "influence")
+
+
+def _sign_sketch(width: int, columns: int) -> np.ndarray:
+    """The fixed ``(width, columns)`` matrix of random signs that sketches
+    the lexical content rows into the ranking rows (see
+    :meth:`NPRecModel._paper_vectors`).
+
+    Entry ``(i, j)`` is the sign of one bit of the 64-bit finaliser of
+    MurmurHash3 applied to ``i * columns + j``: pure integer arithmetic,
+    so every numpy build, and every load of an artifact, computes the
+    same matrix without drawing or storing it.
+    """
+    x = np.arange(width * columns, dtype=np.uint64)
+    x ^= x >> np.uint64(33)
+    x *= np.uint64(0xFF51AFD7ED558CCD)
+    x ^= x >> np.uint64(33)
+    x *= np.uint64(0xC4CEB9FE1A85EC53)
+    x ^= x >> np.uint64(33)
+    signs = 1.0 - 2.0 * (x & np.uint64(1)).astype(np.float64)
+    return signs.reshape(width, columns)
 
 
 def _unit_row(vector: np.ndarray) -> np.ndarray:
@@ -70,14 +89,14 @@ def _append_rows(prefix: np.ndarray, tail: np.ndarray,
 
 
 class ContentRows:
-    """The static lexical-content block as a CSR row store.
+    """The static lexical-content rows as a CSR store.
 
     ``data``/``indices``/``indptr`` hold the non-zeros of an
     ``(n_rows, width)`` matrix row by row. Only paper rows can be non-zero
     and a TF-IDF row is sparse, so the dense block would be almost all
     zeros. Indexing with an int or an integer index array gathers the
     selected rows as a dense float64 array, equal to the same rows of the
-    dense matrix; :meth:`take` gathers them as a store.
+    dense matrix.
 
     Appends grow the store in place with capacity doubling: new entries
     are written past the filled prefix of spare buffers and the three
@@ -93,8 +112,6 @@ class ContentRows:
         self.width = int(width)
         #: Spare-capacity buffers behind the three arrays, once grown.
         self._spare: dict[str, np.ndarray] = {}
-        #: The scipy matrix over the three arrays (see csr).
-        self._csr: sparse.csr_matrix | None = None
 
     @classmethod
     def from_rows(cls, rows: Iterable[np.ndarray | None],
@@ -138,35 +155,13 @@ class ContentRows:
             nonzero = np.flatnonzero(row)
             columns.append(nonzero.astype(np.int32))
             values.append(row[nonzero])
-        self._extend(np.concatenate(values), np.concatenate(columns),
-                     np.cumsum([len(c) for c in columns[1:]], dtype=np.int64))
-
-    def extend(self, other: "ContentRows") -> None:
-        """Append the rows of *other*, a store of the same width."""
-        if other.width != self.width:
-            raise ValueError(f"content rows of width {other.width}, "
-                             f"expected {self.width}")
-        lo, hi = other.indptr[0], other.indptr[-1]
-        self._extend(other.data[lo:hi], other.indices[lo:hi],
-                     other.indptr[1:] - lo)
-
-    def _extend(self, values: np.ndarray, columns: np.ndarray,
-                ends: np.ndarray) -> None:
-        """Append rows given as their non-zeros and cumulative row ends."""
-        ends = self.indptr[-1] + ends
-        self.data = _append_rows(self.data, values, self._spare, "data")
-        self.indices = _append_rows(self.indices, columns, self._spare,
-                                    "indices")
+        ends = self.indptr[-1] + np.cumsum([len(c) for c in columns[1:]],
+                                           dtype=np.int64)
+        self.data = _append_rows(self.data, np.concatenate(values),
+                                 self._spare, "data")
+        self.indices = _append_rows(self.indices, np.concatenate(columns),
+                                    self._spare, "indices")
         self.indptr = _append_rows(self.indptr, ends, self._spare, "indptr")
-        self._csr = None
-
-    def csr(self) -> sparse.csr_matrix:
-        """The store as a scipy CSR matrix, built (and validated) once per
-        set of arrays: appends rebind the arrays and drop it."""
-        if self._csr is None:
-            self._csr = sparse.csr_matrix(
-                (self.data, self.indices, self.indptr), shape=self.shape)
-        return self._csr
 
     def snapshot(self) -> "ContentRows":
         """A store over the current arrays; later appends do not show in it."""
@@ -179,8 +174,9 @@ class ContentRows:
         return np.bincount(rows, weights=self.data * vector[self.indices],
                            minlength=len(counts))
 
-    def _gather(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(positions in data/indices, per-row counts) of rows *flat*."""
+    def __getitem__(self, index: int | np.ndarray) -> np.ndarray:
+        rows = np.asarray(index, dtype=np.int64)
+        flat = rows.reshape(-1)
         if flat.size and (flat.min() < 0 or flat.max() >= self.shape[0]):
             raise IndexError(f"content row index out of range "
                              f"for {self.shape[0]} rows")
@@ -190,30 +186,6 @@ class ContentRows:
         # run starts at its indptr entry.
         offsets = np.cumsum(counts) - counts
         positions = np.repeat(starts - offsets, counts) + np.arange(counts.sum())
-        return positions, counts
-
-    def take(self, index: slice | np.ndarray) -> "ContentRows":
-        """The rows at *index* (a unit-step slice or an integer array) as a
-        new store; a slice shares this store's data and indices."""
-        if isinstance(index, slice):
-            start, stop, step = index.indices(self.shape[0])
-            if step != 1:
-                raise ValueError("take() needs a unit-step slice")
-            stop = max(start, stop)
-            lo, hi = self.indptr[start], self.indptr[stop]
-            return ContentRows(self.data[lo:hi], self.indices[lo:hi],
-                               self.indptr[start:stop + 1] - lo, self.width)
-        positions, counts = self._gather(
-            np.asarray(index, dtype=np.int64).reshape(-1))
-        indptr = np.zeros(counts.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return ContentRows(self.data[positions], self.indices[positions],
-                           indptr, self.width)
-
-    def __getitem__(self, index: int | np.ndarray) -> np.ndarray:
-        rows = np.asarray(index, dtype=np.int64)
-        flat = rows.reshape(-1)
-        positions, counts = self._gather(flat)
         out = np.zeros((flat.size, self.width))
         out[np.repeat(np.arange(flat.size), counts),
             self.indices[positions]] = self.data[positions]
@@ -333,8 +305,7 @@ class NPRecModel(Module):
         # representation, independent of the user ("how citable is this
         # paper at all"). It is a term of the Eq. 22 training logit in
         # score_pairs only; neither the offline ranker (_rank) nor
-        # serving applies it. Applied to the learned blocks (not the
-        # static lexical block).
+        # serving applies it. Applied to the text and graph blocks.
         n_parts = (2 if use_text else 0) + (1 if use_network else 0)
         self._head_dim = n_parts * dim
         self.influence_head = Linear(self._head_dim, 1,
@@ -355,10 +326,12 @@ class NPRecModel(Module):
             gates.append(float(block_gates[2]) if use_text else float(block_gates[0]))
         self.block_gates = gates
 
-        # Optional static lexical-content block (e.g. TF-IDF rows). It is
-        # identical on both views, contributing a symmetric exact-term
-        # similarity to the score — the "research contents" part of the
-        # Eq. 22 correlation. Not trainable; rows are pre-normalised.
+        # Optional static lexical-content rows (e.g. TF-IDF), identical
+        # on both views and pre-normalised. They feed the trained
+        # projection below; score_pairs adds their exact gated cosine to
+        # the training logit (a prior no parameter reaches), and the
+        # ranking rows carry the same cosine through a dim-column random
+        # sketch (DESIGN.md §7.7, §7.17).
         self._content_matrix: ContentRows | None = None
         self.content_gate = float(block_gates[3]) if len(block_gates) > 3 else 1.0
         self.content_trained_gate = (float(block_gates[4])
@@ -375,10 +348,13 @@ class NPRecModel(Module):
         if self._content_matrix is not None:
             # Trained lexical projection: supervised metric learning on the
             # sparse content (learns which terms matter for citation
-            # relevance, as JTIE's bilinear does), complementing the raw
-            # cosine block above.
+            # relevance, as JTIE's bilinear does); the "research contents"
+            # part of the Eq. 22 correlation.
             self.content_proj = Linear(self._content_matrix.shape[1], dim,
                                        bias=False, rng=int(rng.integers(2**31)))
+            # Fixed sign sketch of the content rows (no draw): the
+            # ranking rows carry the raw lexical cosine through it.
+            self.lexical_sketch = _sign_sketch(self._content_matrix.width, dim)
 
         # One fixed row of K neighbours per entity and view, so that an
         # entity's receptive field never depends on what was read before.
@@ -439,12 +415,23 @@ class NPRecModel(Module):
                           dtype=int)
 
     def _paper_vectors(self, paper_ids: Sequence[str], view: str) -> Tensor:
-        """Full rows: the learned blocks with the raw lexical block inserted
-        before the trained content projection (:attr:`content_columns`)."""
+        """The gated learned blocks side by side (:meth:`_learned_blocks`),
+        then, with content rows, the lexical sketch block.
+
+        The sketch block is ``content_gate`` times the unit-normalised
+        product of the raw content rows with :attr:`lexical_sketch`. Its
+        inner product across two rows estimates the training prior
+        ``content_gate**2 * <c_p, c_q>`` of :meth:`score_pairs` and is
+        exact for two papers with the same text, in ``dim`` columns
+        instead of the vocabulary's.
+        """
         blocks, content_rows = self._learned_blocks(self._indices(paper_ids),
                                                     view)
         if content_rows is not None:
-            blocks.insert(-1, Tensor(content_rows * self.content_gate))
+            sketch = content_rows @ self.lexical_sketch
+            norms = np.linalg.norm(sketch, axis=1, keepdims=True)
+            blocks.append(Tensor(sketch / np.where(norms > 0, norms, 1.0)
+                                 * self.content_gate))
         return _join(blocks)
 
     def _learned_blocks(self, indices: np.ndarray,
@@ -478,12 +465,14 @@ class NPRecModel(Module):
     def score_pairs(self, citing_ids: Sequence[str], cited_ids: Sequence[str]) -> Tensor:
         """Correlation logits ``y_hat(p, q)`` for aligned id lists (Eq. 22).
 
-        The inner product of the full interest and influence rows, plus
-        the influence head and the score bias. No parameter reaches the
-        raw lexical block, so its term ``content_gate**2 * <c_p, c_q>`` is
-        a constant per pair: it is computed without autograd from the
-        content rows gathered for the trained projection, and the graph
-        covers only the learned blocks.
+        The inner product of the interest and influence rows, plus the
+        influence head and the score bias, plus, with content rows, the
+        lexical prior ``content_gate**2 * <c_p, c_q>``. No parameter
+        reaches that prior, so it is a constant per pair, computed
+        without autograd from the content rows gathered for the trained
+        projection. The rows that ranking scores
+        (:meth:`NPRecRecommender._rank`, serving) carry the prior through
+        their sketch block instead (:meth:`_paper_vectors`).
         """
         if len(citing_ids) != len(cited_ids):
             raise ValueError(
@@ -510,15 +499,6 @@ class NPRecModel(Module):
         gathers dense rows; ``shape`` and ``nbytes`` are those of the store.
         """
         return self._content_matrix
-
-    @property
-    def content_columns(self) -> slice | None:
-        """Columns of the raw content block in interest/influence rows, or
-        None. It sits between the learned blocks before it and the trained
-        content projection after it (see :meth:`_paper_vectors`)."""
-        if self._content_matrix is None:
-            return None
-        return slice(self._head_dim, self._head_dim + self._content_matrix.width)
 
     # ------------------------------------------------------------------
     # Cold-start induction

@@ -176,10 +176,9 @@ class NPRecRecommender(Recommender):
 
     def _rank(self, user_papers: Sequence[Paper],
               candidates: Sequence[Paper]) -> list[str]:
-        # Sec. IV-B: P_a is the user's *published or cited* papers. The
-        # learned blocks (text + graph) stay on the user's own papers —
-        # their interest view already aggregates citations — while the
-        # lexical content block averages over the expanded profile.
+        # Sec. IV-B: P_a is the user's *published or cited* papers; with
+        # expand_profile_with_citations the cited training papers join
+        # the interest rows.
         profile: list[Paper] = list(user_papers)
         if self.config.expand_profile_with_citations:
             seen = {p.id for p in profile}
@@ -191,7 +190,7 @@ class NPRecRecommender(Recommender):
                         seen.add(cited.id)
         with no_grad():
             interest = self.model.interest_vectors(
-                [p.id for p in user_papers]).data
+                [p.id for p in profile]).data
             influence = self.model.influence_vectors(
                 [p.id for p in candidates]).data
         pairwise = interest @ influence.T
@@ -200,22 +199,6 @@ class NPRecRecommender(Recommender):
         # user's history spans several topics.
         mix = self.config.max_pool_mix
         correlation = mix * pairwise.max(axis=0) + (1.0 - mix) * pairwise.mean(axis=0)
-        content = self.model.content_matrix
-        if content is not None and len(profile) > len(user_papers):
-            graph = self.model.graph
-            extra_idx = np.asarray([
-                graph.index_of("paper", p.id)
-                for p in profile[len(user_papers):]
-            ])
-            cand_idx = np.asarray([graph.index_of("paper", c.id)
-                                   for c in candidates])
-            gate_sq = self.model.content_gate ** 2
-            extra_scores = (content[extra_idx] @ content[cand_idx].T) * gate_sq
-            # Merge: the correlation already averages the user's own
-            # papers; fold the cited papers in at the same per-paper rate.
-            total = len(profile)
-            correlation = (correlation * (len(user_papers) / total)
-                           + extra_scores.sum(axis=0) / total)
         scores = correlation
         if self._profile_text is not None:
             # Blend the trained profile-text metric: rank positions from

@@ -1,4 +1,4 @@
-"""Top-K retrieval over split row stores, and a pure-numpy IVF index.
+"""Top-K retrieval over dense row blocks, and a pure-numpy IVF index.
 
 Serving's exact path scores every pool row on every query — O(n·d)
 per request, which caps pool size long before the paper's
@@ -13,14 +13,10 @@ exact ranking order-for-order — the exact path stays the correctness
 oracle, and ``benchmarks/test_ann_bench.py`` measures recall@K against
 it so speedups cannot silently trade away quality.
 
-Rows are scored as :class:`SplitRows` or plain ndarrays. A model row
-concatenates four 32-wide learned blocks with a gated lexical content
-block thousands of columns wide whose rows hold a few dozen non-zeros;
-a :class:`SplitRows` keeps the learned blocks as a dense *head* and the
-content block as a CSR :class:`~repro.core.nprec.model.ContentRows`
-store, so scoring reads the non-zeros instead of streaming the zeros.
-A plain ndarray is the head-only case (a model without a content block,
-or the benchmark's synthetic pools).
+Rows are dense float64 arrays: a model's interest and influence rows
+are its four 32-wide learned blocks and its 32-wide lexical sketch
+block (160 columns at the default ``dim``), and the benchmark sweeps
+synthetic pools of any width.
 
 Serving ranks through two functions here:
 :func:`batch_exact_top_k` for the exact strategy and
@@ -34,16 +30,12 @@ input. :func:`exact_top_k` (one query) and :meth:`IVFIndex.search`
 the recall benchmark compare serving against. Both exact rankers run
 one blockwise loop (:func:`_blockwise_top_k`): a bounded heap per query
 with an ``argpartition`` prescreen, so only the ≤k plausible candidates
-per block touch the Python heap. The exact and candidate rankers
-prepare each query once (:func:`_block_scores`): its interest rows are
-split once and its content term comes from one CSR product over the
-rows it ranks, so the block loop only multiplies the dense heads.
+per block touch the Python heap.
 
-This module depends on no model or obs code beyond the
-:class:`~repro.core.nprec.model.ContentRows` type: it ranks raw row
-stores, so the benchmark can sweep 50k-row synthetic pools without
-fitting a pipeline. :class:`~repro.serve.index.ServingIndex` owns the
-wiring (strategy selection, obs counters, artifact persistence via
+This module depends on no model or obs code: it ranks raw row arrays,
+so the benchmark can sweep 50k-row synthetic pools without fitting a
+pipeline. :class:`~repro.serve.index.ServingIndex` owns the wiring
+(strategy selection, obs counters, artifact persistence via
 :func:`repro.serve.artifacts.save_ann_index`).
 """
 
@@ -51,175 +43,39 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Union
+from typing import Iterator
 
 import numpy as np
 
-from repro.core.nprec.model import ContentRows
 
-
-class SplitRows:
-    """Row vectors held as a dense head and a CSR content block.
-
-    Row ``i`` is ``head[i, :at]``, then ``content[i]``, then
-    ``head[i, at:]``. Indexing with a unit-step slice or an integer array
-    gathers rows into a new :class:`SplitRows`; ``shape`` is that of the
-    full rows and ``nbytes`` counts the bytes the two parts hold.
-    """
-
-    __slots__ = ("head", "content", "at")
-
-    def __init__(self, head: np.ndarray, content: ContentRows,
-                 at: int) -> None:
-        if head.shape[0] != content.shape[0]:
-            raise ValueError(f"{head.shape[0]} head rows but "
-                             f"{content.shape[0]} content rows")
-        self.head = head
-        self.content = content
-        self.at = int(at)
-
-    @classmethod
-    def from_dense(cls, rows: np.ndarray, columns: slice) -> "SplitRows":
-        """Split the full *rows*; *columns* holds their content block."""
-        return cls(np.delete(rows, columns, axis=1),
-                   ContentRows.from_rows(rows[:, columns],
-                                         columns.stop - columns.start),
-                   columns.start)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.head.shape[0], self.head.shape[1] + self.content.width)
-
-    @property
-    def nbytes(self) -> int:
-        return self.head.nbytes + self.content.nbytes
-
-    def __len__(self) -> int:
-        return self.head.shape[0]
-
-    def __getitem__(self, index: slice | np.ndarray) -> "SplitRows":
-        return SplitRows(self.head[index], self.content.take(index), self.at)
-
-    def dense(self) -> np.ndarray:
-        """The full rows as one dense array."""
-        content = self.content[np.arange(len(self))]
-        return np.concatenate([self.head[:, :self.at], content,
-                               self.head[:, self.at:]], axis=1)
-
-
-#: What the rankers score: split rows, or plain (full or head-only) rows.
-Rows = Union[SplitRows, np.ndarray]
-
-
-def _dense(rows: Rows) -> np.ndarray:
-    """*rows* as a dense float64 array."""
-    if isinstance(rows, SplitRows):
-        return rows.dense()
-    return np.asarray(rows, dtype=np.float64)
-
-
-class _Parts(NamedTuple):
-    """Plain full rows split once for one :class:`SplitRows` layout:
-    what :func:`_parts` would cut from them on every call."""
-
-    head: np.ndarray
-    content_t: np.ndarray
-
-
-def _parts(rows: "Rows | _Parts",
-           layout: SplitRows) -> tuple[np.ndarray, np.ndarray]:
-    """(head, transposed dense content) of *rows* in *layout*'s columns."""
-    if isinstance(rows, _Parts):
-        return rows
-    if isinstance(rows, SplitRows):
-        content = rows.content
-        content_t = np.zeros((content.width, len(rows)))
-        content_t[content.indices, np.repeat(np.arange(len(rows)),
-                                             np.diff(content.indptr))] = \
-            content.data
-        return rows.head, content_t
-    columns = slice(layout.at, layout.at + layout.content.width)
-    return np.delete(rows, columns, axis=1), rows[:, columns].T
-
-
-def _lexical(interest: "Rows | _Parts", rows: SplitRows,
-             positions: "np.ndarray | None" = None
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """(head, content term) of *interest* against split *rows*.
-
-    *interest* is split in *rows*' columns (:func:`_parts`) and its
-    content block scored against the non-zeros of *rows* (or of the rows
-    at *positions*) with one CSR product: the ``(n_rows, n_interest)``
-    content part of ``interest @ rows.T``, transposed. A CSR product
-    computes each row on its own, so a row's term does not depend on
-    which rows share the product. The whole store's CSR matrix is built
-    once (:meth:`ContentRows.csr`); a gathered one, once per query.
-    """
-    head, content_t = _parts(interest, rows)
-    content = (rows.content if positions is None
-               else rows.content.take(positions))
-    return head, content.csr() @ content_t
-
-
-def _pairwise(left: Rows, right: Rows) -> np.ndarray:
-    """``left @ right.T`` with a content block scored from its CSR side.
-
-    Opposite a :class:`SplitRows`, a plain ndarray is a block of full
-    rows; two plain ndarrays multiply as they are.
-    """
-    if isinstance(right, SplitRows):
-        head, lexical = _lexical(left, right)
-        pairwise = head @ right.head.T
-        pairwise += lexical.T
-        return pairwise
-    if isinstance(left, SplitRows):
-        return _pairwise(right, left).T
-    return left @ right.T
-
-
-def _pool(pairwise: np.ndarray, mix: float) -> np.ndarray:
-    """``mix * max + (1 - mix) * mean`` of *pairwise* over its rows."""
-    return mix * pairwise.max(axis=0) + (1.0 - mix) * pairwise.mean(axis=0)
-
-
-def pooled_scores(interest: Rows, rows: Rows, mix: float) -> np.ndarray:
+def pooled_scores(interest: np.ndarray, rows: np.ndarray,
+                  mix: float) -> np.ndarray:
     """Max/mean-pooled correlation of *rows* against the interest matrix.
 
     Matches :meth:`NPRecRecommender._rank`'s correlation term:
     ``mix * max_u(u · row) + (1 - mix) * mean_u(u · row)`` over the
-    user's interest vectors *u*. One score per row of *rows*. Either
-    side may be a :class:`SplitRows`; the content block is then scored
-    sparsely (see :func:`_pairwise`).
+    user's interest vectors *u*. One score per row of *rows*.
     """
-    return _pool(_pairwise(interest, rows), mix)
+    pairwise = interest @ rows.T
+    return mix * pairwise.max(axis=0) + (1.0 - mix) * pairwise.mean(axis=0)
 
 
-def _block_scores(interest: Rows, matrix: Rows, mix: float,
+def _block_scores(interest: np.ndarray, matrix: np.ndarray, mix: float,
                   block_size: int, positions: "np.ndarray | None" = None
                   ) -> Iterator[np.ndarray]:
     """One query's pooled scores, ``block_size`` rows at a time.
 
-    The blocks are *matrix*'s contiguous row ranges, or chunks of
-    *positions*. Opposite split rows the query is prepared once
-    (:func:`_lexical`), so a block only multiplies the dense heads and
-    adds its slice of the content term. The head product keeps the
-    block's shape, so each block's scores equal :func:`pooled_scores`
-    on that block bit for bit.
+    The blocks are *matrix*'s contiguous row ranges, or the rows at
+    chunks of *positions*; a chunk of every position in order gathers
+    the values the slice holds at the same shape, so both give the same
+    score bits.
     """
     n = matrix.shape[0] if positions is None else positions.shape[0]
-    split = isinstance(matrix, SplitRows)
-    if split:
-        head, lexical = _lexical(interest, matrix, positions)
     for start in range(0, n, block_size):
         stop = start + block_size
         block = slice(start, stop) if positions is None \
             else positions[start:stop]
-        if not split:
-            yield pooled_scores(interest, matrix[block], mix)
-            continue
-        pairwise = head @ matrix.head[block].T
-        pairwise += lexical[start:stop].T
-        yield _pool(pairwise, mix)
+        yield pooled_scores(interest, matrix[block], mix)
 
 
 def _feed_heap(heap: list[tuple[float, int]], scores: np.ndarray,
@@ -254,7 +110,7 @@ def _drain_heap(heap: list[tuple[float, int]]) -> tuple[np.ndarray, np.ndarray]:
     return positions, scores
 
 
-def _blockwise_top_k(interests: "list[Rows]", matrix: Rows,
+def _blockwise_top_k(interests: "list[np.ndarray]", matrix: np.ndarray,
                      ks: "list[int]", mix: float, block_size: int
                      ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(positions, scores) of each query's top-k rows, best first.
@@ -263,9 +119,7 @@ def _blockwise_top_k(interests: "list[Rows]", matrix: Rows,
     block (:func:`_block_scores`), so its result does not depend on its
     batch — bit for bit, which the batched serving path's equivalence
     guarantee rests on. Memory per query is one block's pairwise
-    scores, the ``k``-entry heap and, opposite split rows, the
-    ``n_rows * n_interest`` content term (over a 773-row pool, 7 × 773
-    doubles for a 7-row profile and 0.9 MB for a 148-row one). Ties
+    scores and the ``k``-entry heap. Ties
     between equal scores resolve toward the lower row position,
     matching the stable mergesort ordering of the offline ranker.
     """
@@ -283,13 +137,13 @@ def _blockwise_top_k(interests: "list[Rows]", matrix: Rows,
     return ranked
 
 
-def exact_top_k(interest: Rows, matrix: Rows, k: int, *,
+def exact_top_k(interest: np.ndarray, matrix: np.ndarray, k: int, *,
                 mix: float, block_size: int = 512) -> np.ndarray:
     """Positions of the top-*k* rows of *matrix*, best first (the oracle)."""
     return _blockwise_top_k([interest], matrix, [k], mix, block_size)[0][0]
 
 
-def batch_exact_top_k(interests: "list[Rows]", matrix: Rows,
+def batch_exact_top_k(interests: "list[np.ndarray]", matrix: np.ndarray,
                       ks: "list[int]", *, mix: float, block_size: int = 512
                       ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(positions, scores) for several queries in one pass over *matrix*.
@@ -304,7 +158,7 @@ def batch_exact_top_k(interests: "list[Rows]", matrix: Rows,
     return _blockwise_top_k(interests, matrix, ks, mix, block_size)
 
 
-def rank_candidates(interest: Rows, matrix: Rows,
+def rank_candidates(interest: np.ndarray, matrix: np.ndarray,
                     candidates: np.ndarray, k: int, *, mix: float,
                     block_size: int = 512) -> tuple[np.ndarray, np.ndarray]:
     """(positions, scores) of the top-*k* rows among *candidates*.
@@ -380,9 +234,6 @@ class IVFIndex:
         self.max_iter = max_iter
         self.recluster_factor = recluster_factor
         self.centroids: np.ndarray | None = None
-        #: ``((at, width), parts)``: the centroids split for the last
-        #: interest layout probed. Reset wherever the centroids change.
-        self._split: "tuple[tuple[int, int], _Parts] | None" = None
         self._assignments: list[int] = []
         self._lists: list[list[int]] = []
 
@@ -412,15 +263,13 @@ class IVFIndex:
     # ------------------------------------------------------------------
     # Clustering
     # ------------------------------------------------------------------
-    def fit(self, matrix: Rows) -> "IVFIndex":
+    def fit(self, matrix: np.ndarray) -> "IVFIndex":
         """(Re)cluster *matrix* from scratch; deterministic for a seed.
 
-        Centroids are dense full-width rows (the persisted format), each
-        the mean of its members' dense rows.
+        Each centroid is the mean of its members' rows.
         """
-        if not isinstance(matrix, SplitRows):
-            matrix = np.asarray(matrix, dtype=np.float64)
-        if len(matrix.shape) != 2 or matrix.shape[0] == 0:
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[0] == 0:
             raise ValueError("fit needs a non-empty 2-D matrix, got shape "
                              f"{matrix.shape}")
         n = matrix.shape[0]
@@ -430,18 +279,16 @@ class IVFIndex:
         # therefore everything downstream) is independent of the order
         # rng.choice happens to emit.
         init = np.sort(rng.choice(n, size=n_lists, replace=False))
-        centroids = _dense(matrix[init])
+        centroids = matrix[init]
         assign = self._assign_rows(matrix, centroids)
         for _ in range(self.max_iter):
             for j in range(n_lists):
-                centroids[j] = _dense(
-                    matrix[np.flatnonzero(assign == j)]).mean(axis=0)
+                centroids[j] = matrix[np.flatnonzero(assign == j)].mean(axis=0)
             new_assign = self._assign_rows(matrix, centroids)
             if np.array_equal(new_assign, assign):
                 break
             assign = new_assign
         self.centroids = centroids
-        self._split = None
         self._assignments = [int(j) for j in assign]
         self._lists = [[] for _ in range(n_lists)]
         for position, j in enumerate(assign):
@@ -449,7 +296,7 @@ class IVFIndex:
         return self
 
     @staticmethod
-    def _assign_rows(matrix: Rows,
+    def _assign_rows(matrix: np.ndarray,
                      centroids: np.ndarray) -> np.ndarray:
         """Nearest-centroid (squared euclidean) assignment, no empties.
 
@@ -460,8 +307,8 @@ class IVFIndex:
         """
         # ||x - c||^2 ranks like ||c||^2 - 2 x·c ; the ||x||^2 term is
         # constant per row and dropped.
-        dists = (centroids * centroids).sum(axis=1) - 2.0 * _pairwise(
-            matrix, centroids)
+        dists = (centroids * centroids).sum(axis=1) - 2.0 * (
+            matrix @ centroids.T)
         assign = np.argmin(dists, axis=1)
         counts = np.bincount(assign, minlength=centroids.shape[0])
         for empty in np.flatnonzero(counts == 0):
@@ -477,7 +324,7 @@ class IVFIndex:
     # ------------------------------------------------------------------
     # Incremental growth
     # ------------------------------------------------------------------
-    def add(self, row: Rows) -> bool:
+    def add(self, row: np.ndarray) -> bool:
         """Assign one appended row to its nearest centroid.
 
         The row is assumed to be position ``num_rows`` of the caller's
@@ -488,7 +335,7 @@ class IVFIndex:
         """
         if not self.fitted:
             raise ValueError("add() before fit(): cluster the pool first")
-        row = _dense(row).reshape(-1)
+        row = np.asarray(row, dtype=np.float64).reshape(-1)
         assert self.centroids is not None
         dists = ((self.centroids - row) ** 2).sum(axis=1)
         nearest = int(np.argmin(dists))
@@ -501,7 +348,7 @@ class IVFIndex:
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
-    def probe(self, interest: Rows, mix: float,
+    def probe(self, interest: np.ndarray, mix: float,
               nprobe: int) -> np.ndarray:
         """Ids of the *nprobe* lists whose centroids score best.
 
@@ -512,29 +359,11 @@ class IVFIndex:
         if not self.fitted:
             raise ValueError("probe() before fit(): cluster the pool first")
         nprobe = max(1, min(int(nprobe), self.num_lists))
-        scores = pooled_scores(interest, self._centroid_rows(interest), mix)
+        scores = pooled_scores(interest, self.centroids, mix)
         order = np.lexsort((np.arange(scores.shape[0]), -scores))
         return order[:nprobe]
 
-    def _centroid_rows(self, interest: Rows) -> "Rows | _Parts":
-        """The centroids as a probe with *interest* scores them.
-
-        Opposite split interest rows, the centroids' dense head and
-        transposed content block are cut once per fit and layout, not
-        once per probe; the arrays match what :func:`_parts` cuts, so
-        the probe's scores are unchanged bit for bit.
-        """
-        assert self.centroids is not None
-        if not isinstance(interest, SplitRows):
-            return self.centroids
-        key = (interest.at, interest.content.width)
-        if self._split is None or self._split[0] != key:
-            head, content_t = _parts(self.centroids, interest)
-            self._split = (key, _Parts(head,
-                                       np.ascontiguousarray(content_t)))
-        return self._split[1]
-
-    def gather(self, interest: Rows, mix: float,
+    def gather(self, interest: np.ndarray, mix: float,
                nprobe: int) -> tuple[np.ndarray, ProbeStats]:
         """Candidate positions (sorted ascending) of the probed lists.
 
@@ -557,7 +386,7 @@ class IVFIndex:
             [np.asarray(m, dtype=np.int64) for m in members if m]))
         return candidates, stats
 
-    def search(self, interest: Rows, matrix: Rows, k: int, *,
+    def search(self, interest: np.ndarray, matrix: np.ndarray, k: int, *,
                mix: float, nprobe: int = 8,
                block_size: int = 512) -> tuple[np.ndarray, ProbeStats]:
         """Approximate top-*k* positions, best first, plus work stats.

@@ -14,7 +14,7 @@ An artifact is a directory::
     sem/rules.npz            expert-rule fusion weights + normalisation
     sem/labeler.npz          CRF sentence tagger (only when trained)
     model/weights.npz        NPRecModel parameters (state_dict)
-    model/static.npz         text + mask matrices, content block as CSR
+    model/static.npz         text + mask matrices, content rows as CSR
                              (content_data / content_indices / content_indptr)
     model/neighbours.npz     the interest and influence neighbour tables
     profile_text/meta.json|weights.npz
@@ -32,8 +32,8 @@ the TF-IDF vocabulary that embeds ingested papers and profile text — so
 a reloaded recommender reproduces ``rank()`` bit for bit, and loading
 draws and refits nothing.
 
-``manifest.json`` carries a SHA-256 per file and a schema version (6
-since the neighbour tables are stored; see ``SCHEMA_VERSION``);
+``manifest.json`` carries a SHA-256 per file and a schema version (7
+since model rows sketch the raw lexical block; see ``SCHEMA_VERSION``);
 :func:`load_pipeline` refuses loudly
 (``ArtifactError`` / ``SchemaVersionError``) rather than deserialising
 a corrupt or foreign-versioned directory.
@@ -84,7 +84,10 @@ from repro.text.sequence_labeler import SequenceLabeler
 #: refitted at load, so v4 artifacts must be re-saved.
 #: v6: the neighbour tables (``model/neighbours.npz``) replace the lazily
 #: sampled fields and their sampler state, so v5 artifacts must be re-saved.
-SCHEMA_VERSION = 6
+#: v7: model rows replace the raw lexical block with a ``dim``-column
+#: sketch of it, so a persisted IVF quantizer's centroids are 160
+#: columns wide, not 3128; v6 artifacts must be re-saved.
+SCHEMA_VERSION = 7
 
 KIND = "nprec-pipeline"
 POOL_FILE = "pool/pool.json"

@@ -4,18 +4,9 @@
 holds a *candidate pool* of papers with their influence representations
 precomputed, plus precomputed interest profiles for registered users,
 and answers top-K queries with a bounded heap over fixed-size blocks.
-Besides one block's scores and the heap, a query holds one
-``n_pool * n_interest`` array, its content-block term over the whole
-pool (0.9 MB for a 148-row profile against 773 papers).
-
-Pool rows and profiles are :class:`~repro.serve.ann.SplitRows`: the
-model's learned blocks as a dense head and its gated lexical content
-block as a CSR :class:`~repro.core.nprec.model.ContentRows` store (a
-model without a content block gives plain head-only arrays). The pool's
-head lives in a capacity-doubling buffer and its content store grows
-the same way, so an ingest appends one row to each. Every path scores
-with :mod:`repro.serve.ann`'s pooled correlation, which reads the content
-block's non-zeros instead of its zeros.
+Pool rows and profiles are the model's dense interest and influence rows
+(160 columns at the default configuration); the pool lives in a
+capacity-doubling buffer, so an ingest appends one row.
 
 Scoring matches :meth:`NPRecRecommender._rank`'s correlation term —
 ``mix * max + (1 - mix) * mean`` over the user's interest vectors — with
@@ -42,16 +33,17 @@ New papers enter through :meth:`ServingIndex.add_paper` — the Sec. IV-E
 cold-start path at serving time: SEM subspace embedding, metadata-only
 graph attachment, embedding imputation from neighbours. No retraining.
 Under ``index="ivf"`` the new row joins its nearest centroid's list,
-and a lopsided list (``recluster_factor`` × the mean occupancy)
-triggers a full deterministic re-cluster, counted as
-``serve.ann.recluster``.
+and a lopsided list (``recluster_factor`` × the mean occupancy) or a
+pool whose ``round(sqrt(n))`` reached twice the list count triggers a
+full deterministic re-cluster (the latter with ``round(sqrt(n))``
+lists), counted as ``serve.ann.recluster``.
 
 Degradation is graceful and observable: an unloadable artifact
 (:meth:`ServingIndex.from_artifact`) or a query touching entities the
 model has never seen falls back to TF-IDF content ranking, counting
 ``serve.degraded`` with a ``reason`` label. The fallback scores a sparse
 dot product over the pool's rows in the index's one TF-IDF vocabulary
-(the content block's; the pool's when no model loads), kept in a
+(the model's content rows'; the pool's when no model loads), kept in a
 :class:`~repro.core.nprec.model.ContentRows` CSR store that is built on
 first use and then grows by one row per ingest.
 """
@@ -85,15 +77,14 @@ from repro.resilience import faults
 from repro.resilience.retry import Backoff, retry
 from repro.utils.blas import single_threaded_blas
 # exact_top_k is unused here; bench/tests/test_tracing.py expects it bound.
-from repro.serve.ann import (IVFIndex, Rows, SplitRows,  # noqa: F401
-                             _dense, batch_exact_top_k, exact_top_k,
-                             rank_candidates)
+from repro.serve.ann import (IVFIndex, batch_exact_top_k,  # noqa: F401
+                             exact_top_k, rank_candidates)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.scheduler import BatchScheduler
     from repro.serve.wal import WALRecord, WriteAheadLog
 
-#: Initial head-buffer capacity (rows); doubles on overflow, so
+#: Initial pool-buffer capacity (rows); doubles on overflow, so
 #: ingesting n papers copies O(n) floats total instead of O(n^2).
 _INITIAL_CAPACITY = 8
 
@@ -171,9 +162,11 @@ class ServingIndex:
         Inverted lists probed per ``"ivf"`` query (clamped to the list
         count; probing every list reproduces the exact ranking).
     n_lists:
-        Coarse-cluster count for ``"ivf"``; default ``round(sqrt(n))``
-        for the ``n`` rows of the pool as loaded (see
-        :meth:`build_ann_index`).
+        Coarse-cluster count of the ``"ivf"`` quantizer's first fit;
+        default ``round(sqrt(n))`` for the ``n`` rows of the pool as
+        loaded (see :meth:`build_ann_index`). Once ``round(sqrt(n))``
+        of the grown pool reaches twice the list count, the quantizer
+        refits with that many lists (see :meth:`_ann_add`).
     ann_seed:
         Seed of the deterministic k-means quantizer.
     """
@@ -204,23 +197,18 @@ class ServingIndex:
         self._papers: list[Paper] = []
         self._ids: list[str] = []
         self._positions: dict[str, int] = {}
-        # Influence rows live in a capacity-doubling head buffer plus a
-        # ContentRows store (which grows the same way) when the model has
-        # a content block; `_influence` views their filled prefixes.
-        # Appends are amortized O(d) instead of an O(n*d) copy per paper.
-        self._head_buffer: np.ndarray | None = None
-        self._pool_content: ContentRows | None = None
+        # Influence rows live in a capacity-doubling buffer; `_influence`
+        # views its filled prefix. Appends are amortized O(d) instead of
+        # an O(n*d) copy per paper.
+        self._buffer: np.ndarray | None = None
         self._pool_count = 0
-        #: ``(pool version, rows)``: the last `_influence` snapshot, so
-        #: its content store's CSR matrix is built once per version.
-        self._pool_rows: "tuple[int, Rows] | None" = None
         self.index_kind = index
         self.nprobe = nprobe
         self._n_lists = n_lists
         self._ann_seed = ann_seed
         self._ann: IVFIndex | None = None
         #: user id -> (profile papers, precomputed interest rows or None)
-        self._profiles: dict[str, tuple[list[Paper], Rows | None]] = {}
+        self._profiles: dict[str, tuple[list[Paper], np.ndarray | None]] = {}
         self._cache: "OrderedDict[tuple, tuple[str, ...]]" = OrderedDict()
         self.cache_hits = 0
         self.cache_misses = 0
@@ -274,7 +262,7 @@ class ServingIndex:
                 if ("paper", paper.id) not in graph:
                     self.add_paper(paper)
         #: Pool rows at load time, before any ingest or WAL replay: what
-        #: a lazily fitted quantizer clusters (see _ensure_ann).
+        #: a lazily fitted quantizer clusters first (see _ensure_ann).
         self._loaded_count = self._pool_count
 
     # ------------------------------------------------------------------
@@ -315,18 +303,12 @@ class ServingIndex:
             self._scheduler = None
 
     @property
-    def _influence(self) -> Rows | None:
-        """The pool rows' filled prefix (None when empty): a snapshot that
-        later appends do not change, one per pool version."""
+    def _influence(self) -> np.ndarray | None:
+        """The pool rows' filled prefix (None when empty): a view that
+        later appends do not change (they write past it or grow a copy)."""
         if self._pool_count == 0:
             return None
-        if self._pool_rows is None or self._pool_rows[0] != self._pool_version:
-            rows = self._head_buffer[:self._pool_count]
-            if self._pool_content is not None:
-                rows = SplitRows(rows, self._pool_content.snapshot(),
-                                 self._recommender.model.content_columns.start)
-            self._pool_rows = (self._pool_version, rows)
-        return self._pool_rows[1]
+        return self._buffer[:self._pool_count]
 
     @property
     def ann(self) -> IVFIndex | None:
@@ -683,8 +665,7 @@ class ServingIndex:
             self._papers = donor._papers
             self._ids = donor._ids
             self._positions = donor._positions
-            self._head_buffer = donor._head_buffer
-            self._pool_content = donor._pool_content
+            self._buffer = donor._buffer
             self._pool_count = donor._pool_count
             self._loaded_count = donor._loaded_count
             self._ann = donor._ann
@@ -714,13 +695,12 @@ class ServingIndex:
         papers = list(user_papers)
         if not papers:
             raise ValueError("user profile needs at least one paper")
-        profile: Rows | None = None
+        profile: np.ndarray | None = None
         with self._serve_lock, no_grad():
             if not self.degraded:
                 try:
-                    profile = self._split(
-                        self._recommender.model.interest_vectors(
-                            [p.id for p in papers]).data)
+                    profile = self._recommender.model.interest_vectors(
+                        [p.id for p in papers]).data
                 except GraphError:
                     obs.count("serve.degraded", reason="unknown_entity")
                     obs.event("serve.degraded", reason="unknown_entity")
@@ -750,7 +730,7 @@ class ServingIndex:
         obs.count("serve.cache", outcome="hit")
         return list(cached)
 
-    def _append(self, paper: Paper, row: Rows | None,
+    def _append(self, paper: Paper, row: np.ndarray | None,
                 content_row: np.ndarray | None = None) -> None:
         """Add *paper* to the pool; *row* is its influence row (one row of
         :meth:`_influence_rows`), None in degraded mode."""
@@ -767,58 +747,49 @@ class ServingIndex:
                 content_row = self._content_tfidf().transform(paper)
             self._fallback_rows.append([content_row])
 
-    def _ann_add(self, row: Rows, count: int) -> None:
+    def _ann_add(self, row: np.ndarray, count: int) -> None:
         """Assign pool row ``count - 1`` (*row*) to the quantizer.
 
-        Imbalance trigger: when one inverted list outgrows the recluster
-        factor, refit the quantizer over the first *count* pool rows
-        (deterministic, same seed).
+        Two triggers refit it over the first *count* pool rows
+        (deterministic, same seed): one inverted list outgrew the
+        recluster factor, or ``round(sqrt(count))`` reached twice the
+        list count, when the refit takes that many lists. Both read only
+        the pool, so a WAL replay that adds the same rows rebuilds the
+        same quantizer.
         """
-        if self._ann.add(row):
-            self._ann.fit(self._pool_prefix(count))
-            obs.count("serve.ann.recluster")
-            obs.event("serve.ann.recluster", pool_size=count)
+        ann = self._ann
+        lists = int(round(math.sqrt(count)))
+        imbalanced = ann.add(row)
+        if lists >= 2 * ann.num_lists:
+            ann.n_lists = lists
+        elif not imbalanced:
+            return
+        ann.fit(self._buffer[:count])
+        obs.count("serve.ann.recluster")
+        obs.event("serve.ann.recluster", pool_size=count,
+                  lists=ann.num_lists)
 
-    def _pool_prefix(self, count: int) -> Rows:
-        """The first *count* pool rows: the memoized :attr:`_influence`
-        snapshot itself (and its CSR matrix) when that is the whole pool."""
-        rows = self._influence
-        return rows if count == self._pool_count else rows[:count]
-
-    def _push_rows(self, rows: Rows) -> None:
-        """Append *rows* to the head buffer (doubled when full) and the
-        content store; rows below the old count are never written."""
-        head = rows.head if isinstance(rows, SplitRows) else rows
-        count = self._pool_count + head.shape[0]
-        buffer = self._head_buffer
+    def _push_rows(self, rows: np.ndarray) -> None:
+        """Append *rows* to the pool buffer (doubled when full); rows
+        below the old count are never written."""
+        count = self._pool_count + rows.shape[0]
+        buffer = self._buffer
         if buffer is None or buffer.shape[0] < count:
             capacity = _INITIAL_CAPACITY if buffer is None else buffer.shape[0]
             while capacity < count:
                 capacity *= 2
-            grown = np.empty((capacity, head.shape[1]), dtype=head.dtype)
+            grown = np.empty((capacity, rows.shape[1]), dtype=rows.dtype)
             if buffer is not None:
                 grown[:self._pool_count] = buffer[:self._pool_count]
             buffer = grown
-        buffer[self._pool_count:count] = head
-        if isinstance(rows, SplitRows):
-            if self._pool_content is None:
-                self._pool_content = ContentRows.from_rows(
-                    (), rows.content.width)
-            self._pool_content.extend(rows.content)
-        self._head_buffer = buffer
+        buffer[self._pool_count:count] = rows
+        self._buffer = buffer
         self._pool_count = count
 
-    def _split(self, rows: np.ndarray) -> Rows:
-        """Dense model rows as serving stores them: :class:`SplitRows`
-        when the model has a content block, else as they are."""
-        columns = self._recommender.model.content_columns
-        return rows if columns is None else SplitRows.from_dense(rows, columns)
-
     @no_grad()
-    def _influence_rows(self, paper_ids: Sequence[str]) -> Rows:
-        """Influence rows of at most ``block_size`` papers, split."""
-        return self._split(
-            self._recommender.model.influence_vectors(paper_ids).data)
+    def _influence_rows(self, paper_ids: Sequence[str]) -> np.ndarray:
+        """Influence rows of at most ``block_size`` papers."""
+        return self._recommender.model.influence_vectors(paper_ids).data
 
     def _content_tfidf(self) -> TfIdfIndex:
         """The index's one TF-IDF vocabulary: the model's, stored with
@@ -951,10 +922,10 @@ class ServingIndex:
         2. **Score** (lock *released*): pure-numpy ranking over the
            influence snapshot — one call for every exact job
            (:func:`repro.serve.ann.batch_exact_top_k`), per-job
-           candidate scoring for IVF; each job's interest rows are split
-           once. Concurrent ingestion and other batches proceed while
-           this runs; scores are bit-identical to ranking each request
-           alone because per-query matmul shapes are preserved.
+           candidate scoring for IVF. Concurrent ingestion and other
+           batches proceed while this runs; scores are bit-identical to
+           ranking each request alone because per-query matmul shapes
+           are preserved.
         3. **Publish** (re-locked): fill the LRU cache — skipped when
            the pool version moved under the batch (the results are
            still *valid* for the stamped version, just not cacheable)
@@ -1015,11 +986,10 @@ class ServingIndex:
                             interest = job.profile
                             if interest is None:
                                 try:
-                                    interest = self._split(
-                                        self._recommender.model
-                                        .interest_vectors(
-                                            [p.id for p in job.papers])
-                                        .data)
+                                    interest = (self._recommender.model
+                                                .interest_vectors(
+                                                    [p.id for p in job.papers])
+                                                .data)
                                 except GraphError:
                                     job.mode = "fallback"
                                     job.reason = "unknown_entity"
@@ -1032,11 +1002,11 @@ class ServingIndex:
                     fallback = self._fallback_locked()
                 rank_jobs = [j for j in pending if j.mode == "rank"]
                 if rank_jobs:
-                    # `_influence` views the filled prefixes of the head
-                    # buffer and the content store; entries below them
-                    # are immutable (appends either write past the
-                    # prefixes or copy into grown buffers), so the view
-                    # is a consistent snapshot outside the lock.
+                    # `_influence` views the filled prefix of the pool
+                    # buffer; entries below it are immutable (appends
+                    # either write past the prefix or copy into a grown
+                    # buffer), so the view is a consistent snapshot
+                    # outside the lock.
                     matrix = self._influence
                     if self.index_kind == "ivf":
                         ann = self._ensure_ann()
@@ -1094,30 +1064,25 @@ class ServingIndex:
     def _ensure_ann(self) -> IVFIndex:
         """The fitted coarse quantizer, clustering lazily on first use.
 
-        It clusters the pool as loaded, then adds each later row as its
-        ingest would have, so the quantizer does not depend on when the
+        It clusters the pool as loaded (an empty one: its first row, in
+        one list), then adds each later row as its ingest would have
+        (:meth:`_ann_add`), so the quantizer does not depend on when the
         first query came: a restart that replays the WAL before its
         first query builds the one the live index built. :meth:`compact`
         fits it before saving, so a restart from the compacted artifact
-        adopts it rather than clustering the compacted ingests. An index
-        loaded with an empty pool clusters the pool of its first use.
+        adopts it rather than clustering the compacted ingests.
         """
         matrix = self._influence
         assert matrix is not None
         if self._ann is None or not self._ann.fitted:
-            count = matrix.shape[0]
-            base = self._loaded_count or count
+            base = self._loaded_count or 1
             n_lists = self._n_lists
             if n_lists is None:
                 n_lists = max(1, int(round(math.sqrt(base))))
             self._ann = IVFIndex(n_lists, seed=self._ann_seed).fit(
-                self._pool_prefix(base))
-            # The later rows, densified a block at a time rather than
-            # sliced one by one (the same values, so the same lists).
-            for start in range(base, count, self.block_size):
-                block = _dense(matrix[start:start + self.block_size])
-                for position, row in enumerate(block, start + 1):
-                    self._ann_add(row, position)
+                matrix[:base])
+            for position in range(base + 1, matrix.shape[0] + 1):
+                self._ann_add(matrix[position - 1], position)
         return self._ann
 
     def build_ann_index(self) -> IVFIndex:
@@ -1183,8 +1148,8 @@ class ServingIndex:
         - **artifact** — when the index came from :meth:`from_artifact`,
           the manifest is re-verified in place (schema version plus
           per-file SHA-256);
-        - **embeddings** — the precomputed influence rows (head and
-          content store) must be entirely finite; non-finite rows are
+        - **embeddings** — the precomputed influence rows must be
+          entirely finite; non-finite rows are
           recomputed from the model (self-heal) before being declared
           unhealthy;
         - **fallback** — with ``probe=True`` and a non-empty pool, the
@@ -1312,8 +1277,8 @@ class ServingIndex:
     def _heal_influence(self) -> bool:
         """Recompute the influence rows from the model; True on success.
 
-        The stores are rebuilt and any clustered structure over the old
-        values is dropped for a lazy refit.
+        The pool buffer is rebuilt and any clustered structure over the
+        old values is dropped for a lazy refit.
         """
         if self.degraded or self._influence is None:
             return False
@@ -1324,7 +1289,7 @@ class ServingIndex:
         except Exception:
             return False
         with self._serve_lock:
-            self._head_buffer = self._pool_content = None
+            self._buffer = None
             self._pool_count = 0
             for rows in blocks:
                 self._push_rows(rows)
@@ -1335,11 +1300,6 @@ class ServingIndex:
         return _finite(self._influence)
 
 
-def _finite(rows: Rows | None) -> bool:
-    """True when every stored value of *rows* (if any) is finite."""
-    if rows is None:
-        return True
-    if isinstance(rows, SplitRows):
-        return bool(np.isfinite(rows.head).all()
-                    and np.isfinite(rows.content.data).all())
-    return bool(np.isfinite(rows).all())
+def _finite(rows: np.ndarray | None) -> bool:
+    """True when every value of *rows* (if any) is finite."""
+    return rows is None or bool(np.isfinite(rows).all())

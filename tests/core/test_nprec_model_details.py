@@ -33,8 +33,36 @@ class TestBlocksAndGates:
                            content_vectors=content, seed=0)
         vec = model.interest_vectors([train[0].id])
         # shared text + view text + graph + trained-content (4 * dim)
-        # plus the raw lexical content block (20)
-        assert vec.shape == (1, 4 * 8 + 20)
+        # + the lexical sketch; the raw lexical rows (20 wide) are no
+        # block of their own
+        assert vec.shape == (1, 4 * 8 + model.lexical_sketch.shape[1])
+
+    def test_sketch_block_carries_the_lexical_cosine(self, graph_and_text):
+        graph, text, content, train, _ = graph_and_text
+        model = NPRecModel(graph, text, dim=8, neighbor_k=4, depth=1,
+                           content_vectors=content,
+                           block_gates=(0.3, 0.15, 0.1, 1.2, 0.8), seed=0)
+        ids = [p.id for p in train[:6]]
+        width = model.lexical_sketch.shape[1]
+        rows = {view: model._paper_vectors(ids, view).data[:, -width:]
+                for view in ("interest", "influence")}
+        # The same block on both views: gate * unit(content @ sketch).
+        assert np.array_equal(rows["interest"], rows["influence"])
+        projected = model.content_matrix[model._indices(ids)] \
+            @ model.lexical_sketch
+        np.testing.assert_allclose(
+            rows["interest"], 1.2 * projected
+            / np.linalg.norm(projected, axis=1, keepdims=True),
+            rtol=0, atol=1e-12)
+        # A paper meets itself at the full gate squared, the exact prior.
+        np.testing.assert_allclose(
+            (rows["interest"] * rows["influence"]).sum(axis=1), 1.2**2,
+            rtol=0, atol=1e-12)
+        # Fixed signs: another model, seed and gate draw the same matrix.
+        other = NPRecModel(graph, text, dim=8, neighbor_k=4, depth=1,
+                           content_vectors=content, seed=5)
+        assert np.array_equal(other.lexical_sketch, model.lexical_sketch)
+        assert set(np.unique(model.lexical_sketch)) == {-1.0, 1.0}
 
     def test_gate_scaling_applied(self, graph_and_text):
         graph, text, content, train, _ = graph_and_text
@@ -219,17 +247,26 @@ def _forward_backward(model, fn, *args):
 
 
 def _full_row_logits(model, citing, cited):
-    """The reference Eq. 22 training logit: the inner product of the full
-    interest and influence rows, raw lexical block included, plus the
-    influence head and the score bias, all through autograd."""
+    """The reference Eq. 22 training logit: the inner product of the
+    interest and influence rows through autograd, with the raw content
+    rows in place of their sketch block (the layout the rows had while
+    ranking scored the exact prior), plus the influence head and the
+    score bias."""
     interest = model.interest_vectors(citing)
     influence = model.influence_vectors(cited)
     head = model.influence_head(influence[:, :model._head_dim]).reshape(-1)
-    return (interest * influence).sum(axis=1) + head + model.score_bias
+    content = model.content_matrix
+    if content is None:
+        return (interest * influence).sum(axis=1) + head + model.score_bias
+    learned = interest.shape[1] - model.lexical_sketch.shape[1]
+    rows = [Tensor(content[model._indices(ids)] * model.content_gate)
+            for ids in (citing, cited)]
+    return ((interest[:, :learned] * influence[:, :learned]).sum(axis=1)
+            + (rows[0] * rows[1]).sum(axis=1) + head + model.score_bias)
 
 
 class TestTrainingLogit:
-    """score_pairs adds the raw lexical block's constant term outside the
+    """score_pairs adds the raw lexical rows' constant prior outside the
     graph; values match the full-row logit within 1e-12 and every
     parameter gradient within 1e-10."""
 

@@ -9,9 +9,9 @@ import pytest
 
 from repro import obs
 from repro.errors import ArtifactError, NotFittedError
-from repro.serve import (IVFIndex, ServingIndex, batch_exact_top_k,
-                         exact_top_k, load_ann_index, pool_fingerprint,
-                         rank_candidates, save_ann_index)
+from repro.serve import (IVFIndex, ServingIndex, WriteAheadLog,
+                         batch_exact_top_k, exact_top_k, load_ann_index,
+                         pool_fingerprint, rank_candidates, save_ann_index)
 
 MIX = 0.7
 
@@ -352,6 +352,76 @@ class TestServingStrategy:
         # The refit covers the grown pool (fit replaced the patched add's
         # stale view).
         assert index.ann.num_rows == index.num_papers
+
+
+class TestListGrowth:
+    """The quantizer refits with ``round(sqrt(n))`` lists once that
+    reaches twice its list count. The rule reads only the pool, so a WAL
+    replay rebuilds the live quantizer, list count included."""
+
+    @staticmethod
+    def _ranked(index, user):
+        index.register_user(user.author_id, list(user.train_papers))
+        got = index.batch_top_k([(user.author_id, index.num_papers)])[0]
+        return got.ids, got.scores.tobytes()
+
+    def _load(self, artifact, papers, wal_path):
+        return ServingIndex.from_artifact(
+            artifact[0], papers=papers, index="ivf",
+            wal=WriteAheadLog(wal_path, fsync=False))
+
+    def test_lists_grow_with_the_pool_and_replay_rebuilds_them(
+            self, artifact, pool, user, tmp_path, obs_enabled):
+        wal_path = tmp_path / "ingest.wal"
+        live = self._load(artifact, pool, wal_path)
+        live.top_k(list(user.train_papers), k=5)  # fit over the loaded pool
+        assert (len(pool), live.ann.num_lists) == (85, 9)
+        for i in range(1000):
+            live.add_paper(_clone(pool[i % len(pool)], f"grow-{i}"))
+        # round(sqrt(307)) = 18 = 2 * 9 lists; 36 lists would need 1261.
+        assert live.ann.num_lists == 18
+        grown = [e for e in obs.events() if e.get("type") == "event"
+                 and e["name"] == "serve.ann.recluster" and e["lists"] == 18]
+        assert grown[0]["pool_size"] == 307
+        interest = live._recommender.model.interest_vectors(
+            [p.id for p in user.train_papers]).data
+        _, stats = live.ann.gather(interest,
+                                   live._recommender.config.max_pool_mix,
+                                   live.nprobe)
+        # 8 probes of 18 lists; of 9 lists they scanned most of the pool.
+        assert stats.pool_size == 1085 and stats.scan_fraction < 0.6
+        want = self._ranked(live, user)
+        live.wal.close()
+
+        restarted = self._load(artifact, pool, wal_path)
+        assert restarted.num_papers == live.num_papers == 1085
+        assert self._ranked(restarted, user) == want
+        assert restarted.ann.num_lists == 18
+        assert (restarted.ann.centroids.tobytes()
+                == live.ann.centroids.tobytes())
+        restarted.wal.close()
+
+    def test_an_empty_loaded_pool_starts_from_one_list(self, artifact, pool,
+                                                       user, tmp_path):
+        wal_path = tmp_path / "ingest.wal"
+        live = self._load(artifact, [], wal_path)
+        for paper in pool[:30]:
+            live.add_paper(paper)
+        live.top_k(list(user.train_papers), k=5)  # first fit: mid-ingest
+        # One list over the first row, then 2 at 3 rows and 4 at 13.
+        assert live.ann.num_lists == 4
+        for paper in pool[30:]:
+            live.add_paper(paper)
+        # round(sqrt(57)) = 8 lists.
+        assert live.ann.num_lists == 8
+        want = self._ranked(live, user)
+        live.wal.close()
+
+        restarted = self._load(artifact, [], wal_path)
+        assert restarted.ann is None  # replayed before any query
+        assert self._ranked(restarted, user) == want
+        assert restarted.ann.num_lists == 8
+        restarted.wal.close()
 
 
 class TestServingEdges:

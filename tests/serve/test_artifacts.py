@@ -128,20 +128,27 @@ class TestFailureModes:
     def test_v3_artifact_is_refused(self, artifact, tmp_path):
         # v4 dropped the novelty payload and its config field: a v3
         # directory must be re-saved, never half-read.
-        assert SCHEMA_VERSION == 6
+        assert SCHEMA_VERSION == 7
         self._assert_refused(artifact, tmp_path, 3)
 
     def test_v4_artifact_is_refused(self, artifact, tmp_path):
         # v5 stores the TF-IDF vocabulary instead of refitting it: a v4
         # directory has none to load.
-        assert SCHEMA_VERSION == 6
+        assert SCHEMA_VERSION == 7
         self._assert_refused(artifact, tmp_path, 4)
 
     def test_v5_artifact_is_refused(self, artifact, tmp_path):
         # v6 stores the neighbour tables instead of the lazily sampled
         # fields and their sampler state: a v5 directory has no tables.
-        assert SCHEMA_VERSION == 6
+        assert SCHEMA_VERSION == 7
         self._assert_refused(artifact, tmp_path, 5)
+
+    def test_v6_artifact_is_refused(self, artifact, tmp_path):
+        # v7 rows sketch the raw lexical block: a v6 quantizer's
+        # centroids are 3128 columns wide and score nothing in a
+        # 160-column pool.
+        assert SCHEMA_VERSION == 7
+        self._assert_refused(artifact, tmp_path, 6)
 
     def test_schema_error_is_artifact_error(self):
         # Callers catching the broad class also see version mismatches.

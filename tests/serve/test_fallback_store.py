@@ -243,4 +243,4 @@ class TestQueryPathRecordsNoGraph:
             recorded = original([p.id for p in user.train_papers])
             assert recorded._parents  # outside no_grad() a graph is built
             assert np.array_equal(out.data, recorded.data)
-        assert np.array_equal(index._profiles["u"][1].dense(), served[0].data)
+        assert np.array_equal(index._profiles["u"][1], served[0].data)

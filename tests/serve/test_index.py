@@ -54,7 +54,7 @@ class TestRetrieval:
         # Recompute scores densely from the precomputed rows.
         rec = index._recommender
         interest = rec.model.interest_vectors([p.id for p in papers]).data
-        pairwise = interest @ index._influence.dense().T
+        pairwise = interest @ index._influence.T
         mix = rec.config.max_pool_mix
         scores = mix * pairwise.max(axis=0) + (1 - mix) * pairwise.mean(axis=0)
         order = np.argsort(-scores, kind="mergesort")[:k]
@@ -152,27 +152,26 @@ class TestIngestion:
 
     def test_growth_buffer_is_identical_across_resize_boundaries(
             self, artifact, pool, user):
-        # The head buffer starts at capacity 8 and doubles (and the
-        # content store grows the same way); growing an index one paper
-        # at a time across several resize boundaries must leave the exact
-        # same rows (and ranking) as indexing the same pool in one shot.
+        # The pool buffer starts at capacity 8 and doubles; growing an
+        # index one paper at a time across several resize boundaries must
+        # leave the exact same rows (and ranking) as indexing the same
+        # pool in one shot.
         grown = ServingIndex.from_artifact(artifact[0], papers=pool[:5])
         for paper in pool[5:37]:  # crosses the 8 -> 16 -> 32 -> 64 bounds
             grown.add_paper(paper)
         bulk = ServingIndex.from_artifact(artifact[0], papers=pool[:37])
         assert grown._influence.shape == bulk._influence.shape == (
             37, bulk._influence.shape[1])
-        assert grown._head_buffer.shape[0] == 64  # doubled, not n^2
+        assert grown._buffer.shape[0] == 64  # doubled, not n^2
         # Every row appended one-at-a-time survived the copies bit for
         # bit (recomputing a single paper reproduces exactly what
         # _append buffered; positions < 5 came from a batched call) ...
         for position in (5, 7, 8, 15, 16, 31, 32, 36):
             row = grown._influence_rows([grown.paper_ids[position]])
-            assert np.array_equal(grown._influence[[position]].dense(),
-                                  row.dense())
+            assert np.array_equal(grown._influence[[position]], row)
         # ... and batched vs row-at-a-time computation agrees to BLAS
         # rounding, so the two indexes rank alike.
-        assert np.allclose(grown._influence.dense(), bulk._influence.dense(),
+        assert np.allclose(grown._influence, bulk._influence,
                            rtol=1e-9, atol=1e-12)
         papers = list(user.train_papers)
         assert grown.top_k(papers, k=37) == bulk.top_k(papers, k=37)

@@ -71,8 +71,8 @@ def _oracle(index, user, k):
         interest = profile
     else:
         try:
-            interest = index._split(index._recommender.model.interest_vectors(
-                [p.id for p in papers]).data)
+            interest = index._recommender.model.interest_vectors(
+                [p.id for p in papers]).data
         except GraphError:
             return ids, None
     cfg = index._recommender.config
