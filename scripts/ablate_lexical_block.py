@@ -58,7 +58,7 @@ sys.path.insert(1, str(ROOT / "src"))
 
 from bench import params  # noqa: E402
 from bench.fixture import build_task, fit_config  # noqa: E402
-from repro.analysis.metrics import ndcg_at_k  # noqa: E402
+from repro.analysis.metrics import ndcg_at_k, sign_test  # noqa: E402
 from repro.core.nprec import NPRecConfig, NPRecRecommender  # noqa: E402
 from repro.core.nprec.model import NPRecModel  # noqa: E402
 from repro.data import load_acm  # noqa: E402
@@ -68,7 +68,6 @@ from repro.experiments.protocol import (  # noqa: E402
 )
 from repro.nn import Tensor  # noqa: E402
 from repro.serve import ServingIndex  # noqa: E402
-from scripts.ablate_jtie_blend import sign_test  # noqa: E402
 
 ARMS = ("sketch", "raw", "none")
 VIEWS = ("interest_vectors", "influence_vectors")

@@ -16,6 +16,7 @@ from repro.analysis.metrics import (
     precision_at_k,
     rankdata,
     reciprocal_rank,
+    sign_test,
     spearman_correlation,
 )
 from repro.analysis.regression import LinearFit, linear_regression
@@ -23,7 +24,7 @@ from repro.analysis.regression import LinearFit, linear_regression
 __all__ = [
     "spearman_correlation", "rankdata",
     "dcg_at_k", "ndcg_at_k", "reciprocal_rank", "average_precision",
-    "precision_at_k", "mean_metric", "CITED_RELEVANCE",
+    "precision_at_k", "mean_metric", "CITED_RELEVANCE", "sign_test",
     "LinearFit", "linear_regression",
     "OutlierCitationStudy", "outlier_citation_study",
     "clustered_outlier_scores", "normalize_scores",

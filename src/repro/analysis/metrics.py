@@ -2,13 +2,15 @@
 
 Implements exactly the measures the paper reports: Spearman's rho for the
 difference-vs-citation studies (Tab. I, Fig. 2/3), and nDCG@k / MRR / MAP
-for the recommendation experiments (Tab. IV-VIII, Fig. 6). The nDCG
-definition matches Sec. IV-D: relevance 5 for actually-cited candidates,
-0 otherwise, with ``IDCG`` computed over the user's true citations.
+for the recommendation experiments (Tab. IV-VIII, Fig. 6); plus the sign
+test that the paired ablations report. The nDCG definition matches
+Sec. IV-D: relevance 5 for actually-cited candidates, 0 otherwise, with
+``IDCG`` computed over the user's true citations.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -49,6 +51,16 @@ def spearman_correlation(a: Sequence[float], b: Sequence[float]) -> float:
     if denominator == 0:
         return 0.0
     return float((ra * rb).sum() / denominator)
+
+
+def sign_test(wins: int, losses: int) -> float:
+    """Two-sided exact sign-test p-value of paired *wins* against
+    *losses* (ties are dropped before counting); 1.0 with no pairs."""
+    n = wins + losses
+    if n == 0:
+        return 1.0
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1)) / 2 ** n
+    return min(1.0, 2 * tail)
 
 
 def dcg_at_k(relevances: Sequence[float], k: int) -> float:

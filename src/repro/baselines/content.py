@@ -78,12 +78,6 @@ class TfIdfIndex:
             raise RuntimeError("TfIdfIndex.fit must be called first")
         return self.vocabulary_.decode(range(self.dim))
 
-    def head(self, n: int) -> "TfIdfIndex":
-        """The index over the first *n* terms. Ids are frequency-ordered
-        and a term's idf depends only on its own document frequency, so
-        this equals a refit with ``max_features=n`` on the same papers."""
-        return TfIdfIndex.from_terms(self.terms[:n], self.idf_[:n])
-
     @property
     def dim(self) -> int:
         """Vector dimensionality (vocabulary size, capped)."""

@@ -202,17 +202,13 @@ class JTIERecommender(Recommender):
 
     def __init__(self, text_dim: int = 48, epochs: int = 5, lr: float = 5e-3,
                  negative_ratio: int = 4, batch_size: int = 128,
-                 seed: int | np.random.Generator | None = 0,
-                 vocabulary: TfIdfIndex | None = None) -> None:
+                 seed: int | np.random.Generator | None = 0) -> None:
         self.text_dim = text_dim
         self.epochs = epochs
         self.lr = lr
         self.negative_ratio = negative_ratio
         self.batch_size = batch_size
         self._seed = seed
-        #: A fitted vocabulary to read the first ``text_dim * 20`` terms
-        #: of (NPRec hands its own); None fits one on the training papers.
-        self.vocabulary = vocabulary
         self._tfidf: TfIdfIndex | None = None
         self.bilinear_: Linear | None = None
         self._corpus: Corpus | None = None
@@ -242,10 +238,8 @@ class JTIERecommender(Recommender):
         train_papers = list(train_papers)
         by_id = {p.id: p for p in train_papers}
         self._corpus = corpus
-        features = self.text_dim * 20
-        self._tfidf = (TfIdfIndex(max_features=features).fit(train_papers)
-                       if self.vocabulary is None
-                       else self.vocabulary.head(features))
+        self._tfidf = TfIdfIndex(max_features=self.text_dim * 20).fit(
+            train_papers)
         self._vector_cache.clear()
 
         # Influence statistics from the historical slice only.

@@ -18,7 +18,6 @@ import numpy as np
 from repro import obs
 from repro.baselines.base import Recommender
 from repro.baselines.content import TfIdfIndex
-from repro.baselines.neural import JTIERecommender
 from repro.core.nprec.model import NPRecModel
 from repro.core.nprec.sampling import build_training_pairs
 from repro.core.nprec.trainer import NPRecTrainer, NPRecTrainHistory
@@ -30,8 +29,8 @@ from repro.graph.builder import build_academic_network
 from repro.nn import no_grad
 from repro.utils.rng import as_generator
 
-#: Term cap of the one TF-IDF vocabulary (content block, profile text,
-#: serving's fallback).
+#: Term cap of the one TF-IDF vocabulary (content block, serving's
+#: fallback).
 CONTENT_FEATURES = 3000
 
 
@@ -63,7 +62,6 @@ class NPRecConfig:
     sem_train_cap: int = 260
     expand_profile_with_citations: bool = False
     max_pool_mix: float = 0.5
-    profile_text_weight: float = 1.0
     seed: int = 0
 
 
@@ -79,7 +77,6 @@ class NPRecRecommender(Recommender):
         self.history_: NPRecTrainHistory | None = None
         self.content_tfidf_: TfIdfIndex | None = None
         self._train_by_id: dict[str, Paper] = {}
-        self._profile_text: JTIERecommender | None = None
 
     def fit(self, corpus: Corpus, train_papers: Sequence[Paper],
             new_papers: Sequence[Paper] = ()) -> "NPRecRecommender":
@@ -109,8 +106,7 @@ class NPRecRecommender(Recommender):
                     fused = self.sem.fused_embeddings(everyone)
                     text_vectors = {p.id: fused[i] for i, p in enumerate(everyone)}
                 # The one TF-IDF vocabulary: the content block reads it,
-                # the profile-text module its first terms, and serving
-                # (ingest, fallback) loads it from the artifact.
+                # and serving (ingest, fallback) loads it from the artifact.
                 self.content_tfidf_ = TfIdfIndex(
                     max_features=CONTENT_FEATURES).fit(train_papers)
                 content_vectors: dict[str, np.ndarray] | None = None
@@ -146,18 +142,6 @@ class NPRecRecommender(Recommender):
             self.model.induct_new_papers([p.id for p in new_papers])
             self._train_by_id = {p.id: p for p in train_papers}
 
-            # 5. User-interest / paper-text correlation module (Sec. IV-E's
-            #    discussion: graph convolution alone "ignores the multi-level
-            #    correlation between user interests and the text of the
-            #    paper"). A supervised profile-vs-text metric is trained on
-            #    author-cites-paper pairs and blended into the final ranking.
-            self._profile_text = None
-            if cfg.profile_text_weight > 0:
-                with obs.trace("nprec.fit.profile_text"):
-                    self._profile_text = JTIERecommender(
-                        seed=int(rng.integers(2**31)),
-                        vocabulary=self.content_tfidf_)
-                    self._profile_text.fit(corpus, train_papers, new_papers)
         return self
 
     def rank(self, user_papers: Sequence[Paper],
@@ -198,22 +182,6 @@ class NPRecRecommender(Recommender):
         # pooling so one strongly-matching interest is not diluted when a
         # user's history spans several topics.
         mix = self.config.max_pool_mix
-        correlation = mix * pairwise.max(axis=0) + (1.0 - mix) * pairwise.mean(axis=0)
-        scores = correlation
-        if self._profile_text is not None:
-            # Blend the trained profile-text metric: rank positions from
-            # the module are converted to scores so scales stay comparable.
-            ranked_ids = self._profile_text.rank(list(user_papers), candidates)
-            position = {pid: i for i, pid in enumerate(ranked_ids)}
-            text_score = np.array([
-                1.0 - position[c.id] / max(1, len(candidates) - 1)
-                for c in candidates
-            ])
-            spread = scores.std()
-            if spread > 1e-12:
-                scores = (scores - scores.mean()) / spread
-            scores = scores + self.config.profile_text_weight * (
-                (text_score - text_score.mean())
-                / max(text_score.std(), 1e-12))
+        scores = mix * pairwise.max(axis=0) + (1.0 - mix) * pairwise.mean(axis=0)
         order = np.argsort(-scores, kind="mergesort")
         return [candidates[i].id for i in order]

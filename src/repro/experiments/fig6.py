@@ -26,7 +26,7 @@ def low_resource_nprec(seed: int) -> NPRecRecommender:
     """
     return NPRecRecommender(NPRecConfig(
         seed=seed, expand_profile_with_citations=True,
-        block_gates=(0.3, 0.15, 0.4, 1.2, 0.8), profile_text_weight=0.0))
+        block_gates=(0.3, 0.15, 0.4, 1.2, 0.8)))
 
 #: Fig. 6 shows the full method lineup; JTIE/NBCF rely on text+metadata
 #: that patents still have (abstract text), SVD/WNMF on interactions.

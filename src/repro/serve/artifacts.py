@@ -7,8 +7,8 @@ An artifact is a directory::
     graph.json               heterogeneous network (indices + adjacency order)
     papers.json              training papers + author affiliations
     vocabulary.npz           the one TF-IDF vocabulary: its terms in id
-                             order and their idf (content block, profile
-                             text and serving's fallback all read it)
+                             order and their idf (the content block and
+                             serving's fallback read it)
     sem/encoder.json|.npz    frozen sentence-encoder statistics + rotation
     sem/network.npz          subspace fusion network (nn.serialization)
     sem/rules.npz            expert-rule fusion weights + normalisation
@@ -17,8 +17,6 @@ An artifact is a directory::
     model/static.npz         text + mask matrices, content rows as CSR
                              (content_data / content_indices / content_indptr)
     model/neighbours.npz     the interest and influence neighbour tables
-    profile_text/meta.json|weights.npz
-                             JTIE profile-text module (only when trained)
     ann/ivf.npz|.json        IVF coarse quantizer over a serving pool
                              (only when saved via save_ann_index)
     pool/pool.json           serving-pool snapshot in insertion order
@@ -28,12 +26,12 @@ An artifact is a directory::
 Everything that decides a ranking is persisted **exactly** — float64
 arrays through ``.npz``, graph adjacency in insertion order, the
 neighbour tables and the seed that draws rows for ingested entities, and
-the TF-IDF vocabulary that embeds ingested papers and profile text — so
+the TF-IDF vocabulary that embeds ingested papers — so
 a reloaded recommender reproduces ``rank()`` bit for bit, and loading
 draws and refits nothing.
 
-``manifest.json`` carries a SHA-256 per file and a schema version (7
-since model rows sketch the raw lexical block; see ``SCHEMA_VERSION``);
+``manifest.json`` carries a SHA-256 per file and a schema version (8
+since the profile-text payload is gone; see ``SCHEMA_VERSION``);
 :func:`load_pipeline` refuses loudly
 (``ArtifactError`` / ``SchemaVersionError``) rather than deserialising
 a corrupt or foreign-versioned directory.
@@ -55,7 +53,6 @@ import numpy as np
 
 from repro import obs
 from repro.baselines.content import TfIdfIndex
-from repro.baselines.neural import JTIERecommender
 from repro.core.nprec.model import ContentRows, NPRecModel
 from repro.core.nprec.recommend import NPRecConfig, NPRecRecommender
 from repro.core.rules import ExpertRuleSet
@@ -65,7 +62,6 @@ from repro.data.corpus import Corpus
 from repro.data.io import paper_from_dict, paper_to_dict
 from repro.errors import ArtifactError, InjectedFault, NotFittedError
 from repro.graph.hetero import HeterogeneousGraph
-from repro.nn.layers import Linear
 from repro.nn.serialization import load_module
 from repro.resilience import faults, staging
 from repro.resilience.retry import Backoff, retry
@@ -87,7 +83,9 @@ from repro.text.sequence_labeler import SequenceLabeler
 #: v7: model rows replace the raw lexical block with a ``dim``-column
 #: sketch of it, so a persisted IVF quantizer's centroids are 160
 #: columns wide, not 3128; v6 artifacts must be re-saved.
-SCHEMA_VERSION = 7
+#: v8: the JTIE profile-text payload and its config key are gone, so
+#: v7 artifacts must be re-saved.
+SCHEMA_VERSION = 8
 
 KIND = "nprec-pipeline"
 POOL_FILE = "pool/pool.json"
@@ -235,8 +233,6 @@ def _pipeline_payloads(rec: NPRecRecommender, corpus: Corpus | None,
     }
     payloads.update(_sem_payloads(rec.sem))
     payloads.update(_model_payloads(rec.model))
-    if rec._profile_text is not None:
-        payloads.update(_profile_text_payloads(rec._profile_text))
     return payloads
 
 
@@ -259,7 +255,6 @@ def _config_payload(rec: NPRecRecommender) -> dict:
             "content_width": (None if model.content_matrix is None
                               else model.content_matrix.shape[1]),
         },
-        "has_profile_text": rec._profile_text is not None,
     }
 
 
@@ -314,25 +309,6 @@ def _model_payloads(model: NPRecModel) -> dict[str, staging.Payload]:
     }
 
 
-def _profile_text_payloads(module: JTIERecommender
-                           ) -> dict[str, staging.Payload]:
-    if module.bilinear_ is None:
-        raise NotFittedError("profile-text module exists but is not fitted")
-    arrays = {"bilinear.weight": module.bilinear_.weight.data}
-    head = module._head
-    arrays["head.weight"] = head.weight.data
-    if head.bias is not None:
-        arrays["head.bias"] = head.bias.data
-    return {
-        "profile_text/meta.json": staging.json_payload({
-            "text_dim": module.text_dim,
-            "venue_rate": module._venue_rate,
-            "author_h": module._author_h,
-        }),
-        "profile_text/weights.npz": staging.npz_payload(arrays),
-    }
-
-
 # ----------------------------------------------------------------------
 # Load
 # ----------------------------------------------------------------------
@@ -374,7 +350,7 @@ def load_pipeline(directory: str | os.PathLike) -> NPRecRecommender:
             faults.maybe_fail("artifact.load")
             try:
                 return _rebuild(root, manifest)
-            except (KeyError, ValueError, OSError) as exc:
+            except (KeyError, TypeError, ValueError, OSError) as exc:
                 raise ArtifactError(
                     f"artifact at {root} passed integrity checks but could "
                     f"not be deserialised: {exc}") from exc
@@ -530,9 +506,6 @@ def _rebuild(root: Path, manifest: dict) -> NPRecRecommender:
     vocabulary = _load_npz(root / "vocabulary.npz")
     rec.content_tfidf_ = TfIdfIndex.from_terms(vocabulary["terms"].tolist(),
                                                vocabulary["idf"])
-    if config_payload.get("has_profile_text"):
-        rec._profile_text = _load_profile_text(root / "profile_text",
-                                               rec.content_tfidf_)
     obs.count("serve.artifact.loaded")
     return rec
 
@@ -619,30 +592,3 @@ def _load_model(graph: HeterogeneousGraph, arch: dict,
     model.load_state_dict(_load_npz(root / "weights.npz"))
     return model
 
-
-def _load_profile_text(root: Path,
-                       vocabulary: TfIdfIndex) -> JTIERecommender:
-    meta = _read_json(root / "meta.json")
-    module = JTIERecommender(text_dim=int(meta["text_dim"]), seed=0)
-    # The head of the stored vocabulary, as the fit read it.
-    module._tfidf = vocabulary.head(module.text_dim * 20)
-    module._venue_rate = {k: float(v) for k, v in meta["venue_rate"].items()}
-    module._author_h = {k: float(v) for k, v in meta["author_h"].items()}
-    arrays = _load_npz(root / "weights.npz")
-    dim = arrays["bilinear.weight"].shape[1]
-    if dim != module._tfidf.dim + 3:
-        raise ArtifactError(
-            f"profile-text vocabulary drift: persisted bilinear expects "
-            f"{dim} features, the stored vocabulary gives "
-            f"{module._tfidf.dim + 3}")
-    module.bilinear_ = Linear(dim, arrays["bilinear.weight"].shape[0],
-                              bias=False, rng=0)
-    module.bilinear_.weight.data = arrays["bilinear.weight"].copy()
-    head = Linear(arrays["head.weight"].shape[1],
-                  arrays["head.weight"].shape[0],
-                  bias="head.bias" in arrays, rng=0)
-    head.weight.data = arrays["head.weight"].copy()
-    if head.bias is not None:
-        head.bias.data = arrays["head.bias"].copy()
-    module._head = head
-    return module

@@ -8,11 +8,9 @@ Pool rows and profiles are the model's dense interest and influence rows
 (160 columns at the default configuration); the pool lives in a
 capacity-doubling buffer, so an ingest appends one row.
 
-Scoring matches :meth:`NPRecRecommender._rank`'s correlation term —
-``mix * max + (1 - mix) * mean`` over the user's interest vectors — with
-one documented serving simplification: the profile-text blend is
-omitted (it requires a full re-rank per query, which contradicts
-blockwise retrieval).
+Scoring is :meth:`NPRecRecommender._rank`'s score —
+``mix * max + (1 - mix) * mean`` over the user's interest vectors — so
+the served order over a pool is the offline order.
 
 There is one rank path: :meth:`ServingIndex.batch_top_k`. Serial
 :meth:`ServingIndex.top_k` is a batch of one, and the micro-batching

@@ -9,7 +9,7 @@ query, and cost about 25 ms of CPU per served request. The count is
 process-wide in OpenBLAS, so it is pinned by holds that nest: the first
 hold sets one thread and the last release restores the count the first
 one saw. Training holds one for its epochs
-(:func:`repro.resilience.checkpoint.run_epochs`), JTIE's profile-text
+(:func:`repro.resilience.checkpoint.run_epochs`), the JTIE baseline's
 fit one for its training loop
 (:meth:`repro.baselines.neural.JTIERecommender.fit`, where a second
 thread cost about 60% more CPU for a wall time within the run-to-run

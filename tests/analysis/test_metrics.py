@@ -15,6 +15,7 @@ from repro.analysis import (
     precision_at_k,
     rankdata,
     reciprocal_rank,
+    sign_test,
     spearman_correlation,
 )
 
@@ -55,6 +56,19 @@ class TestSpearman:
             spearman_correlation([1], [1])
         with pytest.raises(ValueError):
             spearman_correlation([1, 2], [1, 2, 3])
+
+
+class TestSignTest:
+    @pytest.mark.parametrize("wins,losses", [(3, 5), (12, 8), (0, 6),
+                                             (17, 3), (4, 4), (1, 0)])
+    def test_matches_scipy(self, wins, losses):
+        from scipy.stats import binomtest
+        want = binomtest(wins, wins + losses).pvalue
+        assert sign_test(wins, losses) == pytest.approx(want, rel=1e-12)
+        assert sign_test(losses, wins) == sign_test(wins, losses)
+
+    def test_no_pairs_is_no_evidence(self):
+        assert sign_test(0, 0) == 1.0
 
 
 class TestRankingMetrics:

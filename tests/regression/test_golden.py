@@ -1,18 +1,20 @@
 """Golden regression wall: experiments must match the checked-in results.
 
 Reruns the cheap headline experiments (``table1``, ``fig2``) at their
-default settings and compares the rendered tables against
-``results/*.txt`` token by token — numeric cells within a small absolute
-tolerance (guarding against cross-platform float formatting drift),
-everything else exactly.
+default settings (scale 1.0) and compares the rendered tables against
+``tests/regression/golden/*.txt`` token by token — numeric cells within
+a small absolute tolerance (guarding against cross-platform float
+formatting drift), everything else exactly. The goldens live here, not
+under ``results/``: the benchmarks write their scale-0.6 runs of the
+same experiments there, and one file holds one scale.
 
 If a change to samplers, RNG draw order, or model internals shifts these
-numbers *intentionally*, regenerate the goldens in the same PR::
+numbers *intentionally*, regenerate the goldens in the same change::
 
     PYTHONPATH=src python - <<'PY'
     from repro.experiments.common import run_experiment, render_results
     for exp in ("table1", "fig2"):
-        with open(f"results/{exp}.txt", "w") as fh:
+        with open(f"tests/regression/golden/{exp}.txt", "w") as fh:
             fh.write(render_results(run_experiment(exp)) + "\n")
     PY
 
@@ -25,7 +27,7 @@ import pytest
 
 from repro.experiments.common import render_results, run_experiment
 
-RESULTS = Path(__file__).resolve().parents[2] / "results"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 #: Absolute tolerance for numeric cells (tables render with 3 decimals).
 TOLERANCE = 2e-3
@@ -63,10 +65,10 @@ def assert_text_close(actual: str, golden: str, source: str) -> None:
 
 @pytest.mark.parametrize("experiment", ["table1", "fig2"])
 def test_experiment_matches_golden(experiment):
-    golden_path = RESULTS / f"{experiment}.txt"
+    golden_path = GOLDEN / f"{experiment}.txt"
     assert golden_path.is_file(), (
-        f"missing golden file {golden_path}; generate it with "
-        f"`python -m repro.experiments {experiment}`")
+        f"missing golden file {golden_path}; generate it as this "
+        f"module's docstring shows")
     actual = render_results(run_experiment(experiment))
     assert_text_close(actual, golden_path.read_text(encoding="utf-8"),
-                      source=f"results/{experiment}.txt")
+                      source=f"tests/regression/golden/{experiment}.txt")

@@ -12,6 +12,7 @@ from repro.core.nprec import NPRecRecommender
 from repro.core.nprec.recommend import CONTENT_FEATURES
 from repro.core.nprec.model import ContentRows
 from repro.errors import ArtifactError, NotFittedError, SchemaVersionError
+from repro.resilience import staging
 from repro.serve import (
     SCHEMA_VERSION,
     ServingIndex,
@@ -128,27 +129,69 @@ class TestFailureModes:
     def test_v3_artifact_is_refused(self, artifact, tmp_path):
         # v4 dropped the novelty payload and its config field: a v3
         # directory must be re-saved, never half-read.
-        assert SCHEMA_VERSION == 7
+        assert SCHEMA_VERSION == 8
         self._assert_refused(artifact, tmp_path, 3)
 
     def test_v4_artifact_is_refused(self, artifact, tmp_path):
         # v5 stores the TF-IDF vocabulary instead of refitting it: a v4
         # directory has none to load.
-        assert SCHEMA_VERSION == 7
+        assert SCHEMA_VERSION == 8
         self._assert_refused(artifact, tmp_path, 4)
 
     def test_v5_artifact_is_refused(self, artifact, tmp_path):
         # v6 stores the neighbour tables instead of the lazily sampled
         # fields and their sampler state: a v5 directory has no tables.
-        assert SCHEMA_VERSION == 7
+        assert SCHEMA_VERSION == 8
         self._assert_refused(artifact, tmp_path, 5)
 
     def test_v6_artifact_is_refused(self, artifact, tmp_path):
         # v7 rows sketch the raw lexical block: a v6 quantizer's
         # centroids are 3128 columns wide and score nothing in a
         # 160-column pool.
-        assert SCHEMA_VERSION == 7
+        assert SCHEMA_VERSION == 8
         self._assert_refused(artifact, tmp_path, 6)
+
+    @staticmethod
+    def _as_v7(artifact, tmp_path):
+        """A copy laid out as a v7 save: the stale config key and flag,
+        the ``profile_text/`` payload, every file checksummed."""
+        directory = _copy(artifact[0], tmp_path)
+        config_path = directory / "config.json"
+        config = json.loads(config_path.read_text())
+        config["nprec_config"]["profile_text_weight"] = 1.0
+        config["has_profile_text"] = True
+        config_path.write_text(json.dumps(config))
+        (directory / "profile_text").mkdir()
+        (directory / "profile_text" / "meta.json").write_text(
+            json.dumps({"text_dim": 48, "venue_rate": {}, "author_h": {}}))
+        np.savez(directory / "profile_text" / "weights.npz",
+                 **{"bilinear.weight": np.zeros((24, 963))})
+        manifest = json.loads((directory / "manifest.json").read_text())
+        for rel in ("config.json", "profile_text/meta.json",
+                    "profile_text/weights.npz"):
+            manifest["files"][rel] = staging.sha256(directory / rel)
+        manifest["schema_version"] = 7
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+        return directory, manifest
+
+    def test_v7_artifact_is_refused(self, artifact, tmp_path):
+        # v8 dropped the profile-text payload and its config key: a v7
+        # save is refused by version, before its stale
+        # ``profile_text_weight`` reaches NPRecConfig.
+        assert SCHEMA_VERSION == 8
+        directory, _ = self._as_v7(artifact, tmp_path)
+        with pytest.raises(SchemaVersionError, match="schema version 7"):
+            load_pipeline(directory)
+
+    def test_a_relabelled_v7_artifact_is_an_artifact_error(self, artifact,
+                                                          tmp_path):
+        # The same files under a v8 label pass the checksums; the stale
+        # key is then reported as an ArtifactError, not a TypeError.
+        directory, manifest = self._as_v7(artifact, tmp_path)
+        manifest["schema_version"] = SCHEMA_VERSION
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ArtifactError, match="profile_text_weight"):
+            load_pipeline(directory)
 
     def test_schema_error_is_artifact_error(self):
         # Callers catching the broad class also see version mismatches.
@@ -253,23 +296,15 @@ class TestManifest:
 class TestStoredVocabulary:
     """The one TF-IDF vocabulary is stored and loaded, never refitted."""
 
-    @pytest.mark.parametrize("width", [CONTENT_FEATURES, 960])
-    def test_stored_transform_equals_a_refit(self, artifact, serve_task,
-                                             fitted_recommender, width):
+    def test_stored_transform_equals_a_refit(self, artifact, serve_task):
         train = list(serve_task.train_papers)
-        refit = TfIdfIndex(max_features=width).fit(train)
-        reloaded = load_pipeline(artifact[0])
-        if width == CONTENT_FEATURES:
-            stored = [reloaded.content_tfidf_]
-        else:  # the profile-text module reads the first 960 terms
-            stored = [reloaded._profile_text._tfidf,
-                      fitted_recommender._profile_text._tfidf]
-        for tfidf in stored:
-            assert tfidf.dim == refit.dim <= width
-            assert np.array_equal(tfidf.idf_, refit.idf_)
-            for paper in train + list(serve_task.new_papers):
-                assert (tfidf.transform(paper).tobytes()
-                        == refit.transform(paper).tobytes()), paper.id
+        refit = TfIdfIndex(max_features=CONTENT_FEATURES).fit(train)
+        tfidf = load_pipeline(artifact[0]).content_tfidf_
+        assert tfidf.dim == refit.dim <= CONTENT_FEATURES
+        assert np.array_equal(tfidf.idf_, refit.idf_)
+        for paper in train + list(serve_task.new_papers):
+            assert (tfidf.transform(paper).tobytes()
+                    == refit.transform(paper).tobytes()), paper.id
 
     def test_compact_then_reload_keeps_the_vocabulary(self, artifact,
                                                       serve_task, tmp_path):

@@ -5,7 +5,7 @@ thread and the last one to close restores the previous count; a second
 ``close()`` releases nothing. Every :meth:`ServingIndex.batch_top_k`
 call takes one hold of its own and releases it on every exit, so a
 query scores on one thread with or without a scheduler. Training holds
-the same pin for its epochs, and JTIE's profile-text fit for its
+the same pin for its epochs, and the JTIE baseline's fit for its
 training loop, and each restores the count afterwards; so does every
 :meth:`ServingIndex.register_user` call, while ingest takes none. Where no
 OpenBLAS is found the pin does nothing. Serving answers are
@@ -413,7 +413,7 @@ class TestTrainingPin:
 
 
 class TestProfileTextPin:
-    """JTIE's profile-text fit holds one thread for its training loop."""
+    """The JTIE baseline's fit holds one thread for its training loop."""
 
     @staticmethod
     def _fit(monkeypatch, serve_task, read):

@@ -2,9 +2,8 @@
 
 Pool rows and interest profiles are the model's dense interest and
 influence rows: the learned blocks and the lexical sketch block. Served
-scores must equal the offline ranker's correlation
-(:meth:`NPRecRecommender._rank` before its profile-text blend) to float
-rounding, and every bit-identity contract
+scores must equal the offline ranker's score
+(:meth:`NPRecRecommender._rank`) to float rounding, and every bit-identity contract
 (batched == serial, full-probe IVF == exact, WAL replay == live) must
 hold on a model that has lexical content rows. The content rows stay a
 :class:`~repro.core.nprec.model.ContentRows` store (the model's
@@ -104,13 +103,11 @@ class TestSplitScores:
             index.paper_ids).data)
 
     def test_served_scores_equal_the_offline_correlation(self, index, pool,
-                                                         serve_task,
-                                                         monkeypatch):
+                                                         serve_task):
         """Served top-k over the whole pool: the ids in the order the
-        offline ranker gives them with its profile-text blend off, and
-        the scores it sorts by, within float rounding."""
+        offline ranker gives them under the default config, and the
+        scores it sorts by, within float rounding."""
         rec = index._recommender
-        monkeypatch.setattr(rec, "_profile_text", None)
         mix = rec.config.max_pool_mix
         assert [p.id for p in pool] == index.paper_ids
         for user in serve_task.users:
